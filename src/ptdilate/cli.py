@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .dilation import (
     verify_dilation,
 )
 from .fitkit import eigen_curve, fit_r, fit_table_to_csv
-from .numkit import NotHermitian, NotPositive, SingularPair, TimeGrid
+from .numkit import NotHermitian, TimeGrid, csv_row, write_csv
 from .pauli import extract_a_series
 from .pulse import (
     GridTooCoarse,
@@ -63,8 +63,6 @@ _NUMERIC_ERRORS = (
     SingularPropagator,
     PositivityLost,
     NotHermitian,
-    NotPositive,
-    SingularPair,
     SingularReadout,
     RankDeficient,
     ZeroBranch,
@@ -76,6 +74,21 @@ _NUMERIC_ERRORS = (
 
 class ValidationError(ValueError):
     """Aggregated configuration problems; message lists every issue."""
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Accepted values per RunConfig field annotation (JSON booleans are not
+# numbers), and how to name them.
+_FIELD_TYPES = {
+    "int": (lambda v: _is_real(v) and isinstance(v, int), "an integer"),
+    "float": (_is_real, "a number"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_is_real, v.values())), "an object of numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @dataclass
@@ -100,7 +113,14 @@ class RunConfig:
     audit_times: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
 
     def validate(self) -> None:
-        problems = []
+        problems = [
+            f"{f.name} must be {desc}, got {getattr(self, f.name)!r}"
+            for f in fields(self)
+            for ok, desc in [_FIELD_TYPES[f.type]]
+            if not ok(getattr(self, f.name))
+        ]
+        if problems:
+            raise ValidationError("; ".join(problems))
         if not self.r_list:
             problems.append("r_list must not be empty")
         elif any(r < 0 for r in self.r_list):
@@ -151,19 +171,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         data.update(loaded)
-    overrides = {
-        "r_list": args.r,
-        "t0": getattr(args, "t0", None),
-        "t1": getattr(args, "t1", None),
-        "n_nodes": getattr(args, "n_nodes", None),
-        "margin": getattr(args, "margin", None),
-        "substeps": getattr(args, "substeps", None),
-        "seed": getattr(args, "seed", None),
-        "repetitions": getattr(args, "repetitions", None),
-        "p_e": getattr(args, "p_e", None),
-        "outdir": getattr(args, "outdir", None),
-        "workers": getattr(args, "workers", None),
-    }
+    # Each flag's dest is the name of the field it overrides; --r fills r_list.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    overrides["r_list"] = args.r
     for key, val in overrides.items():
         if val is not None:
             data[key] = val
@@ -201,16 +211,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _rtag(r: float) -> str:
     return format(r, "g").replace(".", "p").replace("-", "m")
 
 
-def _header(meta: dict) -> str:
-    return "# " + json.dumps(meta, sort_keys=True) + "\n"
+def _write_table(path: str, meta: dict, write) -> None:
+    """Atomically write the ``# {json}`` metadata line, then ``write(fh)``'s table."""
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+    write(buf)
+    _atomic_write(path, buf.getvalue())
 
 
 def cmd_dilate(cfg: RunConfig) -> int:
@@ -218,12 +228,10 @@ def cmd_dilate(cfg: RunConfig) -> int:
         result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin, cfg.substeps))
         report = verify_dilation(result, pt_hamiltonian(r))
         aser = extract_a_series(result.hsa_series)
-        lines = [_header(_metadata(cfg, r=r, m0=result.m0))]
-        lines.append("t,A1,A2,A3,A4,B1,B2,B3,B4\n")
-        for t, arow, brow in zip(cfg.grid.times(), aser.a, aser.b):
-            lines.append(",".join(_fmt(v) for v in (t, *arow, *brow)) + "\n")
-        _atomic_write(
-            os.path.join(cfg.outdir, f"aseries_r{_rtag(r)}.csv"), "".join(lines)
+        _write_table(
+            os.path.join(cfg.outdir, f"aseries_r{_rtag(r)}.csv"),
+            _metadata(cfg, r=r, m0=result.m0),
+            aser.to_csv,
         )
         diag = _metadata(
             cfg,
@@ -250,12 +258,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         oracle = analytic_p0(r, ts)
         err = np.abs(traj.p0 - oracle)
         max_err = float(np.max(err))
-        lines = [_header(_metadata(cfg, r=r, max_error=max_err))]
-        lines.append("t,p0_sim,p0_oracle,abs_error,success_prob\n")
-        for row in zip(ts, traj.p0, oracle, err, traj.success_prob):
-            lines.append(",".join(_fmt(v) for v in row) + "\n")
-        _atomic_write(
-            os.path.join(cfg.outdir, f"trajectory_r{_rtag(r)}.csv"), "".join(lines)
+        columns = ("t", "p0_sim", "p0_oracle", "abs_error", "success_prob")
+        rows = zip(ts, traj.p0, oracle, err, traj.success_prob)
+        _write_table(
+            os.path.join(cfg.outdir, f"trajectory_r{_rtag(r)}.csv"),
+            _metadata(cfg, r=r, max_error=max_err),
+            lambda fh: write_csv(fh, columns, rows),
         )
         print(f"r={r:g} max_error={max_err:.6e}")
     return 0
@@ -283,17 +291,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rows = [_sweep_worker(j) for j in jobs]
     ts = cfg.grid.times()
 
-    def matrix_text(meta: dict, mat: list[np.ndarray]) -> str:
-        lines = [_header(meta)]
-        lines.append("r," + ",".join(_fmt(t) for t in ts) + "\n")
-        for r, row in zip(cfg.r_list, mat):
-            lines.append(_fmt(r) + "," + ",".join(_fmt(v) for v in row) + "\n")
-        return "".join(lines)
+    def write_matrix(name: str, meta: dict, mat: list[np.ndarray]) -> None:
+        def write(fh):
+            fh.write("r," + csv_row(ts))
+            for r, row in zip(cfg.r_list, mat):
+                fh.write(csv_row([r, *row]))
 
-    _atomic_write(
-        os.path.join(cfg.outdir, "sweep_p0.csv"),
-        matrix_text(_metadata(cfg, kind="noise-free"), rows),
-    )
+        _write_table(os.path.join(cfg.outdir, name), meta, write)
+
+    write_matrix("sweep_p0.csv", _metadata(cfg, kind="noise-free"), rows)
     if cfg.repetitions > 0:
         noisy = []
         for idx, r in enumerate(cfg.r_list):
@@ -305,17 +311,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
             noisy.append(
                 noisy_p0_curve(pops, cfg.rates, cfg.repetitions, seed=rng)
             )
-        _atomic_write(
-            os.path.join(cfg.outdir, "sweep_p0_noisy.csv"),
-            matrix_text(
-                _metadata(
-                    cfg,
-                    kind="poisson",
-                    noise="numpy-default_rng-poisson",
-                    repetitions=cfg.repetitions,
-                ),
-                noisy,
+        write_matrix(
+            "sweep_p0_noisy.csv",
+            _metadata(
+                cfg,
+                kind="poisson",
+                noise="numpy-default_rng-poisson",
+                repetitions=cfg.repetitions,
             ),
+            noisy,
         )
     print(f"sweep: {len(cfg.r_list)} r values x {cfg.n_nodes} nodes")
     return 0
@@ -337,16 +341,7 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
         )
         if lab_audit:
             meta["lab_audit"] = _lab_audit(cfg, r, result, aser, prog, nv)
-        lines = [_header(meta)]
-        lines.append("t,omega_rabi,phase,freq1_offset,freq2_offset\n")
-        w1, w2 = prog.carriers
-        for row in zip(
-            cfg.grid.times(), prog.omega_rabi, prog.phase, prog.freq1 - w1, prog.freq2 - w2
-        ):
-            lines.append(",".join(_fmt(v) for v in row) + "\n")
-        _atomic_write(
-            os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"), "".join(lines)
-        )
+        _write_table(os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"), meta, prog.to_csv)
         print(f"r={r:g} roundtrip_residual={resid:.3e}")
     return 0
 
@@ -409,20 +404,18 @@ def cmd_fit(cfg: RunConfig, input_path: str, max_points: int = 201) -> int:
         samples = np.column_stack([ts[::stride], row[::stride]])
         samples = samples[np.isfinite(samples[:, 1])]  # drop failed noisy reads
         fits.append(fit_r(samples))
-    buf = [
-        _header(_metadata(cfg, input=os.path.basename(input_path))),
-    ]
-    tbl = io.StringIO()
-    fit_table_to_csv(tbl, r_nominal, fits)
-    buf.append(tbl.getvalue())
-    _atomic_write(os.path.join(cfg.outdir, "fits.csv"), "".join(buf))
-
-    curve = eigen_curve(r_nominal, fits)
-    lines = [_header(_metadata(cfg, input=os.path.basename(input_path)))]
-    lines.append("r_nominal,reE_plus,imE_plus,reE_minus,imE_minus\n")
-    for row in curve:
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
-    _atomic_write(os.path.join(cfg.outdir, "eigencurve.csv"), "".join(lines))
+    meta = _metadata(cfg, input=os.path.basename(input_path))
+    _write_table(
+        os.path.join(cfg.outdir, "fits.csv"),
+        meta,
+        lambda fh: fit_table_to_csv(fh, r_nominal, fits),
+    )
+    columns = ("r_nominal", "reE_plus", "imE_plus", "reE_minus", "imE_minus")
+    _write_table(
+        os.path.join(cfg.outdir, "eigencurve.csv"),
+        meta,
+        lambda fh: write_csv(fh, columns, eigen_curve(r_nominal, fits)),
+    )
     for r, fit in zip(r_nominal, fits):
         print(f"r={r:g} r_exp={fit.r_exp:.6f} stderr={fit.stderr:.2e}")
     return 0
@@ -518,15 +511,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, ValueError, OSError, TypeError) as exc:
-        if isinstance(exc, _NUMERIC_ERRORS):
-            print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # Numeric errors first: several of them (LinAlgError among them) are
+    # ValueError subclasses.
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError, TypeError) as exc:
+        print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,18 +6,16 @@ Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a uniform time
 grid.  Post-selecting the ancilla on the |-> branch of the dilated
 unitary evolution reproduces the non-unitary H_s dynamics.
 
-Two evaluation routes exist for Lambda/Gamma:
-
-* ``eta_series`` + ``lambda_gamma``: the defining formulas, evaluated
-  directly.  Accurate while the metric is moderately conditioned.
-* ``dilate``: the full pipeline, evaluated in the singular basis of the
-  inverse propagator where the defining formulas reduce to the closed
-  forms ``Lambda~_ij = (d_i h_ij + d_j h*_ji)/(d_i + d_j)`` and
-  ``Gamma~_ij = i (h_ij - h*_ji)/(d_i + d_j)`` (``h = V^dag H_s V``,
-  ``d_i`` the eigenvalues of eta).  These stay fully accurate even when
-  the metric spans 13+ orders of magnitude (broken-symmetry regime at
-  long times), where the direct products lose several digits to
-  cancellation.
+All metric-derived operators are evaluated in the singular basis of the
+inverse propagator, where the defining formulas
+``Lambda = {H + [i deta + eta H] eta} M^{-1}`` and
+``Gamma = i [H eta - eta H - i deta] M^{-1}`` reduce to the closed forms
+``Lambda~_ij = (d_i h_ij + d_j h*_ji)/(d_i + d_j)`` and
+``Gamma~_ij = i (h_ij - h*_ji)/(d_i + d_j)`` (``h = V^dag H_s V``,
+``d_i`` the eigenvalues of eta).  These stay fully accurate even when
+the metric spans 13+ orders of magnitude (broken-symmetry regime at
+long times), where the direct products lose several digits to
+cancellation.
 """
 
 from __future__ import annotations
@@ -27,14 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numkit import (
-    OperatorSeries,
-    TimeGrid,
-    expm,
-    ordered_propagator,
-    sqrtm_psd,
-    sylvester_hermitian,
-)
+from .numkit import OperatorSeries, TimeGrid, midpoint_steps, ordered_product
 
 __all__ = [
     "SingularPropagator",
@@ -42,10 +33,6 @@ __all__ = [
     "DilationConfig",
     "DilationResult",
     "DiagnosticsReport",
-    "choose_initial_m",
-    "m_series",
-    "eta_series",
-    "lambda_gamma",
     "dilated_hamiltonian",
     "verify_dilation",
     "dilate",
@@ -117,23 +104,16 @@ def _as_generator(h_s) -> Callable[[float], np.ndarray]:
     return lambda t: mat
 
 
-def _inverse_propagator(h_s, cfg: DilationConfig) -> OperatorSeries:
-    """W(t_k) = eps1^{-1}(t_k) stepped as W_{k+1} = W_k expm(+i h H(mid))."""
-    gen = _as_generator(h_s)
+def _inverse_propagator(gen, cfg: DilationConfig) -> OperatorSeries:
+    """W(t_k) = eps1^{-1}(t_k) stepped as W_{k+1} = W_k expm(+i h H(mid)).
+
+    Transposed, that is the step product W^T_{k+1} = S_k^T W^T_k of the
+    transposed step exponentials S_k.
+    """
     grid, substeps = cfg.grid, cfg.substeps
-    h = grid.dt / substeps
-    n_steps = (grid.n_nodes - 1) * substeps
-    mids = grid.t0 + (np.arange(n_steps) + 0.5) * h
-    steps = expm(np.stack([1j * h * np.asarray(gen(t), dtype=complex) for t in mids]))
-    d = steps.shape[-1]
-    out = np.empty((grid.n_nodes, d, d), dtype=complex)
-    cur = np.eye(d, dtype=complex)
-    out[0] = cur
-    for k in range(grid.n_nodes - 1):
-        for j in range(substeps):
-            cur = cur @ steps[k * substeps + j]
-        out[k + 1] = cur
-    return OperatorSeries(grid, out)
+    steps = midpoint_steps(lambda t: 1j * np.asarray(gen(t)), grid, substeps)
+    wt = ordered_product(steps.swapaxes(-1, -2), np.eye(steps.shape[-1], dtype=complex))
+    return OperatorSeries(grid, np.ascontiguousarray(wt[::substeps].swapaxes(-1, -2)))
 
 
 def _check_condition(sv: np.ndarray):
@@ -146,85 +126,8 @@ def _check_condition(sv: np.ndarray):
         )
 
 
-def choose_initial_m(h_s, cfg: DilationConfig) -> tuple[float, float]:
-    """Scalar M(0) = m0 I keeping all eigenvalues of M(t) >= 1 + margin.
-
-    mu' is the grid minimum of the smallest eigenvalue of
-    ``[eps1^{-1}]^dag eps1^{-1}``; m0 = (1 + margin)/mu'.
-    """
-    w = _inverse_propagator(h_s, cfg)
-    sv = np.linalg.svd(w.data, compute_uv=False)
-    _check_condition(sv)
-    mu_prime = float(np.min(sv[:, -1] ** 2))
-    return (1.0 + cfg.margin) / mu_prime, mu_prime
-
-
-def m_series(h_s, m0: float, cfg: DilationConfig) -> OperatorSeries:
-    """M(t_k) = m0 [eps1^{-1}]^dag eps1^{-1}, Hermitian-symmetrized."""
-    if not m0 > 1.0:
-        raise ValueError(f"m0 must exceed 1, got {m0}")
-    w = _inverse_propagator(h_s, cfg)
-    sv = np.linalg.svd(w.data, compute_uv=False)
-    _check_condition(sv)
-    if float(np.min(m0 * sv[:, -1] ** 2 - 1.0)) <= 0.0:
-        raise PositivityLost(
-            f"min eig(M - I) = {np.min(m0 * sv[:, -1]**2 - 1.0):.3e} <= 0"
-        )
-    wh = w.data.conj().swapaxes(-1, -2)
-    m = m0 * (wh @ w.data)
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    return OperatorSeries(cfg.grid, m)
-
-
-def eta_series(
-    m_ser: OperatorSeries, h_s
-) -> tuple[OperatorSeries, OperatorSeries]:
-    """eta = sqrt(M - I) and its derivative from the Sylvester equation.
-
-    dM/dt is taken analytically from the metric ODE,
-    ``dM/dt = -i (H^dag M - M H)``, and deta solves
-    ``eta X + X eta = dM/dt``, avoiding differencing noise.
-    """
-    gen = _as_generator(h_s)
-    ts = m_ser.grid.times()
-    eye = np.eye(m_ser.data.shape[-1], dtype=complex)
-    etas = np.empty_like(m_ser.data)
-    detas = np.empty_like(m_ser.data)
-    for k, t in enumerate(ts):
-        m = m_ser.data[k]
-        h = np.asarray(gen(t), dtype=complex)
-        etas[k] = sqrtm_psd(m - eye)
-        dm = -1j * (h.conj().T @ m - m @ h)
-        dm = (dm + dm.conj().T) / 2.0
-        detas[k] = sylvester_hermitian(etas[k], dm)
-    return OperatorSeries(m_ser.grid, etas), OperatorSeries(m_ser.grid, detas)
-
-
-def lambda_gamma(
-    h_s,
-    m_ser: OperatorSeries,
-    eta: OperatorSeries,
-    deta: OperatorSeries,
-) -> tuple[OperatorSeries, OperatorSeries]:
-    """Direct evaluation of the dilation operator pair.
-
-    Lambda = {H + [i deta + eta H] eta} M^{-1} and
-    Gamma  = i [H eta - eta H - i deta] M^{-1}; both are
-    Hermitian-symmetrized with the pre-symmetrization residual recorded on
-    the returned series (``.presym_residual`` attribute, per node,
-    relative).
-    """
-    gen = _as_generator(h_s)
-    ts = m_ser.grid.times()
-    h = np.stack([np.asarray(gen(t), dtype=complex) for t in ts])
-    minv = np.linalg.inv(m_ser.data)
-    lam = (h + (1j * deta.data + eta.data @ h) @ eta.data) @ minv
-    gam = 1j * (h @ eta.data - eta.data @ h - 1j * deta.data) @ minv
-    lam_s = OperatorSeries(m_ser.grid, (lam + lam.conj().swapaxes(-1, -2)) / 2.0)
-    gam_s = OperatorSeries(m_ser.grid, (gam + gam.conj().swapaxes(-1, -2)) / 2.0)
-    lam_s.presym_residual = _herm_residual(lam)
-    gam_s.presym_residual = _herm_residual(gam)
-    return lam_s, gam_s
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _herm_residual(x: np.ndarray) -> np.ndarray:
@@ -275,7 +178,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     """
     gen = _as_generator(h_s)
     grid = cfg.grid
-    w = _inverse_propagator(h_s, cfg)
+    w = _inverse_propagator(gen, cfg)
     sv = np.linalg.svd(w.data, compute_uv=False)
     _check_condition(sv)
     mu_prime = float(np.min(sv[:, -1] ** 2))
@@ -307,27 +210,16 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     sj = s_eig[:, None, :]
     deta_t = -1j * (hth * sj - si * ht) / pair
 
-    def _assemble(core):
-        return v @ core @ vh
-
-    lam = _assemble(lam_t)
-    gam = _assemble(gam_t)
+    lam = v @ lam_t @ vh
+    gam = v @ gam_t @ vh
     presym_lambda = _herm_residual(lam)
     presym_gamma = _herm_residual(gam)
-    lam = (lam + lam.conj().swapaxes(-1, -2)) / 2.0
-    gam = (gam + gam.conj().swapaxes(-1, -2)) / 2.0
-
-    m = _assemble(s_eig[:, :, None] * np.eye(h.shape[-1])[None])
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    eta = _assemble(d_eig[:, :, None] * np.eye(h.shape[-1])[None])
-    eta = (eta + eta.conj().swapaxes(-1, -2)) / 2.0
-    deta = _assemble(deta_t)
-    deta = (deta + deta.conj().swapaxes(-1, -2)) / 2.0
-
-    lam_s = OperatorSeries(grid, lam)
-    gam_s = OperatorSeries(grid, gam)
-    lam_s.presym_residual = presym_lambda
-    gam_s.presym_residual = presym_gamma
+    lam_s = OperatorSeries(grid, _hermitize(lam))
+    gam_s = OperatorSeries(grid, _hermitize(gam))
+    eye = np.eye(h.shape[-1])[None]
+    m = _hermitize(v @ (s_eig[:, :, None] * eye) @ vh)
+    eta = _hermitize(v @ (d_eig[:, :, None] * eye) @ vh)
+    deta = _hermitize(v @ deta_t @ vh)
     hsa = dilated_hamiltonian(lam_s, gam_s)
 
     return DilationResult(

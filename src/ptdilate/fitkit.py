@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkit import write_csv
 from .ptmodel import analytic_p0, pt_eigenvalues
 
 __all__ = [
@@ -164,7 +165,8 @@ def eigen_curve(r_values, fits) -> np.ndarray:
 
 def fit_table_to_csv(fh, r_values, fits) -> None:
     """Write the fit summary with header r_nominal,r_exp,stderr,reE_plus,imE_plus."""
-    fh.write("r_nominal,r_exp,stderr,reE_plus,imE_plus\n")
-    for r, fit in zip(r_values, fits):
-        vals = (float(r), fit.r_exp, fit.stderr, fit.e_plus.real, fit.e_plus.imag)
-        fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    rows = (
+        (r, fit.r_exp, fit.stderr, fit.e_plus.real, fit.e_plus.imag)
+        for r, fit in zip(r_values, fits)
+    )
+    write_csv(fh, ("r_nominal", "r_exp", "stderr", "reE_plus", "imE_plus"), rows)

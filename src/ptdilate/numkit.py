@@ -3,7 +3,9 @@
 Everything here operates on small (dim <= 4 in practice) dense complex
 matrices.  The functions accept stacked inputs with shape ``(..., n, n)``
 wherever that comes for free, which lets callers exponentiate a whole
-time series of generators in one call.
+time series of generators in one call.  ``ordered_product`` is the one
+serial step loop of the package, and ``csv_row`` the one float format of
+its CSV tables.
 """
 
 from __future__ import annotations
@@ -16,29 +18,17 @@ import numpy as np
 
 __all__ = [
     "NotHermitian",
-    "NotPositive",
-    "SingularPair",
     "TimeGrid",
     "OperatorSeries",
-    "is_hermitian",
-    "herm_eig",
     "expm",
-    "sqrtm_psd",
-    "sylvester_hermitian",
+    "ordered_product",
+    "midpoint_steps",
     "ordered_propagator",
 ]
 
 
 class NotHermitian(ValueError):
     """Input failed a Hermiticity check at the requested tolerance."""
-
-
-class NotPositive(ValueError):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
-class SingularPair(ValueError):
-    """An eigenvalue pair sum is too small to divide by."""
 
 
 @dataclass(frozen=True)
@@ -90,27 +80,6 @@ class OperatorSeries:
         return self.data[k]
 
 
-def is_hermitian(m: np.ndarray, tol: float) -> bool:
-    """max |M - M^dagger| <= tol, elementwise."""
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
-
-
-def herm_eig(m: np.ndarray, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
-
-    Raises NotHermitian if ``m`` deviates from Hermiticity by more than
-    ``tol`` relative to its magnitude (floor 1), so matrices of any scale
-    pass at roundoff level.  Returns ``(w, v)`` with orthonormal
-    eigenvector columns.
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if not is_hermitian(m, tol * scale):
-        raise NotHermitian(f"matrix is not Hermitian within tol={tol}")
-    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
-
-
 # Pade [6/6] numerator coefficients, b[j] * A^j; the denominator uses the
 # same coefficients with alternating signs.
 _PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
@@ -149,36 +118,35 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def sqrtm_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
+def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Step product: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
 
-    Eigenvalues in ``[-thresh, 0)`` are clamped to zero, where ``thresh``
-    scales ``tol`` by the largest eigenvalue magnitude; anything below
-    raises NotPositive.
+    ``init`` is a matrix or a state vector; the result stacks
+    ``len(steps) + 1`` arrays of its shape.
     """
-    w, v = herm_eig(m)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    thresh = tol * scale
-    if np.min(w) < -thresh:
-        raise NotPositive(f"eigenvalue {np.min(w)} below -{thresh}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    cur = np.asarray(init, dtype=complex)
+    out = np.empty((len(steps) + 1, *cur.shape), dtype=complex)
+    out[0] = cur
+    for k, step in enumerate(steps):
+        cur = step @ cur
+        out[k + 1] = cur
+    return out
 
 
-def sylvester_hermitian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve A X + X A = C for Hermitian X, with A Hermitian positive definite.
+def midpoint_steps(
+    generator: Callable[[float], np.ndarray], grid: TimeGrid, substeps: int
+) -> np.ndarray:
+    """Step exponentials ``expm(h * G(t + h/2))`` of every sub-interval.
 
-    In A's eigenbasis the solution is elementwise: X_ij = C_ij/(l_i + l_j).
-    Raises SingularPair when an eigenvalue pair sum is numerically zero.
+    ``h = grid.dt / substeps``; the result stacks
+    ``(grid.n_nodes - 1) * substeps`` matrices in time order.
     """
-    w, v = herm_eig(a)
-    pair = w[..., :, None] + w[..., None, :]
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.min(pair) <= 1e-14 * scale:
-        raise SingularPair(f"eigenvalue pair sum {np.min(pair)} too small")
-    vh = v.conj().swapaxes(-1, -2)
-    x = v @ ((vh @ c @ v) / pair) @ vh
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    h = grid.dt / substeps
+    n_steps = (grid.n_nodes - 1) * substeps
+    mids = grid.t0 + (np.arange(n_steps) + 0.5) * h
+    return expm(h * np.stack([np.asarray(generator(t), dtype=complex) for t in mids]))
 
 
 def ordered_propagator(
@@ -193,21 +161,18 @@ def ordered_propagator(
     ``U(t+h) = expm(h * G(t + h/2)) U(t)``, with ``substeps`` sub-intervals
     per grid step.  ``U(t0) = I``.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    ts = grid.times()
-    h = grid.dt / substeps
-    n_steps = (grid.n_nodes - 1) * substeps
-    mids = grid.t0 + (np.arange(n_steps) + 0.5) * h
-    gs = np.stack([np.asarray(generator(t), dtype=complex) for t in mids])
-    steps = expm(h * gs)
-    d = steps.shape[-1]
-    out = np.empty((grid.n_nodes, d, d), dtype=complex)
-    cur = np.eye(d, dtype=complex)
-    out[0] = cur
-    for k in range(grid.n_nodes - 1):
-        for j in range(substeps):
-            cur = steps[k * substeps + j] @ cur
-        out[k + 1] = cur
-    assert np.isclose(ts[-1], grid.t1)
-    return OperatorSeries(grid, out)
+    steps = midpoint_steps(generator, grid, substeps)
+    out = ordered_product(steps, np.eye(steps.shape[-1], dtype=complex))
+    return OperatorSeries(grid, np.ascontiguousarray(out[::substeps]))
+
+
+def csv_row(values) -> str:
+    """One CSV line of floats in shortest round-trip form (``repr``)."""
+    return ",".join(repr(float(v)) for v in values) + "\n"
+
+
+def write_csv(fh, columns, rows) -> None:
+    """A header line of ``columns``, then ``csv_row`` of each row."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(csv_row(row))

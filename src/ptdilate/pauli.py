@@ -9,13 +9,12 @@ four of the general expansion are reported as B diagnostics.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import NotHermitian, OperatorSeries, TimeGrid
+from .numkit import NotHermitian, OperatorSeries, TimeGrid, write_csv
 
 __all__ = [
     "PAULI_1Q",
@@ -99,22 +98,8 @@ class ASeries:
 
     def to_csv(self, fh) -> None:
         """Write header t,A1..A4,B1..B4 plus one row per node."""
-        fh.write("t,A1,A2,A3,A4,B1,B2,B3,B4\n")
-        for t, arow, brow in zip(self.grid.times(), self.a, self.b):
-            vals = [t, *arow, *brow]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
-
-    @classmethod
-    def from_csv(cls, fh) -> "ASeries":
-        rows = np.loadtxt(
-            io.StringIO("".join(ln for ln in fh if not ln.startswith("#"))),
-            delimiter=",",
-            skiprows=1,
-            ndmin=2,
-        )
-        t = rows[:, 0]
-        grid = TimeGrid(float(t[0]), float(t[-1]), len(t))
-        return cls(grid=grid, a=rows[:, 1:5], b=rows[:, 5:9])
+        columns = ("t", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
+        write_csv(fh, columns, np.column_stack([self.grid.times(), self.a, self.b]))
 
 
 def extract_a_series(hsa: OperatorSeries, tol: float = 1e-9) -> ASeries:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TimeGrid, expm
+from .numkit import TimeGrid, expm, ordered_product, write_csv
 from .pauli import ASeries, assemble_a_form
 from .simulator import CombinedState, Trajectory, _postselect_batch
 
@@ -44,6 +44,10 @@ _P_N0 = np.diag([0.0, 1.0]).astype(complex)
 
 # Max fraction of a carrier cycle a lab-frame step may span.
 _MAX_CYCLES_PER_STEP = 0.02
+
+# Lab-frame steps exponentiated per batch: bounds the memory of the
+# ~1e5+ step audit.
+_EXPM_CHUNK = 16384
 
 
 class GridTooCoarse(ValueError):
@@ -121,13 +125,12 @@ class PulseProgram:
     carriers: tuple[float, float]  # (omega_MW1, omega_MW2), rad/us
 
     def to_csv(self, fh) -> None:
-        fh.write("t,omega_rabi,phase,freq1_offset,freq2_offset\n")
+        """Write one CSV row per node, frequencies as offsets from the carriers."""
         w1, w2 = self.carriers
-        for t, om, ph, f1, f2 in zip(
-            self.grid.times(), self.omega_rabi, self.phase, self.freq1, self.freq2
-        ):
-            row = [t, om, ph, f1 - w1, f2 - w2]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        rows = zip(
+            self.grid.times(), self.omega_rabi, self.phase, self.freq1 - w1, self.freq2 - w2
+        )
+        write_csv(fh, ("t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"), rows)
 
 
 def synthesize(a: ASeries, carriers: tuple[float, float]) -> PulseProgram:
@@ -174,17 +177,12 @@ def rotating_frame_check(prog: PulseProgram, a: ASeries) -> float:
     return float(np.max(np.linalg.svd(diff, compute_uv=False)[:, 0]))
 
 
-def _interp(t_nodes: np.ndarray, values: np.ndarray, t_query: np.ndarray) -> np.ndarray:
-    return np.interp(t_query, t_nodes, values)
-
-
 def simulate_lab_frame(
     prog: PulseProgram,
     a: ASeries,
     params: NVParams,
     grid_fine: TimeGrid,
     initial: CombinedState,
-    chunk: int = 16384,
 ) -> Trajectory:
     """Integrate the cosine-drive Hamiltonian without RWA and rotate back.
 
@@ -210,17 +208,17 @@ def simulate_lab_frame(
     a2 = a.a[:, 1]
     a4 = a.a[:, 3]
     # Cumulative integrals of A4 and A2 on the fine grid (trapezoid).
-    a4_f = _interp(t_nodes, a4, ts)
-    a2_f = _interp(t_nodes, a2, ts)
+    a4_f = np.interp(ts, t_nodes, a4)
+    a2_f = np.interp(ts, t_nodes, a2)
     int_a4 = np.concatenate([[0.0], np.cumsum((a4_f[1:] + a4_f[:-1]) / 2.0 * h)])
     int_a2 = np.concatenate([[0.0], np.cumsum((a2_f[1:] + a2_f[:-1]) / 2.0 * h)])
 
     w1, w2 = prog.carriers
-    int_a4_mid = _interp(ts, int_a4, mids)
+    int_a4_mid = np.interp(mids, ts, int_a4)
     theta1 = w1 * mids + 2.0 * int_a4_mid
     theta2 = w2 * mids - 2.0 * int_a4_mid
-    om_mid = _interp(t_nodes, prog.omega_rabi, mids)
-    ph_mid = _interp(t_nodes, prog.phase, mids)
+    om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
+    ph_mid = np.interp(mids, t_nodes, prog.phase)
 
     drive1 = 2.0 * math.pi * om_mid * np.cos(theta1 - ph_mid)
     drive2 = 2.0 * math.pi * om_mid * np.cos(theta2 + ph_mid)
@@ -229,20 +227,15 @@ def simulate_lab_frame(
     sx_n0 = np.kron(_SX, _P_N0)
 
     states = np.empty((n, 4), dtype=complex)
-    cur = initial.amplitudes.astype(complex)
-    states[0] = cur
-    # Chunked batched exponentials keep memory bounded on ~1e5+ steps.
-    for start in range(0, n - 1, chunk):
-        stop = min(start + chunk, n - 1)
+    states[0] = initial.amplitudes
+    for start in range(0, n - 1, _EXPM_CHUNK):
+        stop = min(start + _EXPM_CHUNK, n - 1)
         hmats = (
             h0[None]
             + drive1[start:stop, None, None] * sx_n1[None]
             + drive2[start:stop, None, None] * sx_n0[None]
         )
-        steps = expm(-1j * h * hmats)
-        for k in range(start, stop):
-            cur = steps[k - start] @ cur
-            states[k + 1] = cur
+        states[start : stop + 1] = ordered_product(expm(-1j * h * hmats), states[start])
 
     # Back to the rotating frame: the exponent of U_rot is diagonal.
     h0_diag = np.real(np.diag(h0))
@@ -255,7 +248,5 @@ def simulate_lab_frame(
     )
     states = np.exp(1j * exponent) * states
 
-    proj, succ = _postselect_batch(states)
-    wgt = np.sum(np.abs(proj) ** 2, axis=-1)
-    p0 = np.abs(proj[:, 0]) ** 2 / wgt
+    p0, succ = _postselect_batch(states)
     return Trajectory(grid=grid_fine, states=states, p0=p0, success_prob=succ)

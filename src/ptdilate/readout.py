@@ -52,6 +52,9 @@ MEASUREMENT_SEQUENCES = ("none", "piMW1", "piRF1")
 # pairwise degenerate.
 _PE_DEGENERACY_WINDOW = 1e-6
 
+# Selected-branch population below which the conditional P0 is undefined.
+_MIN_BRANCH = 1e-12
+
 
 class RankDeficient(ValueError):
     """The calibration system has rank < 4 (e.g. p_e = 1/2)."""
@@ -175,6 +178,56 @@ def expected_counts(populations: np.ndarray, rates: PLRates) -> np.ndarray:
     return inversion_matrix(rates)[:3] @ populations
 
 
+def _inversion(rates: PLRates) -> tuple[np.ndarray, float]:
+    """Population-inversion matrix and its condition number.
+
+    Raises SingularReadout when the condition exceeds 1e12.
+    """
+    amat = inversion_matrix(rates)
+    cond = float(np.linalg.cond(amat))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularReadout(
+            f"inversion matrix condition {cond:.3e} exceeds 1e12"
+        )
+    return amat, cond
+
+
+def _draw(mu: np.ndarray, repetitions: int, seed) -> np.ndarray:
+    """Per-shot PL: Poisson(repetitions x mu) / repetitions, or ``mu`` at 0."""
+    if repetitions == 0:
+        return mu
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return rng.poisson(mu * repetitions) / repetitions
+
+
+def _invert(amat: np.ndarray, per_shot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Populations from rows of per-shot PL of the measurement sequences.
+
+    Solves the permuted-rate system plus the unit-sum row, clamps the
+    solution to [0, 1] and renormalizes.  Returns the (n, 4) populations
+    and whether clamping changed each row.
+    """
+    rhs = np.concatenate([per_shot, np.ones((len(per_shot), 1))], axis=1)
+    raw = np.linalg.solve(amat, rhs.T).T
+    clipped = np.clip(raw, 0.0, 1.0)
+    total = clipped.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
+        raise SingularReadout("clamped populations sum to zero")
+    return clipped / total, np.any(clipped != raw, axis=1)
+
+
+def _conditional_p0(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P0 = P(|0 1>) / (P(|0 1>) + P(|-1 1>)) per row, and the denominators.
+
+    Rows whose selected branch carries less than 1e-12 get NaN.
+    """
+    denom = pops[:, 0] + pops[:, 2]
+    out = np.full(len(denom), np.nan)
+    ok = denom >= _MIN_BRANCH
+    out[ok] = pops[ok, 0] / denom[ok]
+    return out, denom
+
+
 def simulate_counts(
     populations: np.ndarray,
     rates: PLRates,
@@ -190,17 +243,10 @@ def simulate_counts(
     """
     if repetitions < 0:
         raise ValueError(f"repetitions must be >= 0, got {repetitions}")
-    mu = expected_counts(populations, rates)
-    if repetitions == 0:
-        return [
-            CountRecord(sequence_id=s, counts=float(m), repetitions=0)
-            for s, m in zip(MEASUREMENT_SEQUENCES, mu)
-        ]
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    totals = rng.poisson(mu * repetitions)
+    counts = _draw(expected_counts(populations, rates), repetitions, seed)
     return [
-        CountRecord(sequence_id=s, counts=float(n) / repetitions, repetitions=repetitions)
-        for s, n in zip(MEASUREMENT_SEQUENCES, totals)
+        CountRecord(sequence_id=s, counts=float(c), repetitions=repetitions)
+        for s, c in zip(MEASUREMENT_SEQUENCES, counts)
     ]
 
 
@@ -249,22 +295,11 @@ def populations_from_counts(
     flags whether clamping changed anything (expected under shot noise).
     Raises SingularReadout when the matrix condition exceeds 1e12.
     """
-    amat = inversion_matrix(rates)
-    cond = float(np.linalg.cond(amat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularReadout(
-            f"inversion matrix condition {cond:.3e} exceeds 1e12"
-        )
+    amat, cond = _inversion(rates)
     counts = _counts_vector(records, MEASUREMENT_SEQUENCES)
-    rhs = np.concatenate([counts, [1.0]])
-    raw = np.linalg.solve(amat, rhs)
-    clipped = np.clip(raw, 0.0, 1.0)
-    clamped = bool(np.any(clipped != raw))
-    total = clipped.sum()
-    if total <= 0:
-        raise SingularReadout("clamped populations sum to zero")
+    pops, clamped = _invert(amat, counts[None])
     return PopulationEstimate(
-        populations=clipped / total, clamped=clamped, condition=cond
+        populations=pops[0], clamped=bool(clamped[0]), condition=cond
     )
 
 
@@ -279,40 +314,19 @@ def noisy_p0_curve(
     For each (4,) row of ``populations``: simulate the three
     measurement-sequence counts (Poisson at ``repetitions`` shots, or
     exact when 0), invert the permuted-rate system, clamp/renormalize,
-    and return the conditional |0>_e population.  Equivalent to looping
+    and return the conditional |0>_e population.  The same kernels as
     ``simulate_counts`` -> ``populations_from_counts`` ->
-    ``p0_from_populations`` but batched for sweep-sized inputs.
+    ``p0_from_populations``, batched for sweep-sized inputs.
     """
     pops = np.atleast_2d(np.asarray(populations, dtype=float))
     if pops.shape[-1] != 4:
         raise ValueError(f"expected rows of 4 populations, got shape {pops.shape}")
-    amat = inversion_matrix(rates)
-    cond = float(np.linalg.cond(amat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularReadout(
-            f"inversion matrix condition {cond:.3e} exceeds 1e12"
-        )
-    mu = pops @ amat[:3].T  # (n, 3) expected per-shot PL
-    if repetitions == 0:
-        per_shot = mu
-    else:
-        rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        per_shot = rng.poisson(mu * repetitions) / repetitions
-    rhs = np.concatenate([per_shot, np.ones((len(per_shot), 1))], axis=1)
-    raw = np.linalg.solve(amat, rhs.T).T
-    clipped = np.clip(raw, 0.0, 1.0)
-    clipped /= clipped.sum(axis=1, keepdims=True)
-    denom = clipped[:, 0] + clipped[:, 2]
+    amat, _ = _inversion(rates)
+    est, _ = _invert(amat, _draw(pops @ amat[:3].T, repetitions, seed))
     # Entries whose selected branch carries (numerically) no recovered
-    # population are undefined under this noise draw; mark them NaN
+    # population are undefined under this noise draw; they come back NaN
     # rather than failing the whole batch.
-    out = np.full(len(denom), np.nan)
-    ok = denom >= 1e-12
-    out[ok] = clipped[ok, 0] / denom[ok]
+    out, _ = _conditional_p0(est)
     return out if np.asarray(populations).ndim == 2 else out[0]
 
 
@@ -322,10 +336,9 @@ def p0_from_populations(populations: np.ndarray) -> float:
     P0 = P(|0 1>) / (P(|0 1>) + P(|-1 1>)); the |1>_n branch is the one
     onto which the ancilla post-selection maps.
     """
-    populations = np.asarray(populations, dtype=float)
-    denom = populations[0] + populations[2]
-    if denom < 1e-12:
+    p0, denom = _conditional_p0(np.asarray(populations, dtype=float)[None])
+    if denom[0] < _MIN_BRANCH:
         raise ZeroSelectionBranch(
-            f"selected-branch population {denom:.3e} below 1e-12"
+            f"selected-branch population {denom[0]:.3e} below 1e-12"
         )
-    return float(populations[0] / denom)
+    return float(p0[0])

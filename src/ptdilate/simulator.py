@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, DilationResult, dilate
-from .numkit import OperatorSeries, TimeGrid, expm
+from .numkit import OperatorSeries, TimeGrid, expm, ordered_product
 from .ptmodel import PTParams, pt_hamiltonian
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "prepare_initial",
     "evolve_dilated",
     "postselect",
-    "p0_trajectory",
     "branch_populations",
     "simulate_pt",
 ]
@@ -61,24 +60,32 @@ def prepare_initial(psi0: np.ndarray, eta0: float) -> CombinedState:
     return CombinedState(amplitudes=np.kron(psi0, anc))
 
 
+def _minus_branch(states: np.ndarray) -> np.ndarray:
+    """System amplitudes of the |-> ancilla branch for a stack of states."""
+    return states.reshape(-1, 2, 2) @ ANCILLA_MINUS.conj()
+
+
 def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(projected system amplitudes, success probabilities) for a stack."""
-    resh = states.reshape(-1, 2, 2)
-    proj = resh @ ANCILLA_MINUS.conj()
+    """(p0, success probability) per state of a stack.
+
+    Raises ZeroBranch when the |-> branch of any state has (numerically)
+    no weight.
+    """
+    proj = _minus_branch(states)
     w = np.sum(np.abs(proj) ** 2, axis=-1)
+    if np.min(w) < 1e-60:
+        raise ZeroBranch("post-selected |-> branch weight below 1e-60")
     total = np.sum(np.abs(states) ** 2, axis=-1)
-    return proj, w / total
+    return np.abs(proj[:, 0]) ** 2 / w, w / total
 
 
 def postselect(state: CombinedState) -> tuple[np.ndarray, float]:
     """Project the ancilla onto |->; return (unit system state, success)."""
     if state.norm <= 0:
         raise ValueError("state has zero norm")
-    proj, succ = _postselect_batch(state.amplitudes[None])
-    pnorm = np.linalg.norm(proj[0])
-    if pnorm < 1e-30:
-        raise ZeroBranch("projected |-> branch norm below 1e-30")
-    return proj[0] / pnorm, float(succ[0])
+    _, succ = _postselect_batch(state.amplitudes[None])
+    proj = _minus_branch(state.amplitudes)[0]
+    return proj / np.linalg.norm(proj), float(succ[0])
 
 
 def evolve_dilated(
@@ -93,7 +100,6 @@ def evolve_dilated(
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     grid = hsa.grid
-    n = grid.n_nodes
     h = grid.dt / substeps
     # Midpoint Hamiltonians for all substeps of all intervals at once.
     frac = (np.arange(substeps) + 0.5) / substeps
@@ -102,28 +108,9 @@ def evolve_dilated(
         + hsa.data[1:, None] * frac[None, :, None, None]
     ).reshape(-1, 4, 4)
     steps = expm(-1j * h * hmid)
-    states = np.empty((n, 4), dtype=complex)
-    cur = initial.amplitudes.astype(complex)
-    states[0] = cur
-    for k in range(n - 1):
-        for j in range(substeps):
-            cur = steps[k * substeps + j] @ cur
-        states[k + 1] = cur
-    proj, succ = _postselect_batch(states)
-    w = np.sum(np.abs(proj) ** 2, axis=-1)
-    if np.min(w) < 1e-60:
-        raise ZeroBranch("post-selected branch vanished along the trajectory")
-    p0 = np.abs(proj[:, 0]) ** 2 / w
+    states = np.ascontiguousarray(ordered_product(steps, initial.amplitudes)[::substeps])
+    p0, succ = _postselect_batch(states)
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
-
-
-def p0_trajectory(traj: Trajectory) -> np.ndarray:
-    """Post-selected |0> population at each node (recomputed from states)."""
-    proj, _ = _postselect_batch(traj.states)
-    w = np.sum(np.abs(proj) ** 2, axis=-1)
-    if np.min(w) < 1e-60:
-        raise ZeroBranch("post-selected branch vanished along the trajectory")
-    return np.abs(proj[:, 0]) ** 2 / w
 
 
 def branch_populations(states: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config handling, file schemas, determinism, exits."""
 
+import io
 import json
 import os
 
@@ -7,6 +8,11 @@ import numpy as np
 import pytest
 
 from ptdilate.cli import RunConfig, ValidationError, main
+from ptdilate.dilation import DilationConfig, dilate
+from ptdilate.numkit import TimeGrid
+from ptdilate.pauli import extract_a_series
+from ptdilate.ptmodel import pt_hamiltonian
+from ptdilate.pulse import NVParams, subspace_h0, synthesize
 
 
 def run(*argv):
@@ -50,6 +56,26 @@ class TestConfig:
         meta = read_meta(out / "trajectory_r0p3.csv")
         assert meta["config"]["n_nodes"] == 201  # flag wins
         assert meta["config"]["r_list"] == [0.3]  # file value kept
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("simulate", {"n_nodes": "11"}),
+            ("simulate", {"n_nodes": 11.5}),
+            ("simulate", {"r_list": 0.6}),
+            ("simulate", {"substeps": True}),
+            ("sweep", {"seed": 1.5, "repetitions": 10}),
+        ],
+    )
+    def test_wrong_field_type_fails_before_compute(self, tmp_path, capsys, command, bad):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg_file), "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert next(iter(bad)) in err
+        assert not out.exists()  # no sweep_p0.csv or any other output
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -161,6 +187,20 @@ class TestPulsesAndVerify:
         assert meta["roundtrip_residual"] <= 1e-9
         header, _ = read_csv(tmp_path / "pulses_r0p6.csv")
         assert header == ["t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"]
+
+    def test_csv_bodies_match_to_csv(self, tmp_path):
+        args = ("--r", "0.6", "--n-nodes", "101", "--t1", "1", "--outdir", str(tmp_path))
+        assert run("dilate", *args) == 0
+        assert run("pulses", *args) == 0
+        result = dilate(pt_hamiltonian(0.6), DilationConfig(TimeGrid(0.0, 1.0, 101)))
+        aser = extract_a_series(result.hsa_series)
+        prog = synthesize(aser, subspace_h0(NVParams())[1])
+        for name, table in (("aseries_r0p6.csv", aser), ("pulses_r0p6.csv", prog)):
+            buf = io.StringIO()
+            table.to_csv(buf)
+            meta, body = (tmp_path / name).read_text().split("\n", 1)
+            assert meta.startswith("# ")
+            assert body == buf.getvalue()
 
     def test_verify_passes_on_defaults(self, tmp_path):
         assert run(

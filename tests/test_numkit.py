@@ -1,20 +1,27 @@
-"""Kernel-level tests: grids, eigensolvers, exponentials, Sylvester solves."""
+"""Kernel-level tests: grids, eigensolvers, exponentials, Sylvester solves.
+
+The eigensolver, square-root and Sylvester kernels belong to the
+test-side reference oracle in ``reference_dilation``.
+"""
 
 import numpy as np
 import pytest
+from reference_dilation import (
+    NotPositive,
+    SingularPair,
+    herm_eig,
+    is_hermitian,
+    sqrtm_psd,
+    sylvester_hermitian,
+)
 
 from ptdilate.numkit import (
     NotHermitian,
-    NotPositive,
     OperatorSeries,
-    SingularPair,
     TimeGrid,
     expm,
-    herm_eig,
-    is_hermitian,
+    ordered_product,
     ordered_propagator,
-    sqrtm_psd,
-    sylvester_hermitian,
 )
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -197,3 +204,17 @@ class TestOrderedPropagator:
         sub = ordered_propagator(gen, grid, substeps=4)
         fine = ordered_propagator(gen, grid.refined(4))
         assert np.max(np.abs(sub.data[-1] - fine.data[-1])) < 1e-13
+
+
+class TestOrderedProduct:
+    def test_matches_left_multiplied_loop(self):
+        rng = np.random.default_rng(21)
+        steps = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        for init in (np.eye(3), rng.normal(size=3)):
+            out = ordered_product(steps, init)
+            assert out.shape == (6, *init.shape)
+            ref = init.astype(complex)
+            assert np.array_equal(out[0], ref)
+            for k in range(5):
+                ref = steps[k] @ ref
+                assert np.array_equal(out[k + 1], ref)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ptdilate.dilation import DilationConfig, dilate
+from ptdilate.dilation import ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import extract_a_series
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
@@ -18,7 +18,7 @@ from ptdilate.pulse import (
     subspace_h0,
     synthesize,
 )
-from ptdilate.simulator import prepare_initial
+from ptdilate.simulator import CombinedState, ZeroBranch, prepare_initial
 
 
 def aseries_for(r, grid):
@@ -136,6 +136,15 @@ class TestLabFrame:
         init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
         with pytest.raises(GridTooCoarse):
             simulate_lab_frame(prog, aser, NVParams(), grid, init)
+
+    def test_empty_minus_branch_raises(self):
+        # A start entirely in the |+> ancilla branch leaves nothing to
+        # post-select at t = 0.
+        aser, _ = aseries_for(0.6, TimeGrid(0.0, 0.01, 11))
+        prog = synthesize(aser, subspace_h0(NVParams())[1])
+        init = CombinedState(np.kron([1.0, 0.0], ANCILLA_PLUS))
+        with pytest.raises(ZeroBranch):
+            simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.002, 201), init)
 
     def test_short_audit_matches_rotating_frame(self):
         # Full cosine-drive integration over half a time unit; the RWA

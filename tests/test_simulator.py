@@ -11,7 +11,6 @@ from ptdilate.simulator import (
     ZeroBranch,
     branch_populations,
     evolve_dilated,
-    p0_trajectory,
     postselect,
     prepare_initial,
     simulate_pt,
@@ -103,11 +102,6 @@ class TestSimulatePT:
 
 
 class TestTrajectoryHelpers:
-    def test_p0_trajectory_recomputes_field(self):
-        grid = TimeGrid(0.0, 2.0, 501)
-        traj, _ = simulate_pt(0.6, grid)
-        assert np.array_equal(p0_trajectory(traj), traj.p0)
-
     def test_branch_populations_are_a_distribution(self):
         grid = TimeGrid(0.0, 2.0, 501)
         traj, _ = simulate_pt(0.6, grid)
