@@ -116,16 +116,6 @@ def _inverse_propagator(gen, cfg: DilationConfig) -> OperatorSeries:
     return OperatorSeries(grid, np.ascontiguousarray(wt[::substeps].swapaxes(-1, -2)))
 
 
-def _check_condition(sv: np.ndarray):
-    # sigma_min can underflow to zero outright in the broken regime.
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = float(np.max(sv[:, 0] / np.maximum(sv[:, -1], 5e-324)))
-    if cond > _COND_LIMIT:
-        raise SingularPropagator(
-            f"propagator condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-        )
-
-
 def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
@@ -179,15 +169,20 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     gen = _as_generator(h_s)
     grid = cfg.grid
     w = _inverse_propagator(gen, cfg)
-    sv = np.linalg.svd(w.data, compute_uv=False)
-    _check_condition(sv)
-    mu_prime = float(np.min(sv[:, -1] ** 2))
+    _, sigma, vh = np.linalg.svd(w.data)
+    # sigma_min can underflow to zero outright in the broken regime.
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = float(np.max(sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)))
+    if cond > _COND_LIMIT:
+        raise SingularPropagator(
+            f"propagator condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
+        )
+    mu_prime = float(np.min(sigma[:, -1] ** 2))
     if m0 is None:
         m0 = (1.0 + cfg.margin) / mu_prime
     elif not m0 > 1.0:
         raise ValueError(f"m0 must exceed 1, got {m0}")
 
-    _, sigma, vh = np.linalg.svd(w.data)
     v = vh.conj().swapaxes(-1, -2)
     s_eig = m0 * sigma**2  # eigenvalues of M(t), descending
     d_eig2 = s_eig - 1.0  # eigenvalues of M - I

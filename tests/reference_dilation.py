@@ -74,12 +74,6 @@ def sylvester_hermitian(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _herm_residual(x: np.ndarray) -> np.ndarray:
-    num = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
-    den = np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1e-300)
-    return num / den
-
-
 def eta_series(
     m_ser: OperatorSeries, h_s: np.ndarray
 ) -> tuple[OperatorSeries, OperatorSeries]:
@@ -120,4 +114,5 @@ def lambda_gamma(
     gam = 1j * (h @ eta.data - eta.data @ h - 1j * deta.data) @ minv
     lam_s = OperatorSeries(m_ser.grid, (lam + lam.conj().swapaxes(-1, -2)) / 2.0)
     gam_s = OperatorSeries(m_ser.grid, (gam + gam.conj().swapaxes(-1, -2)) / 2.0)
-    return lam_s, gam_s, _herm_residual(lam)
+    num = np.linalg.norm(lam - lam.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return lam_s, gam_s, num / np.maximum(np.linalg.norm(lam, axis=(-2, -1)), 1e-300)
