@@ -23,6 +23,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -269,29 +270,32 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_worker(packed) -> np.ndarray:
-    r, t0, t1, n_nodes, margin, substeps = packed
+def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Noise-free P0 row of the idx-th r and, with repetitions, its noisy row."""
     traj, _ = simulate_pt(
-        r, TimeGrid(t0, t1, n_nodes), margin=margin, substeps=substeps
+        cfg.r_list[idx], cfg.grid, margin=cfg.margin, substeps=cfg.substeps
     )
-    return traj.p0
+    if cfg.repetitions == 0:
+        return traj.p0, None
+    rng = np.random.default_rng([cfg.seed, idx])
+    noisy = noisy_p0_curve(
+        branch_populations(traj.states), cfg.rates, cfg.repetitions, seed=rng
+    )
+    return traj.p0, noisy
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    jobs = [
-        (r, cfg.t0, cfg.t1, cfg.n_nodes, cfg.margin, cfg.substeps)
-        for r in cfg.r_list
-    ]
-    workers = cfg.workers or os.cpu_count() or 1
-    workers = min(workers, len(jobs))
+    n = len(cfg.r_list)
+    workers = min(cfg.workers or os.cpu_count() or 1, n)
+    worker = partial(_sweep_worker, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+            rows, noisy = zip(*pool.map(worker, range(n)))
     else:
-        rows = [_sweep_worker(j) for j in jobs]
+        rows, noisy = zip(*map(worker, range(n)))
     ts = cfg.grid.times()
 
-    def write_matrix(name: str, meta: dict, mat: list[np.ndarray]) -> None:
+    def write_matrix(name: str, meta: dict, mat: tuple[np.ndarray, ...]) -> None:
         def write(fh):
             fh.write("r," + csv_row(ts))
             for r, row in zip(cfg.r_list, mat):
@@ -301,16 +305,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     write_matrix("sweep_p0.csv", _metadata(cfg, kind="noise-free"), rows)
     if cfg.repetitions > 0:
-        noisy = []
-        for idx, r in enumerate(cfg.r_list):
-            traj, _ = simulate_pt(
-                r, cfg.grid, margin=cfg.margin, substeps=cfg.substeps
-            )
-            pops = branch_populations(traj.states)
-            rng = np.random.default_rng([cfg.seed, idx])
-            noisy.append(
-                noisy_p0_curve(pops, cfg.rates, cfg.repetitions, seed=rng)
-            )
         write_matrix(
             "sweep_p0_noisy.csv",
             _metadata(
@@ -326,6 +320,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
+    if lab_audit and not (
+        cfg.audit_times and all(cfg.t0 < t <= cfg.t1 for t in cfg.audit_times)
+    ):
+        raise ValidationError(
+            f"audit_times must be a non-empty list of times in (t0, t1] = "
+            f"({cfg.t0}, {cfg.t1}], got {cfg.audit_times}"
+        )
     nv = cfg.nv_params
     _, carriers = subspace_h0(nv)
     for r in cfg.r_list:
@@ -348,8 +349,6 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
 
 def _lab_audit(cfg, r, result, aser, prog, nv) -> dict:
     t_max = max(cfg.audit_times)
-    if t_max <= cfg.t0:
-        raise ValidationError("audit_times must exceed the grid start")
     f_carrier = max(prog.carriers) / (2.0 * math.pi)
     dt = 0.015 / f_carrier
     n_fine = int(math.ceil((t_max - cfg.t0) / dt)) + 1

@@ -20,12 +20,13 @@ cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .numkit import OperatorSeries, TimeGrid, midpoint_steps, ordered_product
+from .pauli import PAULI_1Q
 
 __all__ = [
     "SingularPropagator",
@@ -42,8 +43,6 @@ __all__ = [
 # the |-> branch is the post-selected one.
 ANCILLA_MINUS = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 ANCILLA_PLUS = np.array([-1.0j, 1.0]) / np.sqrt(2.0)
-
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 _COND_LIMIT = 1e14
 
@@ -76,13 +75,12 @@ class DilationResult:
     grid: TimeGrid
     m_series: OperatorSeries
     eta_series: OperatorSeries
-    deta_series: OperatorSeries
     lambda_series: OperatorSeries
     gamma_series: OperatorSeries
     hsa_series: OperatorSeries
-    inv_propagator: OperatorSeries  # eps1^{-1}(t_k), the stable carrier of M
     min_eig_m_minus_i: np.ndarray  # per node, from singular values (stable)
-    diagnostics: dict = field(default_factory=dict)
+    presym_lambda: float  # max Hermiticity residual of Lambda before symmetrization
+    presym_gamma: float
 
 
 @dataclass
@@ -131,9 +129,8 @@ def dilated_hamiltonian(
 ) -> OperatorSeries:
     """H_sa(t_k) = Lambda x I + Gamma x sigma_z, system factor first."""
     d = lam.data.shape[-1]
-    eye = np.eye(2, dtype=complex)
-    hsa = np.einsum("nij,kl->nikjl", lam.data, eye) + np.einsum(
-        "nij,kl->nikjl", gam.data, _SIGMA_Z
+    hsa = np.einsum("nij,kl->nikjl", lam.data, PAULI_1Q[0]) + np.einsum(
+        "nij,kl->nikjl", gam.data, PAULI_1Q[3]
     )
     return OperatorSeries(lam.grid, hsa.reshape(-1, 2 * d, 2 * d))
 
@@ -200,21 +197,14 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     pair = di + dj
     lam_t = (di * ht + dj * hth) / pair
     gam_t = 1j * (ht - hth) / pair
-    # deta in the same basis: solves eta X + X eta = -i(H^dag M - M H).
-    si = s_eig[:, :, None]
-    sj = s_eig[:, None, :]
-    deta_t = -1j * (hth * sj - si * ht) / pair
 
     lam = v @ lam_t @ vh
     gam = v @ gam_t @ vh
-    presym_lambda = _herm_residual(lam)
-    presym_gamma = _herm_residual(gam)
     lam_s = OperatorSeries(grid, _hermitize(lam))
     gam_s = OperatorSeries(grid, _hermitize(gam))
     eye = np.eye(h.shape[-1])[None]
     m = _hermitize(v @ (s_eig[:, :, None] * eye) @ vh)
     eta = _hermitize(v @ (d_eig[:, :, None] * eye) @ vh)
-    deta = _hermitize(v @ deta_t @ vh)
     hsa = dilated_hamiltonian(lam_s, gam_s)
 
     return DilationResult(
@@ -223,16 +213,12 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
         grid=grid,
         m_series=OperatorSeries(grid, m),
         eta_series=OperatorSeries(grid, eta),
-        deta_series=OperatorSeries(grid, deta),
         lambda_series=lam_s,
         gamma_series=gam_s,
         hsa_series=hsa,
-        inv_propagator=w,
         min_eig_m_minus_i=d_eig2[:, -1].copy(),
-        diagnostics={
-            "presym_lambda": float(np.max(presym_lambda)),
-            "presym_gamma": float(np.max(presym_gamma)),
-        },
+        presym_lambda=float(np.max(_herm_residual(lam))),
+        presym_gamma=float(np.max(_herm_residual(gam))),
     )
 
 
@@ -270,6 +256,6 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
         metric_ode=metric_ode,
         block_antisym=block_antisym,
         min_eig_m_minus_i=float(np.min(result.min_eig_m_minus_i)),
-        presym_lambda=result.diagnostics.get("presym_lambda", float("nan")),
-        presym_gamma=result.diagnostics.get("presym_gamma", float("nan")),
+        presym_lambda=result.presym_lambda,
+        presym_gamma=result.presym_gamma,
     )

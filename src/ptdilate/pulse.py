@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import TimeGrid, expm, ordered_product, write_csv
-from .pauli import ASeries, assemble_a_form
+from .pauli import _A_SLOTS, PAULI_1Q, ASeries, assemble
 from .simulator import CombinedState, Trajectory, _postselect_batch
 
 __all__ = [
@@ -32,11 +32,6 @@ __all__ = [
     "rotating_frame_check",
     "simulate_lab_frame",
 ]
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_I2 = np.eye(2, dtype=complex)
 
 # Nuclear-spin projectors in the {|1>_n, |0>_n} subspace ordering.
 _P_N1 = np.diag([1.0, 0.0]).astype(complex)
@@ -97,10 +92,11 @@ def subspace_h0(p: NVParams) -> tuple[np.ndarray, tuple[float, float]]:
     """
     d, q, a = p.zero_field_splitting, p.quadrupole, p.hyperfine
     we, wn = p.omega_e, p.omega_n
+    i2, sz = PAULI_1Q[0], PAULI_1Q[3]
     h0 = math.pi * (
-        -(d - we - a / 2.0) * np.kron(_SZ, _I2)
-        + (q + wn - a / 2.0) * np.kron(_I2, _SZ)
-        + (a / 2.0) * np.kron(_SZ, _SZ)
+        -(d - we - a / 2.0) * np.kron(sz, i2)
+        + (q + wn - a / 2.0) * np.kron(i2, sz)
+        + (a / 2.0) * np.kron(sz, sz)
     )
     w_mw1 = abs(2.0 * math.pi * (d - we - a))
     w_mw2 = abs(2.0 * math.pi * (d - we))
@@ -162,17 +158,14 @@ def rotating_frame_check(prog: PulseProgram, a: ASeries) -> float:
 
     Rebuilds pi Omega cos(phi) sx x I + A2 I x sz + pi Omega sin(phi)
     sy x sz + A4 sz x sz from the program and compares node-wise against
-    the A-form Hamiltonian.
+    the A-form Hamiltonian; both come from one stacked assembly.
     """
     _, a2, _, a4 = a.a.T
     piom = math.pi * prog.omega_rabi
-    rebuilt = (
-        piom[:, None, None] * np.cos(prog.phase)[:, None, None] * np.kron(_SX, _I2)
-        + a2[:, None, None] * np.kron(_I2, _SZ)
-        + piom[:, None, None] * np.sin(prog.phase)[:, None, None] * np.kron(_SY, _SZ)
-        + a4[:, None, None] * np.kron(_SZ, _SZ)
-    )
-    target = np.stack([assemble_a_form(row) for row in a.a])
+    rebuilt_a = np.column_stack([piom * np.cos(prog.phase), a2, piom * np.sin(prog.phase), a4])
+    tables = np.zeros((2, len(a.a), 4, 4))
+    tables[(..., *_A_SLOTS)] = [rebuilt_a, a.a]
+    rebuilt, target = assemble(tables)
     diff = rebuilt - target
     return float(np.max(np.linalg.svd(diff, compute_uv=False)[:, 0]))
 
@@ -223,8 +216,8 @@ def simulate_lab_frame(
     drive1 = 2.0 * math.pi * om_mid * np.cos(theta1 - ph_mid)
     drive2 = 2.0 * math.pi * om_mid * np.cos(theta2 + ph_mid)
 
-    sx_n1 = np.kron(_SX, _P_N1)
-    sx_n0 = np.kron(_SX, _P_N0)
+    sx_n1 = np.kron(PAULI_1Q[1], _P_N1)
+    sx_n0 = np.kron(PAULI_1Q[1], _P_N0)
 
     states = np.empty((n, 4), dtype=complex)
     states[0] = initial.amplitudes

@@ -13,6 +13,7 @@ from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import extract_a_series
 from ptdilate.ptmodel import pt_hamiltonian
 from ptdilate.pulse import NVParams, subspace_h0, synthesize
+from ptdilate.simulator import simulate_pt
 
 
 def run(*argv):
@@ -171,6 +172,22 @@ class TestSweepAndFit:
         assert curve[0, 2] == 0.0  # Im E+ = 0 below the transition
         assert curve[1, 1] == 0.0  # Re E+ = 0 above it
 
+    def test_each_r_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return simulate_pt(*args, **kwargs)
+
+        monkeypatch.setattr("ptdilate.cli.simulate_pt", counting)
+        assert run(
+            "sweep", "--r", "0", "--r", "0.5", "--r", "1.2", "--n-nodes", "101",
+            "--t1", "2", "--repetitions", "100", "--outdir", str(tmp_path),
+            "--workers", "1",
+        ) == 0
+        assert calls == [0.0, 0.5, 1.2]  # noisy rows reuse the same pass
+        assert (tmp_path / "sweep_p0_noisy.csv").exists()
+
     def test_fit_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,0.0,0.1\n0.5,1.0,0.9\n")
@@ -201,6 +218,20 @@ class TestPulsesAndVerify:
             meta, body = (tmp_path / name).read_text().split("\n", 1)
             assert meta.startswith("# ")
             assert body == buf.getvalue()
+
+    @pytest.mark.parametrize("audit_times", [[], [0.2]])
+    def test_lab_audit_times_checked_before_compute(self, tmp_path, capsys, audit_times):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"audit_times": audit_times}))
+        out = tmp_path / "out"
+        assert run(
+            "pulses", "--lab-audit", "--config", str(cfg_file), "--r", "0.6",
+            "--t1", "0.1", "--n-nodes", "11", "--outdir", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "audit_times" in err
+        assert not out.exists()
 
     def test_verify_passes_on_defaults(self, tmp_path):
         assert run(
