@@ -47,13 +47,7 @@ from .pulse import (
     synthesize,
 )
 from .ptmodel import analytic_p0, pt_hamiltonian
-from .readout import (
-    PLRates,
-    RankDeficient,
-    SingularReadout,
-    ZeroSelectionBranch,
-    noisy_p0_curve,
-)
+from .readout import PLRates, SingularReadout, noisy_p0_curve
 from .simulator import ZeroBranch, branch_populations, prepare_initial, simulate_pt
 
 __all__ = ["RunConfig", "ValidationError", "main"]
@@ -65,9 +59,7 @@ _NUMERIC_ERRORS = (
     PositivityLost,
     NotHermitian,
     SingularReadout,
-    RankDeficient,
     ZeroBranch,
-    ZeroSelectionBranch,
     GridTooCoarse,
     np.linalg.LinAlgError,
 )

@@ -39,8 +39,10 @@ class FitResult:
     """Fitted strength, its curvature-based standard error, and E+-.
 
     ``stderr`` follows the asymptotic least-squares convention
-    sqrt(2 SSE / (n - 2) / d2SSE/dr2); when the curvature is not
-    positive the fit is flagged ``degenerate`` and stderr is infinite.
+    sqrt(2 SSE / (n - 2) / d2SSE/dr2).  The fit is flagged ``degenerate``
+    and stderr is infinite when the curvature is not positive, or when
+    the scan minimum is pinned to the edge of the search range: its upper
+    end, or its lower end when that lies above the physical edge r = 0.
     """
 
     r_exp: float
@@ -120,7 +122,8 @@ def fit_r(
         (r_best + h - r_minus) / 2.0
     ) ** 2
     dof = max(n - 2, 1)
-    if d2 > 0:
+    pinned = k == len(grid) - 1 or (k == 0 and lo > 0.0)
+    if d2 > 0 and not pinned:
         stderr = math.sqrt(2.0 * best / dof / d2)
         degenerate = False
     else:

@@ -1,7 +1,11 @@
 """Dilation-pipeline tests: metric selection, operator identities, routes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_dilation import eta_series, lambda_gamma
 
 from ptdilate.dilation import (
@@ -16,7 +20,8 @@ from ptdilate.dilation import (
     verify_dilation,
 )
 from ptdilate.numkit import TimeGrid, expm
-from ptdilate.ptmodel import pt_hamiltonian
+from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
+from ptdilate.simulator import simulate_pt
 
 GRID = TimeGrid(0.0, 4.0, 2001)
 
@@ -126,6 +131,49 @@ class TestOperatorIdentities:
         gam0 = result.gamma_series.data[0]
         expected = np.kron(lam0, np.eye(2)) + np.kron(gam0, np.diag([1.0, -1.0]))
         assert np.max(np.abs(hsa.data[0] - expected)) < 1e-14
+
+
+@st.composite
+def dilation_cases(draw):
+    """(r, t1, n_nodes) with t1 inside the horizon the metric can carry.
+
+    For r > 1, cond(W) grows like e^{2 sqrt(r^2 - 1) t}; t1 is capped at
+    half the horizon where that reaches the 1e14 condition limit.
+    """
+    r = draw(st.floats(min_value=0.0, max_value=2.0))
+    t_max = 8.0
+    if r > 1.0:
+        t_max = min(t_max, math.log(1e14) / (4.0 * math.sqrt(r * r - 1.0)))
+    t1 = draw(st.floats(min_value=0.5, max_value=t_max))
+    n_nodes = draw(st.integers(min_value=51, max_value=401))
+    return r, t1, n_nodes
+
+
+class TestDilationProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(dilation_cases())
+    def test_invariants_over_random_strength_horizon_grid(self, case):
+        r, t1, n_nodes = case
+        margin = 0.1
+        traj, result = simulate_pt(r, TimeGrid(0.0, t1, n_nodes), margin=margin)
+        report = verify_dilation(result, pt_hamiltonian(r))
+        assert report.hermiticity <= 1e-10
+        assert report.block_antisym <= 1e-9
+        assert report.min_eig_m_minus_i >= 0.99 * margin
+        assert np.all(traj.success_prob > 0.0) and np.all(traj.success_prob <= 1.0)
+        assert np.all(traj.p0 >= -1e-12) and np.all(traj.p0 <= 1.0 + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=EP_WINDOW / 4.0, max_value=4.0 * EP_WINDOW),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=0.0, max_value=8.0),
+    )
+    def test_analytic_p0_continuous_across_ep_window(self, delta, sign, t):
+        # r within EP_WINDOW of 1 takes the nilpotent closed form; just
+        # outside it the regular forms must agree with it.
+        jump = abs(analytic_p0(1.0 + sign * delta, t) - analytic_p0(1.0, t))
+        assert jump <= 1e-6
 
 
 class TestPostselectionFidelity:

@@ -77,6 +77,22 @@ class TestValidation:
         assert res.degenerate
         assert res.stderr == np.inf
 
+    @pytest.mark.parametrize(
+        "r, r_range", [(2.5, (0.0, 2.0)), (1.5, (0.0, 1.2)), (0.0, (0.2, 2.0))]
+    )
+    def test_minimum_pinned_to_range_edge_flagged(self, r, r_range):
+        # The true strength lies outside the scanned range, so the fit
+        # sits on its edge and its curvature error would be meaningless.
+        res = fit_r(clean_samples(r), r_range=r_range)
+        assert res.degenerate
+        assert res.stderr == np.inf
+
+    def test_zero_strength_keeps_finite_stderr(self):
+        # r = 0 with lo = 0 is the physical edge r >= 0, not a pinned fit.
+        res = fit_r(clean_samples(0.0))
+        assert not res.degenerate
+        assert np.isfinite(res.stderr)
+
 
 class TestSignConvention:
     def test_negated_strength_is_distinguishable(self):
