@@ -1,10 +1,10 @@
-"""Hermitian dilation engine for arbitrary time-dependent non-Hermitian H_s.
+"""Hermitian dilation engine for a constant non-Hermitian H_s.
 
 Builds the metric operator ``M(t)``, the ancilla coupling ``eta(t)``, the
-operator pair ``Lambda(t), Gamma(t)`` and the dilated Hermitian
-Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a uniform time
-grid.  Post-selecting the ancilla on the |-> branch of the dilated
-unitary evolution reproduces the non-unitary H_s dynamics.
+operator pair ``Lambda(t), Gamma(t)`` and the time-dependent dilated
+Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a
+uniform time grid.  Post-selecting the ancilla on the |-> branch of the
+dilated unitary evolution reproduces the non-unitary H_s dynamics.
 
 All metric-derived operators are evaluated in the singular basis of the
 inverse propagator, where the defining formulas
@@ -21,11 +21,10 @@ cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numkit import OperatorSeries, TimeGrid, midpoint_steps, ordered_product
+from .numkit import OperatorSeries, TimeGrid, expm, ordered_product
 from .pauli import PAULI_1Q
 
 __all__ = [
@@ -95,22 +94,26 @@ class DiagnosticsReport:
     presym_gamma: float
 
 
-def _as_generator(h_s) -> Callable[[float], np.ndarray]:
+def _as_matrix(h_s) -> np.ndarray:
+    """H_s as a constant square complex matrix."""
     if callable(h_s):
-        return h_s
+        raise TypeError("H_s must be a constant square matrix, not a callable")
     mat = np.asarray(h_s, dtype=complex)
-    return lambda t: mat
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"H_s must be a square matrix, got shape {mat.shape}")
+    return mat
 
 
-def _inverse_propagator(gen, cfg: DilationConfig) -> OperatorSeries:
-    """W(t_k) = eps1^{-1}(t_k) stepped as W_{k+1} = W_k expm(+i h H(mid)).
+def _inverse_propagator(h_s: np.ndarray, cfg: DilationConfig) -> OperatorSeries:
+    """W(t_k) = eps1^{-1}(t_k) stepped as W_{k+1} = W_k S, S = expm(+i h H_s).
 
-    Transposed, that is the step product W^T_{k+1} = S_k^T W^T_k of the
-    transposed step exponentials S_k.
+    Transposed, that is the step product W^T_{k+1} = S^T W^T_k.
     """
     grid, substeps = cfg.grid, cfg.substeps
-    steps = midpoint_steps(lambda t: 1j * np.asarray(gen(t)), grid, substeps)
-    wt = ordered_product(steps.swapaxes(-1, -2), np.eye(steps.shape[-1], dtype=complex))
+    step = expm(1j * (grid.dt / substeps) * h_s)
+    n_steps, d = (grid.n_nodes - 1) * substeps, len(h_s)
+    steps = np.broadcast_to(step.T, (n_steps, d, d))
+    wt = ordered_product(steps, np.eye(d, dtype=complex))
     return OperatorSeries(grid, np.ascontiguousarray(wt[::substeps].swapaxes(-1, -2)))
 
 
@@ -156,23 +159,25 @@ def ancilla_blocks(hsa: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
-    """Run the full dilation pipeline on the grid.
+    """Run the full dilation pipeline for the constant square H_s on the grid.
 
     All metric-derived operators are evaluated in the singular basis of
     the inverse propagator (see module docstring), which keeps Lambda and
     Gamma accurate to roundoff regardless of how wide the metric spectrum
     becomes.
     """
-    gen = _as_generator(h_s)
+    h_s = _as_matrix(h_s)
     grid = cfg.grid
-    w = _inverse_propagator(gen, cfg)
+    w = _inverse_propagator(h_s, cfg)
     _, sigma, vh = np.linalg.svd(w.data)
     # sigma_min can underflow to zero outright in the broken regime.
     with np.errstate(divide="ignore", over="ignore"):
-        cond = float(np.max(sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)))
-    if cond > _COND_LIMIT:
+        cond = sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)
+    if np.max(cond) > _COND_LIMIT:
+        t_bad = grid.times()[np.argmax(cond > _COND_LIMIT)]
         raise SingularPropagator(
-            f"propagator condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
+            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
+            f"at t = {t_bad:.6g}"
         )
     mu_prime = float(np.min(sigma[:, -1] ** 2))
     if m0 is None:
@@ -187,9 +192,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
         raise PositivityLost(f"min eig(M - I) = {np.min(d_eig2):.3e} <= 0")
     d_eig = np.sqrt(d_eig2)
 
-    ts = grid.times()
-    h = np.stack([np.asarray(gen(t), dtype=complex) for t in ts])
-    ht = vh @ h @ v  # H_s in the metric eigenbasis
+    ht = vh @ h_s @ v  # H_s in the metric eigenbasis
     hth = ht.conj().swapaxes(-1, -2)
 
     di = d_eig[:, :, None]
@@ -202,7 +205,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     gam = v @ gam_t @ vh
     lam_s = OperatorSeries(grid, _hermitize(lam))
     gam_s = OperatorSeries(grid, _hermitize(gam))
-    eye = np.eye(h.shape[-1])[None]
+    eye = np.eye(len(h_s))[None]
     m = _hermitize(v @ (s_eig[:, :, None] * eye) @ vh)
     eta = _hermitize(v @ (d_eig[:, :, None] * eye) @ vh)
     hsa = dilated_hamiltonian(lam_s, gam_s)
@@ -223,14 +226,11 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
 
 
 def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
-    """Numeric residuals of the dilation identities over the whole grid."""
-    gen = _as_generator(h_s)
-    grid = result.grid
-    ts = grid.times()
-    dt = grid.dt
+    """Numeric residuals of the dilation identities for the constant H_s."""
+    h_s = _as_matrix(h_s)
+    dt = result.grid.dt
     hsa = result.hsa_series.data
     m = result.m_series.data
-    h = np.stack([np.asarray(gen(t), dtype=complex) for t in ts])
 
     hsa_norm = np.maximum(np.linalg.norm(hsa, axis=(-2, -1)), 1e-300)
     herm = float(np.max(_herm_residual(hsa)))
@@ -238,12 +238,10 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     # Metric ODE by central differences on interior nodes, relative to the
     # commutator scale.
     dm_fd = (m[2:] - m[:-2]) / (2.0 * dt)
-    comm = h.conj().swapaxes(-1, -2) @ m - m @ h
+    comm = h_s.conj().T @ m - m @ h_s
     resid = np.linalg.norm(1j * dm_fd - comm[1:-1], axis=(-2, -1))
     scale = np.maximum(
-        np.linalg.norm(m[1:-1], axis=(-2, -1))
-        * np.linalg.norm(h[1:-1], axis=(-2, -1)),
-        1.0,
+        np.linalg.norm(m[1:-1], axis=(-2, -1)) * np.linalg.norm(h_s), 1.0
     )
     metric_ode = float(np.max(resid / scale))
 

@@ -3,7 +3,7 @@
 Everything here operates on small (dim <= 4 in practice) dense complex
 matrices.  The functions accept stacked inputs with shape ``(..., n, n)``
 wherever that comes for free, which lets callers exponentiate a whole
-time series of generators in one call.  ``ordered_product`` is the one
+series of step matrices in one call.  ``ordered_product`` is the one
 serial step loop of the package, and ``csv_row`` the one float format of
 its CSV tables.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "OperatorSeries",
     "expm",
     "ordered_product",
-    "midpoint_steps",
-    "ordered_propagator",
 ]
 
 
@@ -51,10 +48,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_nodes)
-
-    def refined(self, factor: int) -> "TimeGrid":
-        """Same span with ``factor`` times as many steps."""
-        return TimeGrid(self.t0, self.t1, (self.n_nodes - 1) * factor + 1)
 
 
 @dataclass
@@ -131,39 +124,6 @@ def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
         cur = step @ cur
         out[k + 1] = cur
     return out
-
-
-def midpoint_steps(
-    generator: Callable[[float], np.ndarray], grid: TimeGrid, substeps: int
-) -> np.ndarray:
-    """Step exponentials ``expm(h * G(t + h/2))`` of every sub-interval.
-
-    ``h = grid.dt / substeps``; the result stacks
-    ``(grid.n_nodes - 1) * substeps`` matrices in time order.
-    """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    h = grid.dt / substeps
-    n_steps = (grid.n_nodes - 1) * substeps
-    mids = grid.t0 + (np.arange(n_steps) + 0.5) * h
-    return expm(h * np.stack([np.asarray(generator(t), dtype=complex) for t in mids]))
-
-
-def ordered_propagator(
-    generator: Callable[[float], np.ndarray],
-    grid: TimeGrid,
-    substeps: int = 1,
-) -> OperatorSeries:
-    """Time-ordered product U(t_k) of ``T exp(int G dt)`` on a uniform grid.
-
-    Second-order commutator-free stepping: each step applies the
-    exponential of the midpoint generator,
-    ``U(t+h) = expm(h * G(t + h/2)) U(t)``, with ``substeps`` sub-intervals
-    per grid step.  ``U(t0) = I``.
-    """
-    steps = midpoint_steps(generator, grid, substeps)
-    out = ordered_product(steps, np.eye(steps.shape[-1], dtype=complex))
-    return OperatorSeries(grid, np.ascontiguousarray(out[::substeps]))
 
 
 def csv_row(values) -> str:

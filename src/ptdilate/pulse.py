@@ -21,7 +21,7 @@ import numpy as np
 
 from .numkit import TimeGrid, expm, ordered_product, write_csv
 from .pauli import _A_SLOTS, PAULI_1Q, ASeries, assemble
-from .simulator import CombinedState, Trajectory, _postselect_batch
+from .simulator import Trajectory, _postselect_batch
 
 __all__ = [
     "GridTooCoarse",
@@ -175,15 +175,16 @@ def simulate_lab_frame(
     a: ASeries,
     params: NVParams,
     grid_fine: TimeGrid,
-    initial: CombinedState,
+    initial: np.ndarray,
 ) -> Trajectory:
     """Integrate the cosine-drive Hamiltonian without RWA and rotate back.
 
     Slow audit path: steps the full lab-frame Hamiltonian (static
-    subspace term plus the two selective cosine drives) on ``grid_fine``,
-    transforms each node through the interaction-picture unitary (whose
-    exponent is diagonal), and reports the post-selected trajectory.  The
-    A-series supplies the A2/A4 integrals that define the frame.
+    subspace term plus the two selective cosine drives) on ``grid_fine``
+    from the (4,) amplitudes ``initial``, transforms each node through the
+    interaction-picture unitary (whose exponent is diagonal), and reports
+    the post-selected trajectory.  The A-series supplies the A2/A4
+    integrals that define the frame.
     """
     h0, _ = subspace_h0(params)
     f_carrier = max(abs(c) for c in prog.carriers) / (2.0 * math.pi)
@@ -220,7 +221,7 @@ def simulate_lab_frame(
     sx_n0 = np.kron(PAULI_1Q[1], _P_N0)
 
     states = np.empty((n, 4), dtype=complex)
-    states[0] = initial.amplitudes
+    states[0] = initial
     for start in range(0, n - 1, _EXPM_CHUNK):
         stop = min(start + _EXPM_CHUNK, n - 1)
         hmats = (

@@ -201,7 +201,9 @@ def populations_from_counts(
     Returns the populations (..., 4), clamped to [0, 1] and renormalized,
     and a (...,) flag of the rows that clamping changed (expected under
     shot noise).  Raises SingularReadout when the matrix condition
-    exceeds 1e12.
+    exceeds 1e12.  For finite counts the renormalizing sum cannot be
+    zero: the unit-sum row makes each solved row sum to 1, so one of its
+    four levels is >= 1/4 and stays so after clamping to [0, 1].
     """
     amat = inversion_matrix(rates)
     cond = float(np.linalg.cond(amat))
@@ -219,10 +221,7 @@ def populations_from_counts(
     rhs = np.concatenate([flat, np.ones((len(flat), 1))], axis=1)
     raw = np.linalg.solve(amat, rhs.T).T
     clipped = np.clip(raw, 0.0, 1.0)
-    total = clipped.sum(axis=1, keepdims=True)
-    if np.any(total <= 0):
-        raise SingularReadout("clamped populations sum to zero")
-    pops = (clipped / total).reshape(*lead, 4)
+    pops = (clipped / clipped.sum(axis=1, keepdims=True)).reshape(*lead, 4)
     return pops, np.any(clipped != raw, axis=1).reshape(lead)
 
 

@@ -18,11 +18,9 @@ from .ptmodel import PTParams, pt_hamiltonian
 
 __all__ = [
     "ZeroBranch",
-    "CombinedState",
     "Trajectory",
     "prepare_initial",
     "evolve_dilated",
-    "postselect",
     "branch_populations",
     "simulate_pt",
 ]
@@ -33,15 +31,6 @@ class ZeroBranch(RuntimeError):
 
 
 @dataclass
-class CombinedState:
-    amplitudes: np.ndarray  # complex 4-vector, |s> x |a>
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
 class Trajectory:
     grid: TimeGrid
     states: np.ndarray  # (n_nodes, 4) complex
@@ -49,20 +38,17 @@ class Trajectory:
     success_prob: np.ndarray  # (n_nodes,) |-> branch weight
 
 
-def prepare_initial(psi0: np.ndarray, eta0: float) -> CombinedState:
-    """Normalized (|psi0>|-> + eta0 |psi0>|+>) / sqrt(1 + eta0^2)."""
+def prepare_initial(psi0: np.ndarray, eta0: float) -> np.ndarray:
+    """Amplitudes (4,) of (|psi0>|-> + eta0 |psi0>|+>) / sqrt(1 + eta0^2)."""
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (2,):
+        raise ValueError(f"psi0 must be a system 2-vector, got shape {psi0.shape}")
     if not np.isclose(np.linalg.norm(psi0), 1.0, atol=1e-12):
         raise ValueError("psi0 must be a unit vector")
     if eta0 < 0:
         raise ValueError(f"eta0 must be >= 0, got {eta0}")
     anc = (ANCILLA_MINUS + eta0 * ANCILLA_PLUS) / np.sqrt(1.0 + eta0**2)
-    return CombinedState(amplitudes=np.kron(psi0, anc))
-
-
-def _minus_branch(states: np.ndarray) -> np.ndarray:
-    """System amplitudes of the |-> ancilla branch for a stack of states."""
-    return states.reshape(-1, 2, 2) @ ANCILLA_MINUS.conj()
+    return np.kron(psi0, anc)
 
 
 def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +57,7 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroBranch when the |-> branch of any state has (numerically)
     no weight.
     """
-    proj = _minus_branch(states)
+    proj = states.reshape(-1, 2, 2) @ ANCILLA_MINUS.conj()
     w = np.sum(np.abs(proj) ** 2, axis=-1)
     if np.min(w) < 1e-60:
         raise ZeroBranch("post-selected |-> branch weight below 1e-60")
@@ -79,20 +65,12 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(proj[:, 0]) ** 2 / w, w / total
 
 
-def postselect(state: CombinedState) -> tuple[np.ndarray, float]:
-    """Project the ancilla onto |->; return (unit system state, success)."""
-    if state.norm <= 0:
-        raise ValueError("state has zero norm")
-    _, succ = _postselect_batch(state.amplitudes[None])
-    proj = _minus_branch(state.amplitudes)[0]
-    return proj / np.linalg.norm(proj), float(succ[0])
-
-
 def evolve_dilated(
-    hsa: OperatorSeries, initial: CombinedState, substeps: int = 1
+    hsa: OperatorSeries, initial: np.ndarray, substeps: int = 1
 ) -> Trajectory:
     """Propagate by per-step unitaries expm(-i dt H_sa(midpoint)).
 
+    ``initial`` is the (4,) amplitude vector of ``prepare_initial``.
     Midpoint Hamiltonians come from linear interpolation of H_sa between
     grid nodes, which matches the O(dt^2) accuracy of the dilation
     integrator; each step is exactly unitary up to expm error.
@@ -108,7 +86,7 @@ def evolve_dilated(
         + hsa.data[1:, None] * frac[None, :, None, None]
     ).reshape(-1, 4, 4)
     steps = expm(-1j * h * hmid)
-    states = np.ascontiguousarray(ordered_product(steps, initial.amplitudes)[::substeps])
+    states = np.ascontiguousarray(ordered_product(steps, initial)[::substeps])
     p0, succ = _postselect_batch(states)
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
 

@@ -1,6 +1,7 @@
 """Dilation-pipeline tests: metric selection, operator identities, routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,28 @@ class TestInitialMetric:
         # Broken-regime growth e^{2 s T} beyond the condition cap.
         with pytest.raises(SingularPropagator):
             dilate(pt_hamiltonian(2.5), cfg(TimeGrid(0.0, 8.0, 4001)))
+
+    def test_singular_propagator_names_horizon(self):
+        # cond(W) grows like e^{2 sqrt(r^2 - 1) t}; at r = 1.4 it first
+        # passes 1e14 near t = 16.1, and the message says where.
+        with pytest.raises(SingularPropagator) as info:
+            dilate(pt_hamiltonian(1.4), cfg(TimeGrid(0.0, 30.0, 3001)))
+        t_bad = float(re.search(r"at t = (\S+)", str(info.value)).group(1))
+        assert 16.0 <= t_bad <= 16.2
+
+
+class TestConstantHs:
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda t: pt_hamiltonian(0.6), np.zeros((2, 3)), np.zeros(2)],
+        ids=["callable", "non_square", "vector"],
+    )
+    def test_rejects_all_but_a_square_matrix(self, bad):
+        result = dilate(pt_hamiltonian(0.6), cfg(TimeGrid(0.0, 1.0, 11)))
+        with pytest.raises((TypeError, ValueError), match="H_s"):
+            dilate(bad, cfg())
+        with pytest.raises((TypeError, ValueError), match="H_s"):
+            verify_dilation(result, bad)
 
 
 class TestOperatorIdentities:

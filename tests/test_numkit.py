@@ -15,13 +15,13 @@ from reference_dilation import (
     sylvester_hermitian,
 )
 
+from ptdilate.dilation import DilationConfig, _inverse_propagator
 from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
     TimeGrid,
     expm,
     ordered_product,
-    ordered_propagator,
 )
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -38,12 +38,6 @@ class TestTimeGrid:
         assert grid.dt == pytest.approx(1e-3)
         ts = grid.times()
         assert ts[0] == 0.0 and ts[-1] == 8.0 and len(ts) == 8001
-
-    def test_refined_halves_dt(self):
-        grid = TimeGrid(0.0, 2.0, 101)
-        fine = grid.refined(2)
-        assert fine.n_nodes == 201
-        assert fine.dt == pytest.approx(grid.dt / 2.0)
 
     @pytest.mark.parametrize("t0,t1,n", [(0.0, 0.0, 10), (1.0, 0.0, 10), (0.0, 1.0, 1)])
     def test_rejects_bad_spans(self, t0, t1, n):
@@ -168,42 +162,13 @@ class TestSylvester:
 
 class TestOrderedPropagator:
     def test_constant_generator_equals_expm(self):
+        # The dilation's inverse propagator is the ordered product of one
+        # constant step, so W(t1) = expm(+i (t1 - t0) H_s).
         rng = np.random.default_rng(19)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h_s = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         grid = TimeGrid(0.0, 1.0, 401)
-        u = ordered_propagator(lambda t: g, grid)
-        assert np.max(np.abs(u.data[-1] - expm(g))) < 1e-7
-
-    def test_commuting_family_closed_form(self):
-        # G(t) = f(t) A with scalar f: U(t) = expm(A int f), no ordering issue.
-        a = -1j * SIGMA_Y
-        grid = TimeGrid(0.0, 2.0, 801)
-        u = ordered_propagator(lambda t: np.sin(t) * a, grid)
-        expected = expm((1.0 - np.cos(2.0)) * a)
-        assert np.max(np.abs(u.data[-1] - expected)) < 1e-6
-
-    def test_second_order_convergence(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-
-        def gen(t):
-            # sx and sz do not commute, so ordering errors are exercised.
-            return -1j * (sx + t * sz)
-
-        grid = TimeGrid(0.0, 1.0, 51)
-        ref = ordered_propagator(gen, grid.refined(16)).data[-1]
-        err1 = np.max(np.abs(ordered_propagator(gen, grid).data[-1] - ref))
-        err2 = np.max(np.abs(ordered_propagator(gen, grid.refined(2)).data[-1] - ref))
-        assert 3.3 < err1 / err2 < 4.7
-
-    def test_substeps_match_refined_grid(self):
-        def gen(t):
-            return -1j * np.array([[np.cos(t), 1.0], [1.0, -np.cos(t)]])
-
-        grid = TimeGrid(0.0, 1.0, 11)
-        sub = ordered_propagator(gen, grid, substeps=4)
-        fine = ordered_propagator(gen, grid.refined(4))
-        assert np.max(np.abs(sub.data[-1] - fine.data[-1])) < 1e-13
+        w = _inverse_propagator(h_s, DilationConfig(grid=grid))
+        assert np.max(np.abs(w.data[-1] - expm(1j * (grid.t1 - grid.t0) * h_s))) < 1e-7
 
 
 class TestOrderedProduct:

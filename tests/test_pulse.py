@@ -18,7 +18,7 @@ from ptdilate.pulse import (
     subspace_h0,
     synthesize,
 )
-from ptdilate.simulator import CombinedState, ZeroBranch, prepare_initial
+from ptdilate.simulator import ZeroBranch, prepare_initial
 
 
 def aseries_for(r, grid):
@@ -142,7 +142,7 @@ class TestLabFrame:
         # post-select at t = 0.
         aser, _ = aseries_for(0.6, TimeGrid(0.0, 0.01, 11))
         prog = synthesize(aser, subspace_h0(NVParams())[1])
-        init = CombinedState(np.kron([1.0, 0.0], ANCILLA_PLUS))
+        init = np.kron([1.0, 0.0], ANCILLA_PLUS)
         with pytest.raises(ZeroBranch):
             simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.002, 201), init)
 

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
-from ptdilate.numkit import TimeGrid
+from ptdilate.numkit import OperatorSeries, TimeGrid
 from ptdilate.ptmodel import analytic_p0, analytic_state
 from ptdilate.simulator import (
-    CombinedState,
     ZeroBranch,
     branch_populations,
     evolve_dilated,
-    postselect,
     prepare_initial,
     simulate_pt,
 )
@@ -20,39 +18,46 @@ from ptdilate.simulator import (
 class TestPrepareInitial:
     def test_state_is_normalized(self):
         state = prepare_initial(np.array([1.0, 0.0]), 2.0)
-        assert state.norm == pytest.approx(1.0)
+        assert np.linalg.norm(state) == pytest.approx(1.0)
 
     def test_zero_eta_is_pure_minus_branch(self):
         state = prepare_initial(np.array([0.0, 1.0]), 0.0)
-        assert np.allclose(state.amplitudes, np.kron([0.0, 1.0], ANCILLA_MINUS))
+        assert np.allclose(state, np.kron([0.0, 1.0], ANCILLA_MINUS))
 
     def test_rejects_unnormalized_system_state(self):
         with pytest.raises(ValueError):
             prepare_initial(np.array([1.0, 1.0]), 0.5)
+
+    def test_rejects_wrong_system_dimension(self):
+        with pytest.raises(ValueError, match="2-vector"):
+            prepare_initial(np.array([1.0, 0.0, 0.0]), 0.5)
 
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):
             prepare_initial(np.array([1.0, 0.0]), -0.1)
 
 
+def postselect_static(amplitudes):
+    """Trajectory of a state held still by a 2-node zero H_sa series."""
+    hsa = OperatorSeries(TimeGrid(0.0, 1.0, 2), np.zeros((2, 4, 4)))
+    return evolve_dilated(hsa, amplitudes)
+
+
 class TestPostselect:
     def test_recovers_minus_branch_component(self):
         sys = np.array([0.6, 0.8j])
-        state = CombinedState(np.kron(sys, ANCILLA_MINUS))
-        proj, succ = postselect(state)
-        assert succ == pytest.approx(1.0)
-        assert abs(np.vdot(proj, sys)) == pytest.approx(1.0)
+        traj = postselect_static(np.kron(sys, ANCILLA_MINUS))
+        assert traj.success_prob == pytest.approx([1.0, 1.0])
+        assert traj.p0 == pytest.approx([0.36, 0.36])
 
     def test_success_probability_of_mixture(self):
         sys = np.array([1.0, 0.0])
         amp = np.kron(sys, (ANCILLA_MINUS + ANCILLA_PLUS) / np.sqrt(2.0))
-        _, succ = postselect(CombinedState(amp))
-        assert succ == pytest.approx(0.5)
+        assert postselect_static(amp).success_prob == pytest.approx([0.5, 0.5])
 
     def test_zero_branch_raises(self):
-        state = CombinedState(np.kron([1.0, 0.0], ANCILLA_PLUS))
         with pytest.raises(ZeroBranch):
-            postselect(state)
+            postselect_static(np.kron([1.0, 0.0], ANCILLA_PLUS))
 
 
 class TestSimulatePT:
