@@ -96,7 +96,6 @@ class RunConfig:
     substeps: int = 1
     seed: int = 0
     repetitions: int = 0  # 0 = noise-free expectations
-    p_e: float = 0.9
     pl_rates: list[float] = field(
         default_factory=lambda: [0.040, 0.030, 0.028, 0.034]
     )
@@ -128,8 +127,6 @@ class RunConfig:
             problems.append(f"substeps must be >= 1, got {self.substeps}")
         if self.repetitions < 0:
             problems.append(f"repetitions must be >= 0, got {self.repetitions}")
-        if not 0.0 < self.p_e <= 1.0:
-            problems.append(f"p_e must be in (0, 1], got {self.p_e}")
         if len(self.pl_rates) != 4 or any(v < 0 for v in self.pl_rates):
             problems.append(f"pl_rates must be 4 values >= 0, got {self.pl_rates}")
         if self.workers < 0:
@@ -218,7 +215,7 @@ def _write_table(path: str, meta: dict, write) -> None:
 
 def cmd_dilate(cfg: RunConfig) -> int:
     for r in cfg.r_list:
-        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin, cfg.substeps))
+        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         report = verify_dilation(result, pt_hamiltonian(r))
         aser = extract_a_series(result.hsa_series)
         _write_table(
@@ -322,7 +319,7 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
     nv = cfg.nv_params
     _, carriers = subspace_h0(nv)
     for r in cfg.r_list:
-        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin, cfg.substeps))
+        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         aser = extract_a_series(result.hsa_series)
         prog = synthesize(aser, carriers)
         resid = rotating_frame_check(prog, aser)
@@ -416,7 +413,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     worst_fail = 0
     for r in cfg.r_list:
         h_s = pt_hamiltonian(r)
-        result = dilate(h_s, DilationConfig(cfg.grid, cfg.margin, cfg.substeps))
+        result = dilate(h_s, DilationConfig(cfg.grid, cfg.margin))
         report = verify_dilation(result, h_s)
         ok = (
             report.hermiticity <= 1e-10
@@ -441,10 +438,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t1", type=float)
     p.add_argument("--n-nodes", dest="n_nodes", type=int)
     p.add_argument("--margin", type=float)
-    p.add_argument("--substeps", type=int)
+    p.add_argument(
+        "--substeps", type=int, help="evolution steps per grid interval (simulate and sweep only)"
+    )
     p.add_argument("--seed", type=int)
     p.add_argument("--repetitions", type=int)
-    p.add_argument("--p-e", dest="p_e", type=float)
     p.add_argument("--outdir")
     p.add_argument("--workers", type=int)
 

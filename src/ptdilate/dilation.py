@@ -1,10 +1,16 @@
-"""Hermitian dilation engine for a constant non-Hermitian H_s.
+"""Hermitian dilation engine for a constant non-Hermitian 2x2 H_s.
 
-Builds the metric operator ``M(t)``, the ancilla coupling ``eta(t)``, the
-operator pair ``Lambda(t), Gamma(t)`` and the time-dependent dilated
-Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a
-uniform time grid.  Post-selecting the ancilla on the |-> branch of the
-dilated unitary evolution reproduces the non-unitary H_s dynamics.
+The inverse propagator ``W(t) = exp(+i (t - t0) H_s)`` is evaluated in
+closed form at every grid node: with ``tau = tr H_s / 2``,
+``A = H_s - tau I`` and ``k = sqrt(-det A)``, ``A^2 = k^2 I`` gives
+``W = e^{i tau s} (cos(k s) I + i sin(k s)/k A)``, ``s = t - t0``, and
+``sin(k s)/k = s`` at the exceptional point ``k = 0``.  From ``W`` the
+engine builds the metric operator ``M(t)``, the ancilla coupling
+``eta(t)``, the operator pair ``Lambda(t), Gamma(t)`` and the
+time-dependent dilated Hermitian Hamiltonian
+``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a uniform time grid.
+Post-selecting the ancilla on the |-> branch of the dilated unitary
+evolution reproduces the non-unitary H_s dynamics.
 
 All metric-derived operators are evaluated in the singular basis of the
 inverse propagator, where the defining formulas
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import OperatorSeries, TimeGrid, expm, ordered_product
+from .numkit import OperatorSeries, TimeGrid
 from .pauli import PAULI_1Q
 
 __all__ = [
@@ -58,13 +64,10 @@ class PositivityLost(RuntimeError):
 class DilationConfig:
     grid: TimeGrid
     margin: float = 0.1  # safety factor in the M(0) selection
-    substeps: int = 1  # integration refinement per grid node
 
     def __post_init__(self):
         if not self.margin > 0:
             raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
 
 
 @dataclass
@@ -95,26 +98,29 @@ class DiagnosticsReport:
 
 
 def _as_matrix(h_s) -> np.ndarray:
-    """H_s as a constant square complex matrix."""
+    """H_s as a constant finite 2x2 complex matrix."""
     if callable(h_s):
-        raise TypeError("H_s must be a constant square matrix, not a callable")
+        raise TypeError("H_s must be a constant 2x2 matrix, not a callable")
     mat = np.asarray(h_s, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"H_s must be a square matrix, got shape {mat.shape}")
+    if mat.shape != (2, 2):
+        raise ValueError(f"H_s must be a 2x2 matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"H_s must be finite, got {mat.tolist()}")
     return mat
 
 
-def _inverse_propagator(h_s: np.ndarray, cfg: DilationConfig) -> OperatorSeries:
-    """W(t_k) = eps1^{-1}(t_k) stepped as W_{k+1} = W_k S, S = expm(+i h H_s).
+def _inverse_propagator(h_s: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """W(t_k) = eps1^{-1}(t_k) = expm(+i (t_k - t0) H_s) as (n_nodes, 2, 2).
 
-    Transposed, that is the step product W^T_{k+1} = S^T W^T_k.
+    The closed form of the module docstring, ``k`` the principal root.
     """
-    grid, substeps = cfg.grid, cfg.substeps
-    step = expm(1j * (grid.dt / substeps) * h_s)
-    n_steps, d = (grid.n_nodes - 1) * substeps, len(h_s)
-    steps = np.broadcast_to(step.T, (n_steps, d, d))
-    wt = ordered_product(steps, np.eye(d, dtype=complex))
-    return OperatorSeries(grid, np.ascontiguousarray(wt[::substeps].swapaxes(-1, -2)))
+    s = grid.times() - grid.t0
+    tau = (h_s[0, 0] + h_s[1, 1]) / 2.0
+    a = h_s - tau * np.eye(2)
+    k = np.sqrt(a[0, 0] ** 2 + a[0, 1] * a[1, 0])  # -det A, as tr A = 0
+    sin_k = np.sin(k * s) / k if k != 0 else s
+    w = np.cos(k * s)[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a
+    return np.exp(1j * tau * s)[:, None, None] * w
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
@@ -159,7 +165,7 @@ def ancilla_blocks(hsa: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
-    """Run the full dilation pipeline for the constant square H_s on the grid.
+    """Run the full dilation pipeline for the constant 2x2 H_s on the grid.
 
     All metric-derived operators are evaluated in the singular basis of
     the inverse propagator (see module docstring), which keeps Lambda and
@@ -168,8 +174,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     """
     h_s = _as_matrix(h_s)
     grid = cfg.grid
-    w = _inverse_propagator(h_s, cfg)
-    _, sigma, vh = np.linalg.svd(w.data)
+    _, sigma, vh = np.linalg.svd(_inverse_propagator(h_s, grid))
     # sigma_min can underflow to zero outright in the broken regime.
     with np.errstate(divide="ignore", over="ignore"):
         cond = sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)

@@ -66,12 +66,6 @@ class OperatorSeries:
                 f"series length {self.data.shape[0]} != grid nodes {self.grid.n_nodes}"
             )
 
-    def __len__(self) -> int:
-        return self.grid.n_nodes
-
-    def __getitem__(self, k):
-        return self.data[k]
-
 
 # Pade [6/6] numerator coefficients, b[j] * A^j; the denominator uses the
 # same coefficients with alternating signs.

@@ -57,12 +57,11 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroBranch when the |-> branch of any state has (numerically)
     no weight.
     """
-    proj = states.reshape(-1, 2, 2) @ ANCILLA_MINUS.conj()
-    w = np.sum(np.abs(proj) ** 2, axis=-1)
+    pops = branch_populations(states)
+    w = pops[..., 0] + pops[..., 2]  # the |-> levels |0 1> and |-1 1>
     if np.min(w) < 1e-60:
         raise ZeroBranch("post-selected |-> branch weight below 1e-60")
-    total = np.sum(np.abs(states) ** 2, axis=-1)
-    return np.abs(proj[:, 0]) ** 2 / w, w / total
+    return pops[..., 0] / w, w
 
 
 def evolve_dilated(
@@ -132,7 +131,7 @@ def simulate_pt(
     grid.  Returns the trajectory together with the dilation it used.
     """
     h_s = pt_hamiltonian(r)
-    result = dilate(h_s, DilationConfig(grid=grid, margin=margin, substeps=substeps))
+    result = dilate(h_s, DilationConfig(grid=grid, margin=margin))
     if psi0 is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
     initial = prepare_initial(psi0, np.sqrt(result.m0 - 1.0))

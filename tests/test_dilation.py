@@ -87,8 +87,15 @@ class TestInitialMetric:
 class TestConstantHs:
     @pytest.mark.parametrize(
         "bad",
-        [lambda t: pt_hamiltonian(0.6), np.zeros((2, 3)), np.zeros(2)],
-        ids=["callable", "non_square", "vector"],
+        [
+            lambda t: pt_hamiltonian(0.6),
+            np.zeros((2, 3)),
+            np.zeros(2),
+            np.full((2, 2), np.nan),
+            np.array([[np.inf, 1.0], [1.0, 0.0]]),
+            np.eye(3),
+        ],
+        ids=["callable", "non_square", "vector", "nan", "inf", "three_by_three"],
     )
     def test_rejects_all_but_a_square_matrix(self, bad):
         result = dilate(pt_hamiltonian(0.6), cfg(TimeGrid(0.0, 1.0, 11)))
@@ -227,10 +234,6 @@ class TestConfigValidation:
     def test_rejects_nonpositive_margin(self):
         with pytest.raises(ValueError):
             DilationConfig(grid=GRID, margin=0.0)
-
-    def test_rejects_bad_substeps(self):
-        with pytest.raises(ValueError):
-            DilationConfig(grid=GRID, substeps=0)
 
     def test_explicit_m0_must_exceed_one(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from reference_dilation import (
     sylvester_hermitian,
 )
 
-from ptdilate.dilation import DilationConfig, _inverse_propagator
+from ptdilate.dilation import _inverse_propagator
 from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
@@ -23,6 +23,7 @@ from ptdilate.numkit import (
     expm,
     ordered_product,
 )
+from ptdilate.ptmodel import pt_hamiltonian
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -162,13 +163,19 @@ class TestSylvester:
 
 class TestOrderedPropagator:
     def test_constant_generator_equals_expm(self):
-        # The dilation's inverse propagator is the ordered product of one
-        # constant step, so W(t1) = expm(+i (t1 - t0) H_s).
+        # The dilation's closed-form inverse propagator is
+        # W(t) = expm(+i (t - t0) H_s) at every node, on both sides of and
+        # exactly at the exceptional point r = 1.
         rng = np.random.default_rng(19)
-        h_s = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        grid = TimeGrid(0.0, 1.0, 401)
-        w = _inverse_propagator(h_s, DilationConfig(grid=grid))
-        assert np.max(np.abs(w.data[-1] - expm(1j * (grid.t1 - grid.t0) * h_s))) < 1e-7
+        hams = [pt_hamiltonian(r) for r in (0.0, 0.6, 1.0, 1.4, 1 - 1e-12, 1 + 1e-12)]
+        hams.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        grid = TimeGrid(-1.0, 7.0, 801)
+        s = grid.times() - grid.t0
+        for h_s in hams:
+            w = _inverse_propagator(h_s, grid)
+            ref = expm(1j * s[:, None, None] * h_s)
+            err = np.linalg.norm(w - ref, axis=(-2, -1))
+            assert np.max(err / np.linalg.norm(ref, axis=(-2, -1))) <= 1e-12
 
 
 class TestOrderedProduct:
