@@ -93,7 +93,6 @@ class RunConfig:
     t1: float = 8.0
     n_nodes: int = 8001
     margin: float = 0.1
-    substeps: int = 1
     seed: int = 0
     repetitions: int = 0  # 0 = noise-free expectations
     pl_rates: list[float] = field(
@@ -123,8 +122,6 @@ class RunConfig:
             problems.append(f"n_nodes must be >= 2, got {self.n_nodes}")
         if not self.margin > 0:
             problems.append(f"margin must be > 0, got {self.margin}")
-        if self.substeps < 1:
-            problems.append(f"substeps must be >= 1, got {self.substeps}")
         if self.repetitions < 0:
             problems.append(f"repetitions must be >= 0, got {self.repetitions}")
         if len(self.pl_rates) != 4 or any(v < 0 for v in self.pl_rates):
@@ -243,7 +240,7 @@ def cmd_dilate(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     for r in cfg.r_list:
-        traj, _ = simulate_pt(r, cfg.grid, margin=cfg.margin, substeps=cfg.substeps)
+        traj, _ = simulate_pt(r, cfg.grid, margin=cfg.margin)
         ts = cfg.grid.times()
         oracle = analytic_p0(r, ts)
         err = np.abs(traj.p0 - oracle)
@@ -261,9 +258,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Noise-free P0 row of the idx-th r and, with repetitions, its noisy row."""
-    traj, _ = simulate_pt(
-        cfg.r_list[idx], cfg.grid, margin=cfg.margin, substeps=cfg.substeps
-    )
+    traj, _ = simulate_pt(cfg.r_list[idx], cfg.grid, margin=cfg.margin)
     if cfg.repetitions == 0:
         return traj.p0, None
     rng = np.random.default_rng([cfg.seed, idx])
@@ -438,9 +433,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t1", type=float)
     p.add_argument("--n-nodes", dest="n_nodes", type=int)
     p.add_argument("--margin", type=float)
-    p.add_argument(
-        "--substeps", type=int, help="evolution steps per grid interval (simulate and sweep only)"
-    )
     p.add_argument("--seed", type=int)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--outdir")

@@ -5,10 +5,11 @@ closed form at every grid node: with ``tau = tr H_s / 2``,
 ``A = H_s - tau I`` and ``k = sqrt(-det A)``, ``A^2 = k^2 I`` gives
 ``W = e^{i tau s} (cos(k s) I + i sin(k s)/k A)``, ``s = t - t0``, and
 ``sin(k s)/k = s`` at the exceptional point ``k = 0``.  From ``W`` the
-engine builds the metric operator ``M(t)``, the ancilla coupling
-``eta(t)``, the operator pair ``Lambda(t), Gamma(t)`` and the
-time-dependent dilated Hermitian Hamiltonian
-``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a uniform time grid.
+engine builds the metric operator ``M(t)`` and the time-dependent
+dilated Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z``
+on a uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
+from the ancilla coupling ``eta(t) = sqrt(M(t) - I)`` and is kept only
+inside H_sa.
 Post-selecting the ancilla on the |-> branch of the dilated unitary
 evolution reproduces the non-unitary H_s dynamics.
 
@@ -39,7 +40,6 @@ __all__ = [
     "DilationConfig",
     "DilationResult",
     "DiagnosticsReport",
-    "dilated_hamiltonian",
     "verify_dilation",
     "dilate",
 ]
@@ -76,9 +76,6 @@ class DilationResult:
     mu_prime: float
     grid: TimeGrid
     m_series: OperatorSeries
-    eta_series: OperatorSeries
-    lambda_series: OperatorSeries
-    gamma_series: OperatorSeries
     hsa_series: OperatorSeries
     min_eig_m_minus_i: np.ndarray  # per node, from singular values (stable)
     presym_lambda: float  # max Hermiticity residual of Lambda before symmetrization
@@ -131,17 +128,6 @@ def _herm_residual(x: np.ndarray) -> np.ndarray:
     num = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
     den = np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1e-300)
     return num / den
-
-
-def dilated_hamiltonian(
-    lam: OperatorSeries, gam: OperatorSeries
-) -> OperatorSeries:
-    """H_sa(t_k) = Lambda x I + Gamma x sigma_z, system factor first."""
-    d = lam.data.shape[-1]
-    hsa = np.einsum("nij,kl->nikjl", lam.data, PAULI_1Q[0]) + np.einsum(
-        "nij,kl->nikjl", gam.data, PAULI_1Q[3]
-    )
-    return OperatorSeries(lam.grid, hsa.reshape(-1, 2 * d, 2 * d))
 
 
 def ancilla_blocks(hsa: np.ndarray) -> dict[str, np.ndarray]:
@@ -208,22 +194,18 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
 
     lam = v @ lam_t @ vh
     gam = v @ gam_t @ vh
-    lam_s = OperatorSeries(grid, _hermitize(lam))
-    gam_s = OperatorSeries(grid, _hermitize(gam))
-    eye = np.eye(len(h_s))[None]
-    m = _hermitize(v @ (s_eig[:, :, None] * eye) @ vh)
-    eta = _hermitize(v @ (d_eig[:, :, None] * eye) @ vh)
-    hsa = dilated_hamiltonian(lam_s, gam_s)
+    # H_sa = Lambda x I + Gamma x sigma_z, system factor first.
+    hsa = np.einsum("nij,kl->nikjl", _hermitize(lam), PAULI_1Q[0]) + np.einsum(
+        "nij,kl->nikjl", _hermitize(gam), PAULI_1Q[3]
+    )
+    m = _hermitize(v @ (s_eig[:, :, None] * np.eye(2)) @ vh)
 
     return DilationResult(
         m0=m0,
         mu_prime=mu_prime,
         grid=grid,
         m_series=OperatorSeries(grid, m),
-        eta_series=OperatorSeries(grid, eta),
-        lambda_series=lam_s,
-        gamma_series=gam_s,
-        hsa_series=hsa,
+        hsa_series=OperatorSeries(grid, hsa.reshape(-1, 4, 4)),
         min_eig_m_minus_i=d_eig2[:, -1].copy(),
         presym_lambda=float(np.max(_herm_residual(lam))),
         presym_gamma=float(np.max(_herm_residual(gam))),

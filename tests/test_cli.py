@@ -40,11 +40,11 @@ class TestConfig:
         RunConfig().validate()
 
     def test_aggregated_validation_report(self):
-        cfg = RunConfig(r_list=[], margin=-1.0, substeps=0)
+        cfg = RunConfig(r_list=[], margin=-1.0, repetitions=-1)
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         msg = str(err.value)
-        assert "r_list" in msg and "margin" in msg and "substeps" in msg
+        assert "r_list" in msg and "margin" in msg and "repetitions" in msg
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -64,7 +64,7 @@ class TestConfig:
             ("simulate", {"n_nodes": "11"}),
             ("simulate", {"n_nodes": 11.5}),
             ("simulate", {"r_list": 0.6}),
-            ("simulate", {"substeps": True}),
+            ("simulate", {"seed": True}),
             ("sweep", {"seed": 1.5, "repetitions": 10}),
         ],
     )
@@ -82,6 +82,22 @@ class TestConfig:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nodes": 10}))
         assert run("simulate", "--config", str(cfg_file)) == 1
+
+    def test_substeps_key_is_unknown(self, tmp_path, capsys):
+        # The evolution takes one step per grid interval; more nodes, not a
+        # substep count, refine it.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"substeps": 1}))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg_file), "--outdir", str(out)) == 1
+        assert "unknown config keys: ['substeps']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_substeps_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--substeps", "2")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --substeps" in capsys.readouterr().err
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PTDILATE_OUTDIR", str(tmp_path))

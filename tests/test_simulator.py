@@ -91,13 +91,6 @@ class TestSimulatePT:
         norms = np.linalg.norm(traj.states, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
-    def test_substeps_refine_the_answer(self):
-        grid = TimeGrid(0.0, 4.0, 501)
-        oracle = analytic_p0(0.6, grid.times())
-        coarse, _ = simulate_pt(0.6, grid, substeps=1)
-        fine, _ = simulate_pt(0.6, grid, substeps=4)
-        assert np.max(np.abs(fine.p0 - oracle)) < np.max(np.abs(coarse.p0 - oracle))
-
     def test_custom_initial_state(self):
         grid = TimeGrid(0.0, 1.0, 501)
         psi0 = np.array([0.0, 1.0], dtype=complex)
@@ -126,10 +119,3 @@ class TestTrajectoryHelpers:
         pops = branch_populations(traj.states)
         cond = pops[:, 0] / (pops[:, 0] + pops[:, 2])
         assert np.max(np.abs(cond - traj.p0)) < 1e-12
-
-    def test_evolve_rejects_bad_substeps(self):
-        grid = TimeGrid(0.0, 1.0, 11)
-        traj, result = simulate_pt(0.1, grid)
-        init = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
-        with pytest.raises(ValueError):
-            evolve_dilated(result.hsa_series, init, substeps=0)
