@@ -161,6 +161,9 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     h_s = _as_matrix(h_s)
     grid = cfg.grid
     _, sigma, vh = np.linalg.svd(_inverse_propagator(h_s, grid))
+    # The SVD's sigma_min carries sigma_max's absolute error; |det W| / sigma_max
+    # with |det W| = e^{-(t - t0) Im tr H_s} is accurate to roundoff.
+    sigma[:, -1] = np.exp(-(grid.times() - grid.t0) * np.trace(h_s).imag) / sigma[:, 0]
     # sigma_min can underflow to zero outright in the broken regime.
     with np.errstate(divide="ignore", over="ignore"):
         cond = sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)

@@ -45,6 +45,9 @@ _BASIS = np.stack(
 _A_SLOTS = ([1, 0, 2, 3], [0, 3, 3, 3])  # (x,I), (I,z), (y,z), (z,z)
 _B_SLOTS = ([0, 2, 3, 1], [0, 0, 0, 3])  # (I,I), (y,I), (z,I), (x,z)
 
+# Largest imaginary Pauli coefficient a Hermitian operator may carry.
+_HERM_TOL = 1e-9
+
 
 class BNonVanishing(UserWarning):
     """The B coefficients do not vanish: H_s is outside the reduced family."""
@@ -55,20 +58,20 @@ def _check_shape(x: np.ndarray, what: str) -> None:
         raise ValueError(f"expected {what} of shape (..., 4, 4), got shape {x.shape}")
 
 
-def pauli_decompose(op: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def pauli_decompose(op: np.ndarray) -> np.ndarray:
     """Real tables c[..., i, j] = Re Tr[(sigma_i x sigma_j) O] / 4 of Hermitian O.
 
     ``op`` is one 4x4 operator or a stack (..., 4, 4).  Raises NotHermitian
     when any coefficient of any operator carries an imaginary part larger
-    than ``tol``.
+    than ``_HERM_TOL``.
     """
     op = np.asarray(op, dtype=complex)
     _check_shape(op, "operators")
     raw = np.einsum("kab,...ba->...k", _BASIS, op) / 4.0
     max_imag = float(np.max(np.abs(raw.imag), initial=0.0))
-    if max_imag > tol:
+    if max_imag > _HERM_TOL:
         raise NotHermitian(
-            f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={tol}"
+            f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={_HERM_TOL}"
         )
     return raw.real.reshape(op.shape)
 
@@ -94,13 +97,13 @@ class ASeries:
         write_csv(fh, columns, np.column_stack([self.grid.times(), self.a, self.b]))
 
 
-def extract_a_series(hsa: OperatorSeries, tol: float = 1e-9) -> ASeries:
+def extract_a_series(hsa: OperatorSeries) -> ASeries:
     """Pauli-decompose a whole H_sa series into A/B trajectories.
 
     Warns (BNonVanishing) when max|B| exceeds 1e-6 max|A|, which signals
     an H_s outside the family for which the four-term reduction holds.
     """
-    c = pauli_decompose(hsa.data, tol=tol)
+    c = pauli_decompose(hsa.data)
     a = c[(..., *_A_SLOTS)]
     b = c[(..., *_B_SLOTS)]
     amax = float(np.max(np.abs(a)))

@@ -115,8 +115,9 @@ def simulate_pt(
     """Dilate the PT Hamiltonian at strength r and evolve from |psi0>|->...
 
     Convenience wrapper: runs the dilation pipeline, prepares the initial
-    state with eta0 = sqrt(m0 - 1) (scalar M(0)), and propagates over the
-    grid.  Returns the trajectory together with the dilation it used.
+    state with eta0 = sqrt(m0 - 1) (scalar M(0)), and propagates with
+    ``evolve_dilated``, one step per grid interval, so the grid alone sets
+    the accuracy.  Returns the trajectory together with the dilation it used.
     """
     h_s = pt_hamiltonian(r)
     result = dilate(h_s, DilationConfig(grid=grid, margin=margin))

@@ -67,6 +67,17 @@ class TestInitialMetric:
         long = dilate(pt_hamiltonian(1.4), cfg(TimeGrid(0.0, 4.0, 2001))).m0
         assert long > short > 1.0
 
+    @pytest.mark.parametrize(
+        "r,m0_exact",
+        [(1.0, 283.7957363700544738817), (1.4, 14444305.94658047072027)],
+    )
+    def test_m0_matches_high_precision_value(self, r, m0_exact):
+        # (1 + margin) / min_t sigma_min(W(t))^2 on the nodes of [0, 8],
+        # from a 40-digit mpmath evaluation of W = expm(i t H_s); the
+        # minimum sits at t = 8 for both strengths.
+        m0 = dilate(pt_hamiltonian(r), cfg(TimeGrid(0.0, 8.0, 801))).m0
+        assert m0 == pytest.approx(m0_exact, rel=1e-12)
+
     def test_metric_starts_scalar(self):
         result = dilate(pt_hamiltonian(0.6), cfg())
         m = result.m_series
