@@ -35,7 +35,7 @@ from .dilation import (
     dilate,
     verify_dilation,
 )
-from .fitkit import eigen_curve, fit_r, fit_table_to_csv
+from .fitkit import eigen_curve, fit_rows, fit_table_to_csv
 from .numkit import NotHermitian, TimeGrid, csv_row, write_csv
 from .pauli import extract_a_series
 from .pulse import (
@@ -380,13 +380,18 @@ def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cmd_fit(cfg: RunConfig, input_path: str, max_points: int = 201) -> int:
+    if max_points < 3:
+        raise ValidationError(f"max_points must be >= 3 (a fit needs 3 samples), got {max_points}")
     r_nominal, ts, mat = _read_matrix(input_path)
     stride = max(1, (len(ts) - 1) // (max_points - 1)) if len(ts) > max_points else 1
-    fits = []
-    for row in mat:
-        samples = np.column_stack([ts[::stride], row[::stride]])
-        samples = samples[np.isfinite(samples[:, 1])]  # drop failed noisy reads
-        fits.append(fit_r(samples))
+    rows = mat[:, ::stride]
+    short = r_nominal[np.count_nonzero(np.isfinite(rows), axis=1) < 3]
+    if short.size:
+        raise ValidationError(
+            f"{input_path}: rows r_nominal={[float(r) for r in short]} keep fewer "
+            f"than 3 finite samples at stride {stride}; a fit needs 3"
+        )
+    fits = fit_rows(ts[::stride], rows)
     meta = _metadata(cfg, input=os.path.basename(input_path))
     _write_table(
         os.path.join(cfg.outdir, "fits.csv"),
@@ -470,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-points",
                 type=int,
                 default=201,
-                help="subsample each curve to at most this many samples",
+                help="subsample each curve to at most this many samples (at least 3)",
             )
     return parser
 

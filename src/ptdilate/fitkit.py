@@ -5,6 +5,12 @@ family by a coarse grid scan plus golden-section refinement (the model's
 r-derivative is singular at r = 1, so derivative-based optimizers are
 avoided), and converts fitted strengths into the eigenvalue bifurcation
 curve E+- = +-sqrt(1 - r^2).
+
+The scan scores every grid r at once against the model table
+``analytic_p0(grid[:, None], t)``, held as blocks of ``_SCAN_CHUNK`` grid
+rows so the transients stay small.  The table does not depend on the
+data: ``fit_rows`` builds it once for the shared times of a sweep matrix,
+and each row's fit scores the columns of its finite samples.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "REFINE_TOL",
     "FitResult",
     "fit_r",
+    "fit_rows",
     "sse",
     "eigen_curve",
     "fit_table_to_csv",
@@ -29,6 +36,10 @@ __all__ = [
 
 GRID_STEP = 1e-3
 REFINE_TOL = 1e-6
+# Grid rows per block of the model table: enough to amortise the per-call
+# overhead, few enough that each block's transients stay near 200 kB at
+# 201 samples.
+_SCAN_CHUNK = 128
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step for the central-difference curvature of the SSE at the minimum.
 _CURVATURE_STEP = 1e-4
@@ -77,15 +88,33 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
+def _scan_grid(r_range) -> np.ndarray:
+    """The ``GRID_STEP`` grid over ``r_range``, its last point clipped to hi."""
+    lo, hi = float(r_range[0]), float(r_range[1])
+    if not (0.0 <= lo < hi <= 2.0):
+        raise ValueError(f"r_range must satisfy 0 <= lo < hi <= 2, got {r_range}")
+    grid = np.arange(lo, hi + GRID_STEP / 2.0, GRID_STEP)
+    grid[-1] = min(grid[-1], hi)
+    return grid
+
+
+def _table_blocks(grid: np.ndarray, t: np.ndarray):
+    """The model table over ``grid`` x ``t``, ``_SCAN_CHUNK`` rows per block."""
+    for i in range(0, grid.size, _SCAN_CHUNK):
+        yield analytic_p0(grid[i : i + _SCAN_CHUNK, None], t)
+
+
 def fit_r(
-    samples, r_range: tuple[float, float] = (0.0, 2.0)
+    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _blocks=None
 ) -> FitResult:
     """Least-squares strength estimate from (t, P0) samples.
 
-    Scans ``r_range`` on a 1e-3 grid, refines the best bracket by
-    golden section to 1e-6, and reports the curvature-based standard
-    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2)
-    array.
+    Scores every r of a 1e-3 grid over ``r_range`` against the model
+    table, refines the best bracket by golden section to 1e-6, and
+    reports the curvature-based standard error.  ``samples`` is a
+    sequence of (t, P0) pairs or a (n, 2) array.  ``_blocks`` is the
+    model table of this ``r_range`` at exactly these sample times, as
+    ``fit_rows`` passes it; without it the table is built here.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -95,14 +124,12 @@ def fit_r(
         raise ValueError(f"need at least 3 samples, got {n}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples contain non-finite values; filter them first")
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if not (0.0 <= lo < hi <= 2.0):
-        raise ValueError(f"r_range must satisfy 0 <= lo < hi <= 2, got {r_range}")
     t, p0 = arr[:, 0], arr[:, 1]
 
-    grid = np.arange(lo, hi + GRID_STEP / 2.0, GRID_STEP)
-    grid[-1] = min(grid[-1], hi)
-    scores = np.array([sse(r, t, p0) for r in grid])
+    grid = _scan_grid(r_range)
+    if _blocks is None:
+        _blocks = _table_blocks(grid, t)
+    scores = np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in _blocks])
     k = int(np.argmin(scores))
     blo = grid[max(k - 1, 0)]
     bhi = grid[min(k + 1, len(grid) - 1)]
@@ -122,7 +149,7 @@ def fit_r(
         (r_best + h - r_minus) / 2.0
     ) ** 2
     dof = max(n - 2, 1)
-    pinned = k == len(grid) - 1 or (k == 0 and lo > 0.0)
+    pinned = k == len(grid) - 1 or (k == 0 and grid[0] > 0.0)
     if d2 > 0 and not pinned:
         stderr = math.sqrt(2.0 * best / dof / d2)
         degenerate = False
@@ -139,6 +166,31 @@ def fit_r(
         e_minus=e_minus,
         degenerate=degenerate,
     )
+
+
+def fit_rows(
+    t, rows, r_range: tuple[float, float] = (0.0, 2.0)
+) -> list[FitResult]:
+    """``fit_r`` of every row of P0 samples taken at the shared times ``t``.
+
+    ``rows`` is (n_rows, len(t)); non-finite entries (failed noisy reads)
+    are dropped per row.  The model table is built once, and each row's
+    fit scores the table columns of its finite samples.
+    """
+    t = np.asarray(t, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
+        raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
+    grid = _scan_grid(r_range)
+    blocks = list(_table_blocks(grid, t))
+    fits = []
+    for row in rows:
+        keep = np.isfinite(row)
+        # compress keeps each block C-ordered (``blk[:, keep]`` is not), so
+        # every row's SSE sums in the same order as ``sse`` sums it.
+        blocks_kept = (blk.compress(keep, axis=1) for blk in blocks)
+        fits.append(fit_r(np.column_stack([t[keep], row[keep]]), r_range, _blocks=blocks_kept))
+    return fits
 
 
 def eigen_curve(r_values, fits) -> np.ndarray:

@@ -84,25 +84,49 @@ def classify(p: PTParams | float) -> PTRegime:
     return PTRegime.BROKEN
 
 
-def _state_components(r: float, t):
+def _nilpotent(r, t):
+    # Limit at the exceptional point: psi = (1 + r t, -i t).
+    a = 1.0 + r * t
+    return a, np.broadcast_to(t, np.shape(a)).copy()
+
+
+def _oscillating(r, t):
+    k = np.sqrt(1.0 - r * r)
+    sin_kt = np.sin(k * t)
+    return np.cos(k * t) + (r / k) * sin_kt, sin_kt / k
+
+
+def _growing(r, t):
+    s = np.sqrt(r * r - 1.0)
+    # Divided by e^{s t} (the growing exponential); decaying part is safe.
+    decay = np.exp(-2.0 * s * t)
+    return ((r + s) - decay * (r - s)) / (2.0 * s), (1.0 - decay) / (2.0 * s)
+
+
+def _state_components(r, t):
     """Overflow-safe components of the evolved state from |0>.
 
+    ``r`` and ``t`` broadcast against each other; each element takes the
+    formula of its regime, picked by mask: the exceptional-point limit
+    within ``EP_WINDOW`` of r = 1, unbroken below it, broken above it.
     Returns ``(a, b)`` with the physical (unnormalized) state proportional
     to ``(a, -i b)``; the common dominant exponential has been divided
     out, so only ratios of a and b are meaningful.
     """
+    r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    if abs(r - 1.0) < EP_WINDOW:
-        # Nilpotent limit: psi = (1 + r t, -i t).
-        return 1.0 + r * t, t + 0.0 * t
-    if r < 1.0:
-        k = np.sqrt(1.0 - r * r)
-        return np.cos(k * t) + (r / k) * np.sin(k * t), np.sin(k * t) / k
-    s = np.sqrt(r * r - 1.0)
-    # Divided by e^{s t} (the growing exponential); decaying part is safe.
-    decay = np.exp(-2.0 * s * t)
-    a = ((r + s) - decay * (r - s)) / (2.0 * s)
-    b = (1.0 - decay) / (2.0 * s)
+    ep = np.abs(r - 1.0) < EP_WINDOW
+    unbroken = (r < 1.0) & ~ep
+    regimes = [(ep, _nilpotent), (unbroken, _oscillating), (~(ep | unbroken), _growing)]
+    regimes = [(mask, formula) for mask, formula in regimes if mask.any()]
+    if len(regimes) == 1:
+        return regimes[0][1](r, t)
+    r, t = np.broadcast_arrays(r, t)
+    a = np.empty(r.shape)
+    b = np.empty(r.shape)
+    for mask, formula in regimes:
+        m = np.broadcast_to(mask, r.shape)
+        a[m], b[m] = formula(r[m], t[m])
     return a, b
 
 
@@ -122,9 +146,15 @@ def analytic_p0(p: PTParams | float, t):
     """Normalized population of |0> at time(s) ``t``: |psi0|^2 / |psi|^2.
 
     Overflow-safe (the dominant exponential cancels) and continuous in r
-    across the exceptional point.  Vectorized over ``t``.
+    across the exceptional point.  Vectorized over ``t``, and over ``r``
+    when it is an array of strengths broadcasting against ``t``: a model
+    table over (r, t) is ``analytic_p0(r_grid[:, None], t)``, each row
+    equal to the scalar-r call.  Any negative or NaN strength raises
+    ``ValueError``.
     """
-    r = _as_params(p).r
+    r = np.asarray(p.r if isinstance(p, PTParams) else p, dtype=float)
+    if not np.all(r >= 0.0):
+        raise ValueError(f"r must be >= 0 (use symmetry for r < 0), got {p}")
     a, b = _state_components(r, t)
     a2 = np.abs(a) ** 2
     b2 = np.abs(b) ** 2

@@ -9,9 +9,10 @@ import pytest
 
 from ptdilate.cli import RunConfig, ValidationError, main
 from ptdilate.dilation import DilationConfig, dilate
+from ptdilate.fitkit import fit_r, fit_rows
 from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import extract_a_series
-from ptdilate.ptmodel import pt_hamiltonian
+from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 from ptdilate.pulse import NVParams, subspace_h0, synthesize
 from ptdilate.simulator import simulate_pt
 
@@ -25,6 +26,14 @@ def read_meta(path):
         first = fh.readline()
     assert first.startswith("# ")
     return json.loads(first[2:])
+
+
+def write_matrix(path, r_values, ts, mat):
+    """A sweep matrix file: header r,t..., then one row per r."""
+    lines = [",".join(["r", *map(repr, map(float, ts))])]
+    lines += [",".join(map(repr, [float(r), *map(float, row)])) for r, row in zip(r_values, mat)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def read_csv(path):
@@ -208,6 +217,65 @@ class TestSweepAndFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("time,0.0,0.1\n0.5,1.0,0.9\n")
         assert run("fit", "--input", str(bad), "--outdir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("max_points", [0, 1, 2])
+    def test_max_points_below_three_rejected_before_reading(self, tmp_path, capsys, max_points):
+        out = tmp_path / "out"
+        assert run(
+            "fit", "--input", str(tmp_path / "missing.csv"), "--outdir", str(out),
+            "--max-points", str(max_points),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "max_points" in err
+        assert not out.exists()
+
+    def test_row_with_too_few_finite_samples_names_its_r(self, tmp_path, capsys):
+        ts = np.linspace(0.0, 4.0, 21)
+        mat = np.array([analytic_p0(r, ts) for r in (0.4, 0.7, 1.3)])
+        mat[1, 2:] = np.nan  # the r = 0.7 row keeps two finite reads
+        path = write_matrix(tmp_path / "m.csv", [0.4, 0.7, 1.3], ts, mat)
+        out = tmp_path / "out"
+        assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "r_nominal" in err and "0.7" in err and "1.3" not in err
+        assert not out.exists()
+
+    def test_fit_rows_equal_per_row_fit_r(self, tmp_path, monkeypatch):
+        # Strided, with NaN reads in some rows and a row pinned to the
+        # scan edge (r = 2.4 lies beyond it), so degenerate rows are
+        # covered too.  The rows with 1e-8 noise sit on scan grid points,
+        # where the reported SSE is often the table score itself, so
+        # these rows also show the order in which the batch sums it.
+        ts = np.linspace(0.0, 8.0, 81)
+        r_nominal = [0.0, 0.3, 0.6, 0.8, 1.0, 1.4, 2.4]
+        rng = np.random.default_rng(3)
+        noise = np.array([1e-2, 1e-8, 1e-8, 1e-8, 1e-2, 1e-2, 1e-2])[:, None]
+        mat = np.array([analytic_p0(r, ts) for r in r_nominal])
+        mat = np.clip(mat + rng.normal(size=mat.shape) * noise, 0.0, 1.0)
+        mat[2, [4, 8, 9, 40]] = np.nan
+        mat[5, ::3] = np.nan
+        path = write_matrix(tmp_path / "m.csv", r_nominal, ts, mat)
+        batches = []
+
+        def recording(*args, **kwargs):
+            batches.append(fit_rows(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr("ptdilate.cli.fit_rows", recording)
+        assert run(
+            "fit", "--input", str(path), "--outdir", str(tmp_path), "--max-points", "21",
+        ) == 0
+        stride = 4  # (81 - 1) // (21 - 1)
+        expected = []
+        for row in mat:
+            samples = np.column_stack([ts[::stride], row[::stride]])
+            expected.append(fit_r(samples[np.isfinite(samples[:, 1])]))
+        assert batches == [expected]
+        assert [f.degenerate for f in expected] == [False] * 6 + [True]
+        _, fits = read_csv(tmp_path / "fits.csv")
+        assert fits[:, 1].tolist() == [f.r_exp for f in expected]
+        assert fits[:, 2].tolist() == [f.stderr for f in expected]
 
 
 class TestPulsesAndVerify:

@@ -117,6 +117,30 @@ class TestAnalyticP0:
             assert analytic_p0(r, 0.0) == pytest.approx(1.0)
 
 
+class TestModelTable:
+    """analytic_p0 over an array of strengths: the table the r-fit scans."""
+
+    # Every regime, the exceptional-point window and both of its edges.
+    STRENGTHS = [0.0, 0.3, 1.0 - 2e-9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.4, 2.0]
+
+    @pytest.mark.parametrize(
+        "strengths",
+        [STRENGTHS, STRENGTHS[:3], STRENGTHS[3:6], STRENGTHS[6:]],
+        ids=["mixed", "unbroken", "ep_window", "broken"],
+    )
+    def test_rows_equal_scalar_calls_bitwise(self, strengths):
+        t = np.linspace(0.0, 8.0, 201)
+        table = analytic_p0(np.array(strengths)[:, None], t)
+        assert table.shape == (len(strengths), t.size)
+        for row, r in zip(table, strengths):
+            assert np.array_equal(row, analytic_p0(float(r), t)), r
+
+    @pytest.mark.parametrize("bad", [-0.1, -1e-300, np.nan])
+    def test_rejects_negative_or_nan_strength(self, bad):
+        with pytest.raises(ValueError):
+            analytic_p0(np.array([0.5, bad, 1.2])[:, None], np.linspace(0.0, 1.0, 5))
+
+
 class TestAnalyticState:
     def test_starts_at_ket_zero(self):
         psi = analytic_state(0.6, 0.0)
