@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -24,6 +23,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .dilation import (
     dilate,
     verify_dilation,
 )
-from .fitkit import eigen_curve, fit_rows, fit_table_to_csv
-from .numkit import NotHermitian, TimeGrid, csv_row, write_csv
+from .fitkit import fit_rows
+from .numkit import NotHermitian, TimeGrid
 from .pauli import extract_a_series
 from .pulse import (
     GridTooCoarse,
@@ -70,16 +70,18 @@ class ValidationError(ValueError):
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number; booleans and JSON's NaN and Infinity are not."""
+    return (isinstance(v, int) and not isinstance(v, bool)) or (
+        isinstance(v, float) and math.isfinite(v)
+    )
 
 
-# Accepted values per RunConfig field annotation (JSON booleans are not
-# numbers), and how to name them.
+# Accepted values per RunConfig field annotation, and how to name them.
 _FIELD_TYPES = {
     "int": (lambda v: _is_real(v) and isinstance(v, int), "an integer"),
-    "float": (_is_real, "a number"),
-    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers"),
-    "dict": (lambda v: isinstance(v, dict) and all(map(_is_real, v.values())), "an object of numbers"),
+    "float": (_is_real, "a finite number"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_is_real, v.values())), "an object of finite numbers"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -184,13 +186,14 @@ def _metadata(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings ``chunks`` to a temp file beside ``path``, then rename it."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -199,15 +202,21 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _rtag(r: float) -> str:
-    return format(r, "g").replace(".", "p").replace("-", "m")
+    """File-name tag of r: every digit of its shortest round-trip form, so
+    distinct strengths never share a file (``0.6`` -> ``0p6``, ``1.0`` -> ``1``)."""
+    return repr(float(r)).removesuffix(".0").replace(".", "p").replace("-", "m")
 
 
-def _write_table(path: str, meta: dict, write) -> None:
-    """Atomically write the ``# {json}`` metadata line, then ``write(fh)``'s table."""
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    write(buf)
-    _atomic_write(path, buf.getvalue())
+def _write_csv(path: str, meta: dict, columns, rows) -> None:
+    """Atomically write the ``# {json}`` metadata line, the header and the rows.
+
+    Every value is written in shortest round-trip form (``repr``), so equal
+    numbers always give equal bytes.  Lines are formatted as they are
+    written, so the whole text is never held in memory.
+    """
+    head = ["# " + json.dumps(meta, sort_keys=True) + "\n", ",".join(columns) + "\n"]
+    body = (",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    _atomic_write(path, chain(head, body))
 
 
 def cmd_dilate(cfg: RunConfig) -> int:
@@ -215,10 +224,11 @@ def cmd_dilate(cfg: RunConfig) -> int:
         result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         report = verify_dilation(result, pt_hamiltonian(r))
         aser = extract_a_series(result.hsa_series)
-        _write_table(
+        _write_csv(
             os.path.join(cfg.outdir, f"aseries_r{_rtag(r)}.csv"),
             _metadata(cfg, r=r, m0=result.m0),
-            aser.to_csv,
+            ("t", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"),
+            np.column_stack([aser.grid.times(), aser.a, aser.b]),
         )
         diag = _metadata(
             cfg,
@@ -229,7 +239,7 @@ def cmd_dilate(cfg: RunConfig) -> int:
         )
         _atomic_write(
             os.path.join(cfg.outdir, f"dilation_r{_rtag(r)}.json"),
-            json.dumps(diag, sort_keys=True, indent=2) + "\n",
+            [json.dumps(diag, sort_keys=True, indent=2) + "\n"],
         )
         print(
             f"r={r:g} m0={result.m0:.6g} hermiticity={report.hermiticity:.3e} "
@@ -245,12 +255,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         oracle = analytic_p0(r, ts)
         err = np.abs(traj.p0 - oracle)
         max_err = float(np.max(err))
-        columns = ("t", "p0_sim", "p0_oracle", "abs_error", "success_prob")
-        rows = zip(ts, traj.p0, oracle, err, traj.success_prob)
-        _write_table(
+        _write_csv(
             os.path.join(cfg.outdir, f"trajectory_r{_rtag(r)}.csv"),
             _metadata(cfg, r=r, max_error=max_err),
-            lambda fh: write_csv(fh, columns, rows),
+            ("t", "p0_sim", "p0_oracle", "abs_error", "success_prob"),
+            zip(ts, traj.p0, oracle, err, traj.success_prob),
         )
         print(f"r={r:g} max_error={max_err:.6e}")
     return 0
@@ -278,27 +287,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         rows, noisy = zip(*map(worker, range(n)))
     ts = cfg.grid.times()
-
-    def write_matrix(name: str, meta: dict, mat: tuple[np.ndarray, ...]) -> None:
-        def write(fh):
-            fh.write("r," + csv_row(ts))
-            for r, row in zip(cfg.r_list, mat):
-                fh.write(csv_row([r, *row]))
-
-        _write_table(os.path.join(cfg.outdir, name), meta, write)
-
-    write_matrix("sweep_p0.csv", _metadata(cfg, kind="noise-free"), rows)
+    meta = _metadata(cfg, kind="noise-free")
+    _write_matrix(os.path.join(cfg.outdir, "sweep_p0.csv"), meta, cfg.r_list, ts, rows)
     if cfg.repetitions > 0:
-        write_matrix(
-            "sweep_p0_noisy.csv",
-            _metadata(
-                cfg,
-                kind="poisson",
-                noise="numpy-default_rng-poisson",
-                repetitions=cfg.repetitions,
-            ),
-            noisy,
+        meta = _metadata(
+            cfg, kind="poisson", noise="numpy-default_rng-poisson", repetitions=cfg.repetitions
         )
+        _write_matrix(os.path.join(cfg.outdir, "sweep_p0_noisy.csv"), meta, cfg.r_list, ts, noisy)
     print(f"sweep: {len(cfg.r_list)} r values x {cfg.n_nodes} nodes")
     return 0
 
@@ -326,7 +321,13 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
         )
         if lab_audit:
             meta["lab_audit"] = _lab_audit(cfg, r, result, aser, prog, nv)
-        _write_table(os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"), meta, prog.to_csv)
+        w1, w2 = prog.carriers
+        _write_csv(
+            os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"),
+            meta,
+            ("t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"),
+            zip(prog.grid.times(), prog.omega_rabi, prog.phase, prog.freq1 - w1, prog.freq2 - w2),
+        )
         print(f"r={r:g} roundtrip_residual={resid:.3e}")
     return 0
 
@@ -354,6 +355,14 @@ def _lab_audit(cfg, r, result, aser, prog, nv) -> dict:
             }
         )
     return {"points": report, "max_deviation": max(p["deviation"] for p in report)}
+
+
+def _write_matrix(path: str, meta: dict, r_values, ts, mat) -> None:
+    """A sweep matrix: header ``r`` then the times, one row ``r, P0(t)...`` per r."""
+    # Lazy, so the ~8k time labels are freed once joined instead of living
+    # through the whole write (that list alone raised peak RSS ~0.5 MB).
+    columns = chain(["r"], (repr(float(t)) for t in ts))
+    _write_csv(path, meta, columns, ([r, *row] for r, row in zip(r_values, mat)))
 
 
 def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,16 +402,21 @@ def cmd_fit(cfg: RunConfig, input_path: str, max_points: int = 201) -> int:
         )
     fits = fit_rows(ts[::stride], rows)
     meta = _metadata(cfg, input=os.path.basename(input_path))
-    _write_table(
+    _write_csv(
         os.path.join(cfg.outdir, "fits.csv"),
         meta,
-        lambda fh: fit_table_to_csv(fh, r_nominal, fits),
+        ("r_nominal", "r_exp", "stderr", "reE_plus", "imE_plus"),
+        ((r, f.r_exp, f.stderr, f.e_plus.real, f.e_plus.imag) for r, f in zip(r_nominal, fits)),
     )
-    columns = ("r_nominal", "reE_plus", "imE_plus", "reE_minus", "imE_minus")
-    _write_table(
+    # The bifurcation curve E+- = +-sqrt(1 - r_exp^2) of each fitted strength.
+    _write_csv(
         os.path.join(cfg.outdir, "eigencurve.csv"),
         meta,
-        lambda fh: write_csv(fh, columns, eigen_curve(r_nominal, fits)),
+        ("r_nominal", "reE_plus", "imE_plus", "reE_minus", "imE_minus"),
+        (
+            (r, f.e_plus.real, f.e_plus.imag, f.e_minus.real, f.e_minus.imag)
+            for r, f in zip(r_nominal, fits)
+        ),
     )
     for r, fit in zip(r_nominal, fits):
         print(f"r={r:g} r_exp={fit.r_exp:.6f} stderr={fit.stderr:.2e}")

@@ -137,17 +137,14 @@ def ancilla_blocks(hsa: np.ndarray) -> dict[str, np.ndarray]:
     blocks keyed '++', '+-', '-+', '--'.
     """
     hsa = np.asarray(hsa)
-    single = hsa.ndim == 2
-    if single:
-        hsa = hsa[None]
     d = hsa.shape[-1] // 2
-    resh = hsa.reshape(-1, d, 2, d, 2)
-    out = {}
-    for la, a in (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS)):
-        for lb, b in (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS)):
-            blk = np.einsum("nikjl,k,l->nij", resh, a.conj(), b)
-            out[la + lb] = blk[0] if single else blk
-    return out
+    resh = hsa.reshape(*hsa.shape[:-2], d, 2, d, 2)
+    basis = (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS))
+    return {
+        la + lb: np.einsum("...ikjl,k,l->...ij", resh, a.conj(), b)
+        for la, a in basis
+        for lb, b in basis
+    }
 
 
 def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
@@ -176,8 +173,9 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     mu_prime = float(np.min(sigma[:, -1] ** 2))
     if m0 is None:
         m0 = (1.0 + cfg.margin) / mu_prime
-    elif not m0 > 1.0:
-        raise ValueError(f"m0 must exceed 1, got {m0}")
+    # (1 + margin) / mu' overflows to inf for a huge margin.
+    if not 1.0 < m0 < np.inf:
+        raise ValueError(f"m0 must be finite and exceed 1, got {m0} (margin = {cfg.margin})")
 
     v = vh.conj().swapaxes(-1, -2)
     s_eig = m0 * sigma**2  # eigenvalues of M(t), descending

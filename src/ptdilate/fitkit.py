@@ -3,8 +3,8 @@
 Fits sampled P0(t) curves to the closed-form population model of the PT
 family by a coarse grid scan plus golden-section refinement (the model's
 r-derivative is singular at r = 1, so derivative-based optimizers are
-avoided), and converts fitted strengths into the eigenvalue bifurcation
-curve E+- = +-sqrt(1 - r^2).
+avoided); each fit also carries the eigenvalues E+- = +-sqrt(1 - r^2) of
+its strength, the points of the bifurcation curve.
 
 The scan scores every grid r at once against the model table
 ``analytic_p0(grid[:, None], t)``, held as blocks of ``_SCAN_CHUNK`` grid
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import write_csv
 from .ptmodel import analytic_p0, pt_eigenvalues
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "fit_r",
     "fit_rows",
     "sse",
-    "eigen_curve",
-    "fit_table_to_csv",
 ]
 
 GRID_STEP = 1e-3
@@ -191,37 +188,3 @@ def fit_rows(
         blocks_kept = (blk.compress(keep, axis=1) for blk in blocks)
         fits.append(fit_r(np.column_stack([t[keep], row[keep]]), r_range, _blocks=blocks_kept))
     return fits
-
-
-def eigen_curve(r_values, fits) -> np.ndarray:
-    """Bifurcation table: rows (r_nominal, Re E+, Im E+, Re E-, Im E-).
-
-    Im E vanishes for fitted strengths <= 1 and Re E vanishes above 1;
-    both vanish at the coalescence point.
-    """
-    r_values = list(r_values)
-    fits = list(fits)
-    if len(r_values) != len(fits):
-        raise ValueError(
-            f"need one fit per r value, got {len(r_values)} vs {len(fits)}"
-        )
-    rows = [
-        (
-            float(r),
-            fit.e_plus.real,
-            fit.e_plus.imag,
-            fit.e_minus.real,
-            fit.e_minus.imag,
-        )
-        for r, fit in zip(r_values, fits)
-    ]
-    return np.array(rows)
-
-
-def fit_table_to_csv(fh, r_values, fits) -> None:
-    """Write the fit summary with header r_nominal,r_exp,stderr,reE_plus,imE_plus."""
-    rows = (
-        (r, fit.r_exp, fit.stderr, fit.e_plus.real, fit.e_plus.imag)
-        for r, fit in zip(r_values, fits)
-    )
-    write_csv(fh, ("r_nominal", "r_exp", "stderr", "reE_plus", "imE_plus"), rows)

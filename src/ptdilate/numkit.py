@@ -4,8 +4,7 @@ Everything here operates on small (dim <= 4 in practice) dense complex
 matrices.  The functions accept stacked inputs with shape ``(..., n, n)``
 wherever that comes for free, which lets callers exponentiate a whole
 series of step matrices in one call.  ``ordered_product`` is the one
-serial step loop of the package, and ``csv_row`` the one float format of
-its CSV tables.
+serial step loop of the package.
 """
 
 from __future__ import annotations
@@ -118,15 +117,3 @@ def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
         cur = step @ cur
         out[k + 1] = cur
     return out
-
-
-def csv_row(values) -> str:
-    """One CSV line of floats in shortest round-trip form (``repr``)."""
-    return ",".join(repr(float(v)) for v in values) + "\n"
-
-
-def write_csv(fh, columns, rows) -> None:
-    """A header line of ``columns``, then ``csv_row`` of each row."""
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(csv_row(row))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import NotHermitian, OperatorSeries, TimeGrid, write_csv
+from .numkit import NotHermitian, OperatorSeries, TimeGrid
 
 __all__ = [
     "PAULI_1Q",
@@ -90,11 +90,6 @@ class ASeries:
     grid: TimeGrid
     a: np.ndarray  # (n_nodes, 4): A1, A2, A3, A4
     b: np.ndarray  # (n_nodes, 4): B1, B2, B3, B4
-
-    def to_csv(self, fh) -> None:
-        """Write header t,A1..A4,B1..B4 plus one row per node."""
-        columns = ("t", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
-        write_csv(fh, columns, np.column_stack([self.grid.times(), self.a, self.b]))
 
 
 def extract_a_series(hsa: OperatorSeries) -> ASeries:

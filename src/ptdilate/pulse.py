@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TimeGrid, expm, ordered_product, write_csv
+from .numkit import TimeGrid, expm, ordered_product
 from .pauli import PAULI_1Q, ASeries
 from .simulator import Trajectory, _postselect_batch
 
@@ -119,14 +119,6 @@ class PulseProgram:
     freq1: np.ndarray  # rad/us
     freq2: np.ndarray  # rad/us
     carriers: tuple[float, float]  # (omega_MW1, omega_MW2), rad/us
-
-    def to_csv(self, fh) -> None:
-        """Write one CSV row per node, frequencies as offsets from the carriers."""
-        w1, w2 = self.carriers
-        rows = zip(
-            self.grid.times(), self.omega_rabi, self.phase, self.freq1 - w1, self.freq2 - w2
-        )
-        write_csv(fh, ("t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"), rows)
 
 
 def synthesize(a: ASeries, carriers: tuple[float, float]) -> PulseProgram:

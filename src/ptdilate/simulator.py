@@ -55,12 +55,12 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p0, success probability) per state of a stack.
 
     Raises ZeroBranch when the |-> branch of any state has (numerically)
-    no weight.
+    no weight, or a NaN weight.
     """
     pops = branch_populations(states)
     w = pops[..., 0] + pops[..., 2]  # the |-> levels |0 1> and |-1 1>
-    if np.min(w) < 1e-60:
-        raise ZeroBranch("post-selected |-> branch weight below 1e-60")
+    if not np.min(w) >= 1e-60:  # a NaN weight fails too
+        raise ZeroBranch("post-selected |-> branch weight below 1e-60 or NaN")
     return pops[..., 0] / w, w
 
 
@@ -87,23 +87,19 @@ def branch_populations(states: np.ndarray) -> np.ndarray:
     (<0,-|, <0,+|, <1,-|, <1,+|) of the dilated state.
     """
     states = np.asarray(states)
-    single = states.ndim == 1
-    if single:
-        states = states[None]
-    resh = states.reshape(-1, 2, 2)
+    resh = states.reshape(*states.shape[:-1], 2, 2)
     a_minus = resh @ ANCILLA_MINUS.conj()
     a_plus = resh @ ANCILLA_PLUS.conj()
     pops = np.stack(
         [
-            np.abs(a_minus[:, 0]) ** 2,
-            np.abs(a_plus[:, 0]) ** 2,
-            np.abs(a_minus[:, 1]) ** 2,
-            np.abs(a_plus[:, 1]) ** 2,
+            np.abs(a_minus[..., 0]) ** 2,
+            np.abs(a_plus[..., 0]) ** 2,
+            np.abs(a_minus[..., 1]) ** 2,
+            np.abs(a_plus[..., 1]) ** 2,
         ],
         axis=-1,
     )
-    pops /= np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
-    return pops[0] if single else pops
+    return pops / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
 
 
 def simulate_pt(

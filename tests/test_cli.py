@@ -1,6 +1,5 @@
 """End-to-end CLI tests: config handling, file schemas, determinism, exits."""
 
-import io
 import json
 import os
 
@@ -12,9 +11,10 @@ from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.fitkit import fit_r, fit_rows
 from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import extract_a_series
-from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
+from ptdilate.ptmodel import analytic_p0, pt_eigenvalues, pt_hamiltonian
 from ptdilate.pulse import NVParams, subspace_h0, synthesize
-from ptdilate.simulator import simulate_pt
+from ptdilate.readout import noisy_p0_curve
+from ptdilate.simulator import branch_populations, simulate_pt
 
 
 def run(*argv):
@@ -42,6 +42,14 @@ def read_csv(path):
     header = lines[0].strip().split(",")
     body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     return header, body
+
+
+def assert_table(path, columns, expected):
+    """The file's header is ``columns`` and its body reads back to exactly
+    the columns ``expected`` (NaN where a noisy read failed)."""
+    header, body = read_csv(path)
+    assert header == list(columns)
+    assert np.array_equal(body, np.column_stack(expected), equal_nan=True)
 
 
 class TestConfig:
@@ -86,6 +94,58 @@ class TestConfig:
         assert err.startswith("validation error: ValidationError")
         assert next(iter(bad)) in err
         assert not out.exists()  # no sweep_p0.csv or any other output
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", ("--margin", "inf")),
+            ("simulate", ("--t1", "inf")),
+            ("simulate", ("--t0", "nan")),
+            ("dilate", ("--margin", "inf")),
+        ],
+        ids=["simulate-margin-inf", "simulate-t1-inf", "simulate-t0-nan", "dilate-margin-inf"],
+    )
+    def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        assert run(command, "--r", "0.6", "--n-nodes", "101", *flags, "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert f"{flags[0][2:]} must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"r_list": [0.6, NaN]}',
+            '{"r_list": [Infinity]}',
+            '{"pl_rates": [0.04, 0.03, NaN, 0.034]}',
+            '{"audit_times": [0.5, Infinity]}',
+            '{"nv": {"b_field": NaN}}',
+        ],
+        ids=["r_list-nan", "r_list-inf", "pl_rates-nan", "audit_times-inf", "nv-nan"],
+    )
+    def test_non_finite_json_number_is_validation_error(self, tmp_path, capsys, bad):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(bad)
+        out = tmp_path / "out"
+        assert run(
+            "sweep", "--config", str(cfg_file), "--n-nodes", "11", "--t1", "0.1",
+            "--repetitions", "10", "--workers", "1", "--outdir", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert next(iter(json.loads(bad))) in err
+        assert not out.exists()
+
+    def test_overflowing_m0_fails_before_output(self, tmp_path, capsys):
+        # margin = 1e308 is finite, but m0 = (1 + margin) / mu' overflows.
+        out = tmp_path / "out"
+        assert run(
+            "simulate", "--r", "0.6", "--n-nodes", "101", "--margin", "1e308",
+            "--outdir", str(out),
+        ) == 1
+        assert "m0 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -153,6 +213,16 @@ class TestSimulateCommand:
         meta = read_meta(tmp_path / "trajectory_r0p6.csv")
         assert meta["max_error"] <= 1e-4
         assert np.max(body[:, 3]) == pytest.approx(meta["max_error"])
+
+    def test_distinct_r_values_get_distinct_files(self, tmp_path):
+        # Six significant digits would name both trajectory_r0p123457.csv.
+        assert run(
+            "simulate", "--r", "0.1234567", "--r", "0.1234568", "--r", "1.0",
+            "--n-nodes", "11", "--t1", "0.1", "--outdir", str(tmp_path),
+        ) == 0
+        names = ["trajectory_r0p1234567.csv", "trajectory_r0p1234568.csv", "trajectory_r1.csv"]
+        assert sorted(os.listdir(tmp_path)) == names
+        assert [read_meta(tmp_path / n)["r"] for n in names] == [0.1234567, 0.1234568, 1.0]
 
     def test_empty_r_list_is_validation_error(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -289,20 +359,6 @@ class TestPulsesAndVerify:
         header, _ = read_csv(tmp_path / "pulses_r0p6.csv")
         assert header == ["t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"]
 
-    def test_csv_bodies_match_to_csv(self, tmp_path):
-        args = ("--r", "0.6", "--n-nodes", "101", "--t1", "1", "--outdir", str(tmp_path))
-        assert run("dilate", *args) == 0
-        assert run("pulses", *args) == 0
-        result = dilate(pt_hamiltonian(0.6), DilationConfig(TimeGrid(0.0, 1.0, 101)))
-        aser = extract_a_series(result.hsa_series)
-        prog = synthesize(aser, subspace_h0(NVParams())[1])
-        for name, table in (("aseries_r0p6.csv", aser), ("pulses_r0p6.csv", prog)):
-            buf = io.StringIO()
-            table.to_csv(buf)
-            meta, body = (tmp_path / name).read_text().split("\n", 1)
-            assert meta.startswith("# ")
-            assert body == buf.getvalue()
-
     @pytest.mark.parametrize("audit_times", [[], [0.2]])
     def test_lab_audit_times_checked_before_compute(self, tmp_path, capsys, audit_times):
         cfg_file = tmp_path / "cfg.json"
@@ -344,3 +400,87 @@ class TestExitCodes:
 
     def test_validation_exit_code(self, tmp_path):
         assert run("simulate", "--margin", "-1", "--outdir", str(tmp_path)) == 1
+
+
+class TestCsvTables:
+    """Each CSV the CLI writes: its header, and a body that reads back
+    exactly to the library values it was built from."""
+
+    GRID = TimeGrid(0.0, 2.0, 101)
+    ARGS = ("--n-nodes", "101", "--t1", "2")
+    R_SWEEP = (0.0, 0.6, 1.4)
+    SWEEP_ARGS = (
+        "sweep", "--r", "0", "--r", "0.6", "--r", "1.4", *ARGS,
+        "--repetitions", "2000", "--seed", "5", "--workers", "1",
+    )
+
+    def sweep_rows(self):
+        """The noise-free and the noisy P0 row of each r, as ``sweep`` builds them."""
+        rates = RunConfig().rates
+        rows, noisy = [], []
+        for idx, r in enumerate(self.R_SWEEP):
+            traj, _ = simulate_pt(r, self.GRID)
+            rng = np.random.default_rng([5, idx])
+            rows.append(traj.p0)
+            noisy.append(noisy_p0_curve(branch_populations(traj.states), rates, 2000, seed=rng))
+        return np.array(rows), np.array(noisy)
+
+    @pytest.mark.parametrize("r,tag", [(0.6, "0p6"), (1.4, "1p4")])
+    def test_trajectory(self, tmp_path, r, tag):
+        assert run("simulate", "--r", str(r), *self.ARGS, "--outdir", str(tmp_path)) == 0
+        traj, _ = simulate_pt(r, self.GRID)
+        ts = self.GRID.times()
+        oracle = analytic_p0(r, ts)
+        assert_table(
+            tmp_path / f"trajectory_r{tag}.csv",
+            ["t", "p0_sim", "p0_oracle", "abs_error", "success_prob"],
+            [ts, traj.p0, oracle, np.abs(traj.p0 - oracle), traj.success_prob],
+        )
+
+    def test_aseries_and_pulses(self, tmp_path):
+        args = ("--r", "1.4", *self.ARGS, "--outdir", str(tmp_path))
+        assert run("dilate", *args) == 0
+        assert run("pulses", *args) == 0
+        result = dilate(pt_hamiltonian(1.4), DilationConfig(self.GRID))
+        aser = extract_a_series(result.hsa_series)
+        w1, w2 = carriers = subspace_h0(NVParams())[1]
+        prog = synthesize(aser, carriers)
+        ts = self.GRID.times()
+        assert_table(
+            tmp_path / "aseries_r1p4.csv",
+            ["t", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"],
+            [ts, aser.a, aser.b],
+        )
+        assert_table(
+            tmp_path / "pulses_r1p4.csv",
+            ["t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"],
+            [ts, prog.omega_rabi, prog.phase, prog.freq1 - w1, prog.freq2 - w2],
+        )
+
+    def test_sweep_matrices(self, tmp_path):
+        assert run(*self.SWEEP_ARGS, "--outdir", str(tmp_path)) == 0
+        columns = ["r", *map(repr, self.GRID.times().tolist())]
+        rows, noisy = self.sweep_rows()
+        assert_table(tmp_path / "sweep_p0.csv", columns, [self.R_SWEEP, rows])
+        assert_table(tmp_path / "sweep_p0_noisy.csv", columns, [self.R_SWEEP, noisy])
+        assert np.isnan(noisy).any()  # failed reads round-trip as nan
+
+    @pytest.mark.parametrize("kind,noisy", [("", False), ("_noisy", True)], ids=["clean", "noisy"])
+    def test_fits_and_eigencurve(self, tmp_path, kind, noisy):
+        assert run(*self.SWEEP_ARGS, "--outdir", str(tmp_path)) == 0
+        assert run(
+            "fit", "--input", str(tmp_path / f"sweep_p0{kind}.csv"), "--outdir", str(tmp_path),
+        ) == 0
+        fits = fit_rows(self.GRID.times(), self.sweep_rows()[noisy])
+        eig = np.array([pt_eigenvalues(f.r_exp) for f in fits])
+        assert_table(
+            tmp_path / "fits.csv",
+            ["r_nominal", "r_exp", "stderr", "reE_plus", "imE_plus"],
+            [self.R_SWEEP, [f.r_exp for f in fits], [f.stderr for f in fits], eig[:, 0].real,
+             eig[:, 0].imag],
+        )
+        assert_table(
+            tmp_path / "eigencurve.csv",
+            ["r_nominal", "reE_plus", "imE_plus", "reE_minus", "imE_minus"],
+            [self.R_SWEEP, eig[:, 0].real, eig[:, 0].imag, eig[:, 1].real, eig[:, 1].imag],
+        )

@@ -246,3 +246,9 @@ class TestConfigValidation:
     def test_explicit_m0_must_exceed_one(self):
         with pytest.raises(ValueError):
             dilate(pt_hamiltonian(0.1), cfg(), m0=0.9)
+
+    @pytest.mark.parametrize("margin", [math.inf, 1e308])
+    def test_overflowing_m0_rejected(self, margin):
+        # m0 = (1 + margin) / mu' is inf for both margins.
+        with pytest.raises(ValueError, match="m0 must be finite"):
+            dilate(pt_hamiltonian(0.6), cfg(margin=margin))

@@ -1,11 +1,9 @@
 """Strength-fitting tests: recovery, uncertainty, bifurcation curve."""
 
-import io
-
 import numpy as np
 import pytest
 
-from ptdilate.fitkit import FitResult, eigen_curve, fit_r, fit_table_to_csv, sse
+from ptdilate.fitkit import fit_r, sse
 from ptdilate.numkit import expm
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 
@@ -128,23 +126,3 @@ class TestEigenCurve:
         res = fit_r(clean_samples(1.509))
         assert res.e_plus.real == pytest.approx(0.0)
         assert res.e_plus.imag == pytest.approx(1.1305, abs=1e-3)
-
-    def test_table_layout(self):
-        fits = [fit_r(clean_samples(r)) for r in (0.5, 1.5)]
-        table = eigen_curve([0.5, 1.5], fits)
-        assert table.shape == (2, 5)
-        assert table[0, 2] == 0.0  # Im E+ vanishes below the transition
-        assert table[1, 1] == 0.0  # Re E+ vanishes above it
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_curve([0.5], [])
-
-    def test_csv_serialization(self):
-        fits = [fit_r(clean_samples(0.5))]
-        buf = io.StringIO()
-        fit_table_to_csv(buf, [0.5], fits)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "r_nominal,r_exp,stderr,reE_plus,imE_plus"
-        assert len(lines) == 2
-        assert float(lines[1].split(",")[1]) == pytest.approx(0.5, abs=1e-5)

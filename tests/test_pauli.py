@@ -1,7 +1,5 @@
 """Pauli-basis codec tests and A/B coefficient extraction."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid
 from ptdilate.pauli import (
-    ASeries,
     BNonVanishing,
     PAULI_1Q,
     assemble,
@@ -109,18 +106,3 @@ class TestASeriesExtraction:
         series = OperatorSeries(grid, np.repeat(off_family[None], 3, axis=0))
         with pytest.warns(BNonVanishing):
             extract_a_series(series)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip_preserves_values(self):
-        grid = TimeGrid(0.0, 1.0, 5)
-        rng = np.random.default_rng(29)
-        aser = ASeries(grid=grid, a=rng.normal(size=(5, 4)), b=rng.normal(size=(5, 4)))
-        buf = io.StringIO()
-        aser.to_csv(buf)
-        buf.seek(0)
-        assert buf.readline() == "t,A1,A2,A3,A4,B1,B2,B3,B4\n"
-        rows = np.loadtxt(buf, delimiter=",", ndmin=2)
-        assert np.array_equal(rows[:, 1:5], aser.a)
-        assert np.array_equal(rows[:, 5:9], aser.b)
-        assert np.array_equal(rows[:, 0], grid.times())

@@ -1,6 +1,5 @@
 """NV pulse-synthesis tests: carriers, drive reconstruction, lab-frame audit."""
 
-import io
 import math
 
 import numpy as np
@@ -116,16 +115,6 @@ class TestSynthesize:
         aser.a[1, 0] = np.nan
         with pytest.raises(ValueError):
             synthesize(aser, subspace_h0(NVParams())[1])
-
-    def test_csv_layout(self):
-        grid = TimeGrid(0.0, 1.0, 3)
-        aser, _ = aseries_for(0.6, grid)
-        prog = synthesize(aser, subspace_h0(NVParams())[1])
-        buf = io.StringIO()
-        prog.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,omega_rabi,phase,freq1_offset,freq2_offset"
-        assert len(lines) == 4
 
 
 class TestLabFrame:

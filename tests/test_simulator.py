@@ -59,6 +59,11 @@ class TestPostselect:
         with pytest.raises(ZeroBranch):
             postselect_static(np.kron([1.0, 0.0], ANCILLA_PLUS))
 
+    def test_nan_branch_weight_raises(self):
+        # NaN fails every comparison, so a bare "weight < bound" lets it through.
+        with pytest.raises(ZeroBranch):
+            postselect_static(np.full(4, np.nan, dtype=complex))
+
 
 class TestSimulatePT:
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0, 1.4])
