@@ -359,6 +359,30 @@ class TestPulsesAndVerify:
         header, _ = read_csv(tmp_path / "pulses_r0p6.csv")
         assert header == ["t", "omega_rabi", "phase", "freq1_offset", "freq2_offset"]
 
+    def test_csv_bodies_match_to_csv(self, tmp_path):
+        args = ("--r", "0.6", "--n-nodes", "101", "--t1", "1", "--outdir", str(tmp_path))
+        assert run("dilate", *args) == 0
+        assert run("pulses", *args) == 0
+        result = dilate(pt_hamiltonian(0.6), DilationConfig(TimeGrid(0.0, 1.0, 101)))
+        aser = extract_a_series(result.hsa_series)
+        w1, w2 = carriers = subspace_h0(NVParams())[1]
+        prog = synthesize(aser, carriers)
+        ts = aser.grid.times()
+        tables = (
+            ("aseries_r0p6.csv", "t,A1,A2,A3,A4,B1,B2,B3,B4", [ts, aser.a, aser.b]),
+            (
+                "pulses_r0p6.csv",
+                "t,omega_rabi,phase,freq1_offset,freq2_offset",
+                [ts, prog.omega_rabi, prog.phase, prog.freq1 - w1, prog.freq2 - w2],
+            ),
+        )
+        for name, header, columns in tables:
+            rows = np.column_stack(columns).tolist()
+            expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+            meta, body = (tmp_path / name).read_text().split("\n", 1)
+            assert meta.startswith("# ")
+            assert body == header + "\n" + expected
+
     @pytest.mark.parametrize("audit_times", [[], [0.2]])
     def test_lab_audit_times_checked_before_compute(self, tmp_path, capsys, audit_times):
         cfg_file = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ptdilate.cli import _write_matrix, main
 from ptdilate.fitkit import fit_r, sse
 from ptdilate.numkit import expm
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
@@ -126,3 +127,28 @@ class TestEigenCurve:
         res = fit_r(clean_samples(1.509))
         assert res.e_plus.real == pytest.approx(0.0)
         assert res.e_plus.imag == pytest.approx(1.1305, abs=1e-3)
+
+    def fit_files(self, tmp_path, r_values):
+        """Run ``fit`` on a clean sweep matrix of ``r_values``; return the
+        lines of fits.csv and eigencurve.csv below their metadata line."""
+        mat = [analytic_p0(r, T_SAMPLES) for r in r_values]
+        _write_matrix(str(tmp_path / "sweep.csv"), {}, r_values, T_SAMPLES, mat)
+        assert main(["fit", "--input", str(tmp_path / "sweep.csv"), "--outdir", str(tmp_path)]) == 0
+        return [
+            (tmp_path / name).read_text().splitlines()[1:]
+            for name in ("fits.csv", "eigencurve.csv")
+        ]
+
+    def test_table_layout(self, tmp_path):
+        _, lines = self.fit_files(tmp_path, [0.5, 1.5])
+        assert lines[0] == "r_nominal,reE_plus,imE_plus,reE_minus,imE_minus"
+        table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert table.shape == (2, 5)
+        assert table[0, 2] == 0.0  # Im E+ vanishes below the transition
+        assert table[1, 1] == 0.0  # Re E+ vanishes above it
+
+    def test_csv_serialization(self, tmp_path):
+        lines, _ = self.fit_files(tmp_path, [0.5])
+        assert lines[0] == "r_nominal,r_exp,stderr,reE_plus,imE_plus"
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.5, abs=1e-5)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptdilate.cli import _write_csv
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid
 from ptdilate.pauli import (
+    ASeries,
     BNonVanishing,
     PAULI_1Q,
     assemble,
@@ -106,3 +108,20 @@ class TestASeriesExtraction:
         series = OperatorSeries(grid, np.repeat(off_family[None], 3, axis=0))
         with pytest.warns(BNonVanishing):
             extract_a_series(series)
+
+
+class TestCsvRoundtrip:
+    def test_roundtrip_preserves_values(self, tmp_path):
+        grid = TimeGrid(0.0, 1.0, 5)
+        rng = np.random.default_rng(29)
+        aser = ASeries(grid=grid, a=rng.normal(size=(5, 4)), b=rng.normal(size=(5, 4)))
+        path = tmp_path / "aseries.csv"
+        columns = ("t", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
+        _write_csv(str(path), {}, columns, np.column_stack([grid.times(), aser.a, aser.b]))
+        with open(path) as fh:
+            assert fh.readline() == "# {}\n"
+            assert fh.readline() == "t,A1,A2,A3,A4,B1,B2,B3,B4\n"
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        assert np.array_equal(rows[:, 1:5], aser.a)
+        assert np.array_equal(rows[:, 5:9], aser.b)
+        assert np.array_equal(rows[:, 0], grid.times())

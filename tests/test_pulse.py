@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ptdilate.cli import main
 from ptdilate.dilation import ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import extract_a_series
@@ -115,6 +116,16 @@ class TestSynthesize:
         aser.a[1, 0] = np.nan
         with pytest.raises(ValueError):
             synthesize(aser, subspace_h0(NVParams())[1])
+
+    def test_csv_layout(self, tmp_path):
+        assert main(
+            ["pulses", "--r", "0.6", "--n-nodes", "3", "--t1", "1", "--outdir", str(tmp_path)]
+        ) == 0
+        lines = (tmp_path / "pulses_r0p6.csv").read_text().splitlines()
+        assert lines[0].startswith("# ")
+        assert lines[1] == "t,omega_rabi,phase,freq1_offset,freq2_offset"
+        assert len(lines) == 5
+        assert [float(ln.split(",")[0]) for ln in lines[2:]] == [0.0, 0.5, 1.0]
 
 
 class TestLabFrame:
