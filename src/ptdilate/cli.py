@@ -70,9 +70,11 @@ class ValidationError(ValueError):
 
 
 def _is_real(v) -> bool:
-    """A finite number; booleans and JSON's NaN and Infinity are not."""
-    return (isinstance(v, int) and not isinstance(v, bool)) or (
-        isinstance(v, float) and math.isfinite(v)
+    """A number within the float range; booleans, NaN and Infinity are not."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max  # False for NaN; ints compare exactly
     )
 
 

@@ -1,15 +1,15 @@
 """Dense complex linear-algebra kernels shared by the dilation pipeline.
 
 Everything here operates on small (dim <= 4 in practice) dense complex
-matrices.  The functions accept stacked inputs with shape ``(..., n, n)``
-wherever that comes for free, which lets callers exponentiate a whole
-series of step matrices in one call.  ``ordered_product`` is the one
+matrices.  Neither the dilated H_sa nor the NV lab-frame Hamiltonian
+couples the two values of its second tensor factor, so every step
+exponential is a pair of 2x2 Hermitian blocks: ``unitary_2x2`` takes a
+whole stack of them in closed form.  ``ordered_product`` is the one
 serial step loop of the package.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ __all__ = [
     "NotHermitian",
     "TimeGrid",
     "OperatorSeries",
-    "expm",
+    "unitary_2x2",
     "ordered_product",
 ]
 
@@ -66,42 +66,27 @@ class OperatorSeries:
             )
 
 
-# Pade [6/6] numerator coefficients, b[j] * A^j; the denominator uses the
-# same coefficients with alternating signs.
-_PADE6 = (665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0)
+def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt h) for a Hermitian stack ``h`` of shape ``(..., 2, 2)``.
 
-# Scale so the Pade argument norm stays below this; 0.25 keeps the [6/6]
-# approximant comfortably beyond double precision.
-_PADE6_THETA = 0.25
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Pade [6/6] core.
-
-    Works on any square complex matrix (no normality assumed) and on
-    stacks of shape ``(..., n, n)``.
+    With h = a I + z sz + Re(x) sx + Im(x) sy and w = hypot(z, |x|), the
+    closed form is e^{-i dt a} (cos(dt w) I - i sin(dt w)/w (h - a I));
+    sin(dt w)/w is taken as dt sinc(dt w / pi), so w = 0 is exact.
     """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    # One-norm over the whole stack; a single scaling power keeps the
-    # squaring loop batched.
-    norm = np.max(np.sum(np.abs(a), axis=-2)) if a.size else 0.0
-    s = max(0, math.ceil(math.log2(norm / _PADE6_THETA))) if norm > _PADE6_THETA else 0
-    x = a / (2.0**s)
-
-    b = _PADE6
-    eye = np.broadcast_to(np.eye(n, dtype=complex), x.shape)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x2 @ x4
-    even = b[0] * eye + b[2] * x2 + b[4] * x4 + b[6] * x6
-    odd = x @ (b[1] * eye + b[3] * x2 + b[5] * x4)
-    r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        r = r @ r
-    return r
+    h = np.asarray(h, dtype=complex)
+    a = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
+    z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
+    w = np.hypot(z, np.abs(h[..., 1, 0]))
+    phase = np.exp(-1j * dt * a)
+    # U = c I + s (h - a I), where h - a I = [[z, h01], [h10, -z]].
+    c = phase * np.cos(dt * w)
+    s = (-1j * dt) * phase * np.sinc(dt * w / np.pi)
+    u = np.empty(h.shape, dtype=complex)
+    u[..., 0, 0] = c + s * z
+    u[..., 1, 1] = c - s * z
+    u[..., 0, 1] = s * h[..., 0, 1]
+    u[..., 1, 0] = s * h[..., 1, 0]
+    return u
 
 
 def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:

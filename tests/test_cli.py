@@ -137,6 +137,20 @@ class TestConfig:
         assert next(iter(json.loads(bad))) in err
         assert not out.exists()
 
+    def test_integer_past_float_range_is_validation_error(self, tmp_path, capsys):
+        # json reads 400 nines as an exact int that no float can hold.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"r_list": [%s]}' % ("9" * 400))
+        out = tmp_path / "out"
+        assert run(
+            "simulate", "--config", str(cfg_file), "--n-nodes", "11", "--t1", "0.1",
+            "--outdir", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "r_list must be a list of finite numbers" in err
+        assert not out.exists()
+
     def test_overflowing_m0_fails_before_output(self, tmp_path, capsys):
         # margin = 1e308 is finite, but m0 = (1 + margin) / mu' overflows.
         out = tmp_path / "out"

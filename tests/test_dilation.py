@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_dilation import eta_series, lambda_gamma
+from reference_expm import expm
 
 from ptdilate.dilation import (
     ANCILLA_MINUS,
@@ -19,7 +20,7 @@ from ptdilate.dilation import (
     dilate,
     verify_dilation,
 )
-from ptdilate.numkit import TimeGrid, expm
+from ptdilate.numkit import TimeGrid
 from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
 from ptdilate.simulator import simulate_pt
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from reference_expm import expm
 
 from ptdilate.cli import _write_matrix, main
 from ptdilate.fitkit import fit_r, sse
-from ptdilate.numkit import expm
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 
 T_SAMPLES = np.arange(0.0, 8.0001, 0.1)

@@ -1,7 +1,8 @@
 """Kernel-level tests: grids, eigensolvers, exponentials, Sylvester solves.
 
 The eigensolver, square-root and Sylvester kernels belong to the
-test-side reference oracle in ``reference_dilation``.
+test-side reference oracle in ``reference_dilation``; the Pade ``expm``
+is the test-side oracle in ``reference_expm``.
 """
 
 import numpy as np
@@ -14,14 +15,15 @@ from reference_dilation import (
     sqrtm_psd,
     sylvester_hermitian,
 )
+from reference_expm import expm
 
 from ptdilate.dilation import _inverse_propagator
 from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
     TimeGrid,
-    expm,
     ordered_product,
+    unitary_2x2,
 )
 from ptdilate.ptmodel import pt_hamiltonian
 
@@ -125,6 +127,55 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+
+def relative_error(u, ref):
+    err = np.linalg.norm(u - ref, axis=(-2, -1))
+    return float(np.max(err / np.linalg.norm(ref, axis=(-2, -1))))
+
+
+def unitarity_error(u):
+    eye = np.eye(u.shape[-1])
+    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - eye)))
+
+
+class TestUnitary2x2:
+    def test_matches_reference_on_random_stacks(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_hermitian(rng, 2) for _ in range(500)])
+        for dt in (1.0, 0.1, 1e-3):
+            u = unitary_2x2(stack, dt)
+            assert relative_error(u, expm(-1j * dt * stack)) <= 1e-13
+            assert unitarity_error(u) <= 1e-14
+
+    def test_zero_and_scalar_identity(self):
+        # omega = 0: the sinc form keeps sin(dt w)/w = dt exact.
+        eye = np.eye(2)
+        stack = np.stack([0.0 * eye, 2.5 * eye, -7.0 * eye])
+        u = unitary_2x2(stack, 0.3)
+        assert np.array_equal(u[0], eye.astype(complex))
+        assert relative_error(u, expm(-1j * 0.3 * stack)) <= 1e-13
+        assert unitarity_error(u) <= 1e-14
+
+    def test_lab_scale_step(self):
+        # A lab-frame block: GHz-scale splitting, MHz-scale drive, dt w ~ 0.1.
+        rng = np.random.default_rng(29)
+        z = 4.5e3
+        drive = rng.uniform(-10.0, 10.0, size=200)
+        stack = np.zeros((200, 2, 2), dtype=complex)
+        stack[:, 0, 0], stack[:, 1, 1] = z - 12.6, -z - 12.6
+        stack[:, 0, 1] = stack[:, 1, 0] = drive
+        dt = 0.1 / z
+        u = unitary_2x2(stack, dt)
+        assert relative_error(u, expm(-1j * dt * stack)) <= 1e-13
+        assert unitarity_error(u) <= 1e-14
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([random_hermitian(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        u = unitary_2x2(stack, 0.5)
+        assert u.shape == (2, 3, 2, 2)
+        assert np.array_equal(u[1, 2], unitary_2x2(stack[1, 2], 0.5))
 
 
 class TestSqrtmPsd:

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from reference_expm import expm
 
-from ptdilate.numkit import expm
 from ptdilate.ptmodel import (
     EP_WINDOW,
     PTParams,

@@ -128,6 +128,16 @@ class TestSynthesize:
         assert [float(ln.split(",")[0]) for ln in lines[2:]] == [0.0, 0.5, 1.0]
 
 
+@pytest.fixture(scope="module")
+def short_audit():
+    """Lab-frame trajectory at r = 0.6 over [0, 0.5] on 40001 fine nodes."""
+    coarse = TimeGrid(0.0, 0.5, 501)
+    aser, result = aseries_for(0.6, coarse)
+    prog = synthesize(aser, subspace_h0(NVParams())[1])
+    init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
+    return simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.5, 40001), init)
+
+
 class TestLabFrame:
     def test_grid_too_coarse_raises(self):
         grid = TimeGrid(0.0, 0.5, 101)
@@ -146,17 +156,16 @@ class TestLabFrame:
         with pytest.raises(ZeroBranch):
             simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.002, 201), init)
 
-    def test_short_audit_matches_rotating_frame(self):
+    def test_short_audit_matches_rotating_frame(self, short_audit):
         # Full cosine-drive integration over half a time unit; the RWA
         # deviation must stay far below the 0.02 audit bound.
-        coarse = TimeGrid(0.0, 0.5, 501)
-        aser, result = aseries_for(0.6, coarse)
-        prog = synthesize(aser, subspace_h0(NVParams())[1])
-        init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
-        fine = TimeGrid(0.0, 0.5, 40001)
-        lab = simulate_lab_frame(prog, aser, NVParams(), fine, init)
+        lab = short_audit
         for tq in (0.2, 0.5):
-            idx = int(round(tq / fine.dt))
+            idx = int(round(tq / lab.grid.dt))
             assert lab.p0[idx] == pytest.approx(
                 float(analytic_p0(0.6, tq)), abs=2e-3
             )
+
+    def test_short_audit_keeps_unit_norm(self, short_audit):
+        norms = np.linalg.norm(short_audit.states, axis=-1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-12

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_expm import expm
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
 from ptdilate.numkit import OperatorSeries, TimeGrid
@@ -63,6 +64,32 @@ class TestPostselect:
         # NaN fails every comparison, so a bare "weight < bound" lets it through.
         with pytest.raises(ZeroBranch):
             postselect_static(np.full(4, np.nan, dtype=complex))
+
+
+class TestEvolveDilated:
+    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0, 1.4])
+    def test_matches_pade_step_product(self, r):
+        # The closed-form block steps against generic Pade 4x4 steps of the
+        # same midpoint H_sa, chained in the same order.
+        grid = TimeGrid(0.0, 4.0, 2001)
+        traj, result = simulate_pt(r, grid)
+        hsa = result.hsa_series.data
+        steps = expm(-1j * grid.dt * (hsa[:-1] + hsa[1:]) / 2.0)
+        state = traj.states[0]
+        ref = [state]
+        for step in steps:
+            state = step @ state
+            ref.append(state)
+        pops = branch_populations(np.array(ref))
+        p0_ref = pops[:, 0] / (pops[:, 0] + pops[:, 2])
+        assert np.max(np.abs(traj.p0 - p0_ref)) <= 1e-12
+
+    def test_rejects_coupled_ancilla_blocks(self):
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        hsa = OperatorSeries(TimeGrid(0.0, 1.0, 3), (a + a.conj().swapaxes(-1, -2)) / 2.0)
+        with pytest.raises(ValueError, match="couples the two ancilla"):
+            evolve_dilated(hsa, np.kron([1.0, 0.0], ANCILLA_MINUS))
 
 
 class TestSimulatePT:
