@@ -9,7 +9,9 @@ engine builds the metric operator ``M(t)`` and the time-dependent
 dilated Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z``
 on a uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
 from the ancilla coupling ``eta(t) = sqrt(M(t) - I)`` and is kept only
-inside H_sa.
+inside H_sa.  H_sa leaves the two ancilla sigma_z levels uncoupled, so
+it is stored as its two blocks ``[Lambda + Gamma, Lambda - Gamma]``;
+``numkit.block_diag`` builds the 4x4 operator where one is needed.
 Post-selecting the ancilla on the |-> branch of the dilated unitary
 evolution reproduces the non-unitary H_s dynamics.
 
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import OperatorSeries, TimeGrid
-from .pauli import PAULI_1Q
+from .numkit import OperatorSeries, TimeGrid, block_diag
 
 __all__ = [
     "SingularPropagator",
@@ -76,7 +77,7 @@ class DilationResult:
     mu_prime: float
     grid: TimeGrid
     m_series: OperatorSeries
-    hsa_series: OperatorSeries
+    hsa_series: OperatorSeries  # (n_nodes, 2, 2, 2): Lambda + Gamma, Lambda - Gamma
     min_eig_m_minus_i: np.ndarray  # per node, from singular values (stable)
     presym_lambda: float  # max Hermiticity residual of Lambda before symmetrization
     presym_gamma: float
@@ -195,10 +196,9 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
 
     lam = v @ lam_t @ vh
     gam = v @ gam_t @ vh
-    # H_sa = Lambda x I + Gamma x sigma_z, system factor first.
-    hsa = np.einsum("nij,kl->nikjl", _hermitize(lam), PAULI_1Q[0]) + np.einsum(
-        "nij,kl->nikjl", _hermitize(gam), PAULI_1Q[3]
-    )
+    # H_sa = Lambda x I + Gamma x sigma_z as its ancilla sigma_z blocks.
+    lam_h, gam_h = _hermitize(lam), _hermitize(gam)
+    hsa = np.stack([lam_h + gam_h, lam_h - gam_h], axis=1)
     m = _hermitize(v @ (s_eig[:, :, None] * np.eye(2)) @ vh)
 
     return DilationResult(
@@ -206,7 +206,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
         mu_prime=mu_prime,
         grid=grid,
         m_series=OperatorSeries(grid, m),
-        hsa_series=OperatorSeries(grid, hsa.reshape(-1, 4, 4)),
+        hsa_series=OperatorSeries(grid, hsa),
         min_eig_m_minus_i=d_eig2[:, -1].copy(),
         presym_lambda=float(np.max(_herm_residual(lam))),
         presym_gamma=float(np.max(_herm_residual(gam))),
@@ -217,7 +217,7 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     """Numeric residuals of the dilation identities for the constant H_s."""
     h_s = _as_matrix(h_s)
     dt = result.grid.dt
-    hsa = result.hsa_series.data
+    hsa = block_diag(result.hsa_series.data)
     m = result.m_series.data
 
     hsa_norm = np.maximum(np.linalg.norm(hsa, axis=(-2, -1)), 1e-300)

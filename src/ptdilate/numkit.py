@@ -2,10 +2,11 @@
 
 Everything here operates on small (dim <= 4 in practice) dense complex
 matrices.  Neither the dilated H_sa nor the NV lab-frame Hamiltonian
-couples the two values of its second tensor factor, so every step
-exponential is a pair of 2x2 Hermitian blocks: ``unitary_2x2`` takes a
-whole stack of them in closed form.  ``ordered_product`` is the one
-serial step loop of the package.
+couples the two values of its second tensor factor, so both are carried
+as their two 2x2 blocks, stacked on axis -3.  ``unitary_2x2`` exponentiates
+a whole stack of 2x2 Hermitian blocks in closed form, ``block_diag`` is
+the one place that places the blocks into 4x4 operators, and
+``ordered_product`` is the one serial step loop of the package.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "TimeGrid",
     "OperatorSeries",
     "unitary_2x2",
+    "block_diag",
     "ordered_product",
 ]
 
@@ -53,7 +55,9 @@ class TimeGrid:
 class OperatorSeries:
     """A per-node sequence of operators (or state vectors) over a TimeGrid.
 
-    ``data`` has shape ``(n_nodes, ...)``; for operators ``(n_nodes, d, d)``.
+    ``data`` has shape ``(n_nodes, ...)``: ``(n_nodes, d, d)`` for operators
+    and ``(n_nodes, 2, 2, 2)`` for the two 2x2 blocks of a block-diagonal
+    4x4 operator (see ``block_diag``).
     """
 
     grid: TimeGrid
@@ -87,6 +91,21 @@ def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
     u[..., 0, 1] = s * h[..., 0, 1]
     u[..., 1, 0] = s * h[..., 1, 0]
     return u
+
+
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) operators from their two (..., 2, 2) blocks on axis -3.
+
+    Block k sits on levels (k, k + 2): with the system (electron) factor
+    first, those are the levels where the second tensor factor is k.
+    """
+    blocks = np.asarray(blocks)
+    if blocks.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
+    out = np.zeros((*blocks.shape[:-3], 4, 4), dtype=blocks.dtype)
+    for k in (0, 1):
+        out[..., k::2, k::2] = blocks[..., k, :, :]
+    return out
 
 
 def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:

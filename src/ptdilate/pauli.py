@@ -1,11 +1,12 @@
-"""Two-qubit Pauli product basis codec and A/B coefficient extraction.
+"""Single-qubit Pauli basis and the A/B coefficients of the dilated H_sa.
 
-Index order is (I, x, y, z) for both factors, system factor first, so a
-coefficient table ``c[..., i, j]`` multiplies ``sigma_i (x) sigma_j``.
-The codec works on whole stacks of shape (..., 4, 4).  For the dilated
-Hamiltonians produced from the PT family only four coefficients survive:
-A1 (x,I), A2 (I,z), A3 (y,z) and A4 (z,z); the complementary four of the
-general expansion are reported as B diagnostics.
+Index order is (I, x, y, z).  H_sa = Lambda x I + Gamma x sigma_z
+arrives as its two ancilla sigma_z blocks Lambda +- Gamma, so its
+two-qubit coefficient of sigma_i x I is the sigma_i coefficient of
+Lambda and that of sigma_i x sigma_z the one of Gamma; no other
+coefficient can be nonzero.  For the dilated Hamiltonians produced from
+the PT family only four of these survive: A1 (x,I), A2 (I,z), A3 (y,z)
+and A4 (z,z); the complementary four are reported as B diagnostics.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "PAULI_1Q",
     "BNonVanishing",
     "ASeries",
-    "pauli_decompose",
-    "assemble",
     "extract_a_series",
 ]
 
@@ -36,51 +35,12 @@ PAULI_1Q = np.array(
     dtype=complex,
 )
 
-# (16, 4, 4) stack of sigma_i (x) sigma_j, row-major in (i, j).
-_BASIS = np.stack(
-    [np.kron(PAULI_1Q[i], PAULI_1Q[j]) for i in range(4) for j in range(4)]
-)
-
-# A/B slots of the coefficient table as (i indices, j indices).
-_A_SLOTS = ([1, 0, 2, 3], [0, 3, 3, 3])  # (x,I), (I,z), (y,z), (z,z)
-_B_SLOTS = ([0, 2, 3, 1], [0, 0, 0, 3])  # (I,I), (y,I), (z,I), (x,z)
-
 # Largest imaginary Pauli coefficient a Hermitian operator may carry.
 _HERM_TOL = 1e-9
 
 
 class BNonVanishing(UserWarning):
     """The B coefficients do not vanish: H_s is outside the reduced family."""
-
-
-def _check_shape(x: np.ndarray, what: str) -> None:
-    if x.shape[-2:] != (4, 4):
-        raise ValueError(f"expected {what} of shape (..., 4, 4), got shape {x.shape}")
-
-
-def pauli_decompose(op: np.ndarray) -> np.ndarray:
-    """Real tables c[..., i, j] = Re Tr[(sigma_i x sigma_j) O] / 4 of Hermitian O.
-
-    ``op`` is one 4x4 operator or a stack (..., 4, 4).  Raises NotHermitian
-    when any coefficient of any operator carries an imaginary part larger
-    than ``_HERM_TOL``.
-    """
-    op = np.asarray(op, dtype=complex)
-    _check_shape(op, "operators")
-    raw = np.einsum("kab,...ba->...k", _BASIS, op) / 4.0
-    max_imag = float(np.max(np.abs(raw.imag), initial=0.0))
-    if max_imag > _HERM_TOL:
-        raise NotHermitian(
-            f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={_HERM_TOL}"
-        )
-    return raw.real.reshape(op.shape)
-
-
-def assemble(coeffs: np.ndarray) -> np.ndarray:
-    """Sum c[..., i, j] sigma_i x sigma_j; exact inverse of pauli_decompose."""
-    c = np.asarray(coeffs, dtype=float)
-    _check_shape(c, "coefficient tables")
-    return np.einsum("...k,kab->...ab", c.reshape(*c.shape[:-2], 16).astype(complex), _BASIS)
 
 
 @dataclass
@@ -93,14 +53,29 @@ class ASeries:
 
 
 def extract_a_series(hsa: OperatorSeries) -> ASeries:
-    """Pauli-decompose a whole H_sa series into A/B trajectories.
+    """A/B trajectories of an H_sa series held as its two ancilla blocks.
 
-    Warns (BNonVanishing) when max|B| exceeds 1e-6 max|A|, which signals
+    ``hsa.data`` has shape (n_nodes, 2, 2, 2), the blocks Lambda + Gamma
+    and Lambda - Gamma.  A1 = x(Lambda) and A2, A3, A4 = I, y, z of Gamma;
+    B1..B4 = I, y, z of Lambda and x(Gamma).  Raises NotHermitian when any
+    coefficient carries an imaginary part larger than ``_HERM_TOL``, and
+    warns (BNonVanishing) when max|B| exceeds 1e-6 max|A|, which signals
     an H_s outside the family for which the four-term reduction holds.
     """
-    c = pauli_decompose(hsa.data)
-    a = c[(..., *_A_SLOTS)]
-    b = c[(..., *_B_SLOTS)]
+    blocks = np.asarray(hsa.data, dtype=complex)
+    if blocks.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected H_sa blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
+    lam = (blocks[..., 0, :, :] + blocks[..., 1, :, :]) / 2.0
+    gam = (blocks[..., 0, :, :] - blocks[..., 1, :, :]) / 2.0
+    # c[..., 0, i] = Tr(sigma_i Lambda) / 2 and c[..., 1, i] = Tr(sigma_i Gamma) / 2.
+    c = np.einsum("iab,...kba->...ki", PAULI_1Q, np.stack([lam, gam], axis=-3)) / 2.0
+    max_imag = float(np.max(np.abs(c.imag), initial=0.0))
+    if max_imag > _HERM_TOL:
+        raise NotHermitian(
+            f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={_HERM_TOL}"
+        )
+    a = c.real[..., [0, 1, 1, 1], [1, 0, 2, 3]]  # x(Lambda); I, y, z of Gamma
+    b = c.real[..., [0, 0, 0, 1], [0, 2, 3, 1]]  # I, y, z of Lambda; x(Gamma)
     amax = float(np.max(np.abs(a)))
     bmax = float(np.max(np.abs(b)))
     if bmax > 1e-6 * max(amax, 1e-300):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TimeGrid, ordered_product, unitary_2x2
+from .numkit import TimeGrid, block_diag, ordered_product, unitary_2x2
 from .pauli import PAULI_1Q, ASeries
 from .simulator import Trajectory, _postselect_batch
 
@@ -197,32 +197,35 @@ def simulate_lab_frame(
 
     w1, w2 = prog.carriers
     int_a4_mid = np.interp(mids, ts, int_a4)
-    theta1 = w1 * mids + 2.0 * int_a4_mid
-    theta2 = w2 * mids - 2.0 * int_a4_mid
     om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
     ph_mid = np.interp(mids, t_nodes, prog.phase)
-
-    drive1 = 2.0 * math.pi * om_mid * np.cos(theta1 - ph_mid)
-    drive2 = 2.0 * math.pi * om_mid * np.cos(theta2 + ph_mid)
+    # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
+    angles = np.stack(
+        [w1 * mids + 2.0 * int_a4_mid - ph_mid, w2 * mids - 2.0 * int_a4_mid + ph_mid], axis=-1
+    )
 
     # H0 is diagonal and drive k flips the electron with the nuclear spin on
-    # level k (|1>_n, then |0>_n), so levels (k, k + 2) form one 2x2 block.
+    # level k (|1>_n, then |0>_n): one 2x2 block per nuclear level.  Block k
+    # drops its trace a_k, leaving z_k sz + drive sx, so its exponential has
+    # no scalar phase whose rounding would drift the norm step by step;
+    # e^{-i a_k t} is folded into the back-rotation below.
+    h0_diag = np.real(np.diag(h0))
+    z = (h0_diag[:2] - h0_diag[2:]) / 2.0  # (h0[k, k] - h0[k + 2, k + 2]) / 2
     states = np.empty((n, 4), dtype=complex)
     states[0] = initial
     for start in range(0, n - 1, _STEPS_PER_CHUNK):
         stop = min(start + _STEPS_PER_CHUNK, n - 1)
-        steps = np.zeros((stop - start, 4, 4), dtype=complex)
-        for k, drive in enumerate((drive1, drive2)):
-            block = h0[k::2, k::2] + drive[start:stop, None, None] * PAULI_1Q[1]
-            steps[:, k::2, k::2] = unitary_2x2(block, h)
+        drives = 2.0 * math.pi * om_mid[start:stop, None] * np.cos(angles[start:stop])
+        blocks = z[:, None, None] * PAULI_1Q[3] + drives[..., None, None] * PAULI_1Q[1]
+        steps = block_diag(unitary_2x2(blocks, h))
         states[start : stop + 1] = ordered_product(steps, states[start])
 
-    # Back to the rotating frame: the exponent of U_rot is diagonal.
-    h0_diag = np.real(np.diag(h0))
+    # Back to the rotating frame: the exponent of U_rot is diagonal; H0
+    # enters it less the dropped traces, as (z, -z).
     sz_n = np.array([1.0, -1.0, 1.0, -1.0])  # I x sz diagonal
     sz_sz = np.array([1.0, -1.0, -1.0, 1.0])  # sz x sz diagonal
     exponent = (
-        h0_diag[None, :] * ts[:, None]
+        np.concatenate([z, -z])[None, :] * ts[:, None]
         - int_a2[:, None] * sz_n[None, :]
         - int_a4[:, None] * sz_sz[None, :]
     )

@@ -20,7 +20,7 @@ from ptdilate.dilation import (
     dilate,
     verify_dilation,
 )
-from ptdilate.numkit import TimeGrid
+from ptdilate.numkit import TimeGrid, block_diag
 from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
 from ptdilate.simulator import simulate_pt
 
@@ -34,13 +34,10 @@ def cfg(grid=GRID, margin=0.1):
 def decode_lambda_gamma(hsa):
     """(Lambda, Gamma) of H_sa = Lambda x I + Gamma x sigma_z, system first.
 
-    The ancilla-diagonal blocks are B_k = hsa[:, k::2, k::2], i.e.
-    B_0 = Lambda + Gamma and B_1 = Lambda - Gamma; the ancilla-off-diagonal
-    blocks must vanish.
+    ``hsa`` holds the ancilla sigma_z blocks B_0 = Lambda + Gamma and
+    B_1 = Lambda - Gamma.
     """
-    assert np.max(np.abs(hsa[:, 0::2, 1::2])) < 1e-14
-    assert np.max(np.abs(hsa[:, 1::2, 0::2])) < 1e-14
-    b0, b1 = hsa[:, 0::2, 0::2], hsa[:, 1::2, 1::2]
+    b0, b1 = hsa[:, 0], hsa[:, 1]
     return (b0 + b1) / 2.0, (b0 - b1) / 2.0
 
 
@@ -145,14 +142,14 @@ class TestOperatorIdentities:
         h = pt_hamiltonian(0.0)
         result = dilate(h, cfg())
         expected = np.kron(h, np.eye(2))
-        assert np.max(np.abs(result.hsa_series.data - expected[None])) < 1e-12
+        assert np.max(np.abs(block_diag(result.hsa_series.data) - expected[None])) < 1e-12
 
     def test_block_structure_in_ancilla_basis(self):
         # sigma_z maps each sigma_y eigenstate to the other with matrix
         # elements <+-|sigma_z|-+> = +-i, so the diagonal blocks are both
         # Lambda and the off-diagonal blocks are +-i Gamma.
         result = dilate(pt_hamiltonian(0.6), cfg())
-        blocks = ancilla_blocks(result.hsa_series.data)
+        blocks = ancilla_blocks(block_diag(result.hsa_series.data))
         lam, gam = decode_lambda_gamma(result.hsa_series.data)
         assert np.max(np.abs(blocks["--"] - lam)) < 1e-10
         assert np.max(np.abs(blocks["++"] - lam)) < 1e-10
@@ -227,7 +224,8 @@ class TestPostselectionFidelity:
         psi0 = np.array([1.0, 0.0], dtype=complex)
         anc = (ANCILLA_MINUS + eta0 * ANCILLA_PLUS) / np.sqrt(1.0 + eta0**2)
         state = np.kron(psi0, anc)
-        hmid = (result.hsa_series.data[:-1] + result.hsa_series.data[1:]) / 2.0
+        hsa = block_diag(result.hsa_series.data)
+        hmid = (hsa[:-1] + hsa[1:]) / 2.0
         steps = expm(-1j * grid.dt * hmid)
         for k in range(grid.n_nodes - 1):
             state = steps[k] @ state

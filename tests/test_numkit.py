@@ -1,4 +1,4 @@
-"""Kernel-level tests: grids, eigensolvers, exponentials, Sylvester solves.
+"""Kernel-level tests: grids, eigensolvers, exponentials, block layout, Sylvester solves.
 
 The eigensolver, square-root and Sylvester kernels belong to the
 test-side reference oracle in ``reference_dilation``; the Pade ``expm``
@@ -22,6 +22,7 @@ from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
     TimeGrid,
+    block_diag,
     ordered_product,
     unitary_2x2,
 )
@@ -176,6 +177,21 @@ class TestUnitary2x2:
         u = unitary_2x2(stack, 0.5)
         assert u.shape == (2, 3, 2, 2)
         assert np.array_equal(u[1, 2], unitary_2x2(stack[1, 2], 0.5))
+
+
+class TestBlockDiag:
+    def test_matches_kronecker_form_exactly(self):
+        # The blocks Lambda +- Gamma are H_sa = Lambda x I + Gamma x sz.
+        rng = np.random.default_rng(41)
+        lam = np.stack([random_hermitian(rng, 2) for _ in range(50)])
+        gam = np.stack([random_hermitian(rng, 2) for _ in range(50)])
+        sz = np.diag([1.0, -1.0])
+        kron = np.stack([np.kron(x, np.eye(2)) + np.kron(y, sz) for x, y in zip(lam, gam)])
+        assert np.array_equal(block_diag(np.stack([lam + gam, lam - gam], axis=1)), kron)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2, 2\)"):
+            block_diag(np.zeros((3, 4, 4)))
 
 
 class TestSqrtmPsd:

@@ -1,21 +1,17 @@
-"""Pauli-basis codec tests and A/B coefficient extraction."""
+"""A/B coefficient extraction from the H_sa blocks, and the reference Pauli codec."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_pauli import _A_SLOTS, _B_SLOTS, assemble, pauli_decompose
 
 from ptdilate.cli import _write_csv
 from ptdilate.dilation import DilationConfig, dilate
-from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid
-from ptdilate.pauli import (
-    ASeries,
-    BNonVanishing,
-    PAULI_1Q,
-    assemble,
-    extract_a_series,
-    pauli_decompose,
-)
+from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid, block_diag
+from ptdilate.pauli import ASeries, BNonVanishing, PAULI_1Q, extract_a_series
 from ptdilate.ptmodel import pt_hamiltonian
 
 
@@ -100,14 +96,53 @@ class TestASeriesExtraction:
         # A1..A4 sit in the (x,I), (I,z), (y,z), (z,z) slots.
         tables[:, [1, 0, 2, 3], [0, 3, 3, 3]] = aser.a
         rebuilt = assemble(tables)
-        assert np.max(np.abs(rebuilt - result.hsa_series.data)) < 1e-9
+        assert np.max(np.abs(rebuilt - block_diag(result.hsa_series.data))) < 1e-9
 
     def test_warns_outside_reduced_family(self):
         grid = TimeGrid(0.0, 1.0, 3)
-        off_family = np.kron(PAULI_1Q[3], np.eye(2))  # sigma_z (x) I: a B slot
+        # sigma_z (x) I, a B slot: Lambda = sigma_z and Gamma = 0.
+        off_family = np.stack([PAULI_1Q[3], PAULI_1Q[3]])
         series = OperatorSeries(grid, np.repeat(off_family[None], 3, axis=0))
         with pytest.warns(BNonVanishing):
             extract_a_series(series)
+
+    def test_rejects_non_hermitian_block(self):
+        grid = TimeGrid(0.0, 1.0, 3)
+        blocks = np.zeros((3, 2, 2, 2), dtype=complex)
+        blocks[1, 0] = np.triu(np.ones((2, 2))) * 1j  # one bad node
+        with pytest.raises(NotHermitian):
+            extract_a_series(OperatorSeries(grid, blocks))
+
+    def test_rejects_4x4_series(self):
+        series = OperatorSeries(TimeGrid(0.0, 1.0, 3), np.zeros((3, 4, 4), dtype=complex))
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2, 2\)"):
+            extract_a_series(series)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+                min_size=8,
+                max_size=8,
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_block_decode_matches_reference_codec(self, coeffs):
+        # Random Lambda, Gamma from their Pauli coefficients; the block
+        # decode must read the A/B slots of the full 4x4 decomposition.
+        c = np.array(coeffs).reshape(-1, 2, 4)
+        lam, gam = np.einsum("nki,iab->knab", c.astype(complex), PAULI_1Q)
+        blocks = np.stack([lam + gam, lam - gam], axis=1)
+        grid = TimeGrid(0.0, 1.0, len(blocks))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BNonVanishing)
+            aser = extract_a_series(OperatorSeries(grid, blocks))
+        ref = pauli_decompose(block_diag(blocks))
+        assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-14
+        assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-14
 
 
 class TestCsvRoundtrip:

@@ -168,4 +168,4 @@ class TestLabFrame:
 
     def test_short_audit_keeps_unit_norm(self, short_audit):
         norms = np.linalg.norm(short_audit.states, axis=-1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
+        assert np.max(np.abs(norms - 1.0)) <= 1e-13

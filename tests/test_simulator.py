@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from reference_dilation import eta_series
 from reference_expm import expm
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
-from ptdilate.numkit import OperatorSeries, TimeGrid
-from ptdilate.ptmodel import analytic_p0, analytic_state
+from ptdilate.numkit import OperatorSeries, TimeGrid, block_diag
+from ptdilate.ptmodel import analytic_p0, analytic_state, pt_hamiltonian
 from ptdilate.simulator import (
     ZeroBranch,
     branch_populations,
@@ -40,7 +41,7 @@ class TestPrepareInitial:
 
 def postselect_static(amplitudes):
     """Trajectory of a state held still by a 2-node zero H_sa series."""
-    hsa = OperatorSeries(TimeGrid(0.0, 1.0, 2), np.zeros((2, 4, 4)))
+    hsa = OperatorSeries(TimeGrid(0.0, 1.0, 2), np.zeros((2, 2, 2, 2)))
     return evolve_dilated(hsa, amplitudes)
 
 
@@ -73,7 +74,7 @@ class TestEvolveDilated:
         # same midpoint H_sa, chained in the same order.
         grid = TimeGrid(0.0, 4.0, 2001)
         traj, result = simulate_pt(r, grid)
-        hsa = result.hsa_series.data
+        hsa = block_diag(result.hsa_series.data)
         steps = expm(-1j * grid.dt * (hsa[:-1] + hsa[1:]) / 2.0)
         state = traj.states[0]
         ref = [state]
@@ -84,12 +85,22 @@ class TestEvolveDilated:
         p0_ref = pops[:, 0] / (pops[:, 0] + pops[:, 2])
         assert np.max(np.abs(traj.p0 - p0_ref)) <= 1e-12
 
-    def test_rejects_coupled_ancilla_blocks(self):
-        rng = np.random.default_rng(37)
-        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        hsa = OperatorSeries(TimeGrid(0.0, 1.0, 3), (a + a.conj().swapaxes(-1, -2)) / 2.0)
-        with pytest.raises(ValueError, match="couples the two ancilla"):
-            evolve_dilated(hsa, np.kron([1.0, 0.0], ANCILLA_MINUS))
+    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0, 1.4])
+    def test_states_match_closed_form_dilated_state(self, r):
+        # Both ancilla branches at every node: the dilated state is
+        # (psi x |-> + eta psi x |+>) / sqrt(m0), psi = e^{-i t H_s} psi0,
+        # eta = sqrt(M - I) from the reference oracle.
+        h = pt_hamiltonian(r)
+        grid = TimeGrid(0.0, 2.0, 2001)
+        traj, result = simulate_pt(r, grid)
+        psi = expm(-1j * grid.times()[:, None, None] * h) @ np.array([1.0, 0.0], dtype=complex)
+        eta, _ = eta_series(result.m_series, h)
+        eta_psi = np.einsum("nij,nj->ni", eta.data, psi)
+        expected = (
+            np.einsum("ni,a->nia", psi, ANCILLA_MINUS)
+            + np.einsum("ni,a->nia", eta_psi, ANCILLA_PLUS)
+        ).reshape(-1, 4) / np.sqrt(result.m0)
+        assert np.max(np.abs(traj.states - expected)) <= 1e-5
 
 
 class TestSimulatePT:
