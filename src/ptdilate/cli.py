@@ -33,6 +33,7 @@ from .dilation import (
     PositivityLost,
     SingularPropagator,
     dilate,
+    propagator_svd,
     verify_dilation,
 )
 from .fitkit import fit_rows
@@ -135,6 +136,11 @@ class RunConfig:
         unknown_nv = set(self.nv) - set(NVParams.__dataclass_fields__)
         if unknown_nv:
             problems.append(f"unknown NV parameter fields: {sorted(unknown_nv)}")
+        for r in [] if problems else self.r_list:  # dilate's horizon check
+            try:
+                propagator_svd(pt_hamiltonian(r), self.grid)
+            except SingularPropagator as exc:
+                problems.append(f"r = {r:g}: {exc}; shorten t1")
         if problems:
             raise ValidationError("; ".join(problems))
 

@@ -24,7 +24,8 @@ inverse propagator, where the defining formulas
 ``d_i`` the eigenvalues of eta).  These stay fully accurate even when
 the metric spans 13+ orders of magnitude (broken-symmetry regime at
 long times), where the direct products lose several digits to
-cancellation.
+cancellation.  ``V`` comes from the closed-form eigenvectors of W^dag W
+and every product is written out elementwise: no LAPACK call is made.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import OperatorSeries, TimeGrid, block_diag
+from .numkit import OperatorSeries, TimeGrid, mul_2x2, right_singular_2x2
 
 __all__ = [
     "SingularPropagator",
@@ -42,6 +43,7 @@ __all__ = [
     "DilationResult",
     "DiagnosticsReport",
     "verify_dilation",
+    "propagator_svd",
     "dilate",
 ]
 
@@ -125,27 +127,50 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Per-node Frobenius norm; for (n, 2, 2, 2) blocks, that of the 4x4."""
+    return np.sqrt(np.sum((x.conj() * x).real, axis=tuple(range(1, x.ndim))))
+
+
 def _herm_residual(x: np.ndarray) -> np.ndarray:
-    num = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
-    den = np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1e-300)
-    return num / den
+    return _fro(x - x.conj().swapaxes(-1, -2)) / np.maximum(_fro(x), 1e-300)
 
 
-def ancilla_blocks(hsa: np.ndarray) -> dict[str, np.ndarray]:
-    """System-space blocks of H_sa in the {|+>, |->} ancilla basis.
-
-    ``hsa`` may be a single (2d x 2d) matrix or a stack; returns the four
-    blocks keyed '++', '+-', '-+', '--'.
-    """
-    hsa = np.asarray(hsa)
-    d = hsa.shape[-1] // 2
-    resh = hsa.reshape(*hsa.shape[:-2], d, 2, d, 2)
+def ancilla_blocks(blocks: np.ndarray) -> dict[str, np.ndarray]:
+    """System-space blocks of H_sa in the {|+>, |->} ancilla basis, keyed
+    '++', '+-', '-+', '--', from its ancilla sigma_z blocks B_k stacked as
+    (..., 2, 2, 2): the (a, b) block is sum_k conj(a_k) b_k B_k."""
+    blocks = np.asarray(blocks)
+    if blocks.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
     basis = (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS))
     return {
-        la + lb: np.einsum("...ikjl,k,l->...ij", resh, a.conj(), b)
+        la + lb: c[0] * blocks[..., 0, :, :] + c[1] * blocks[..., 1, :, :]
         for la, a in basis
         for lb, b in basis
+        for c in [a.conj() * b]
     }
+
+
+def propagator_svd(h_s, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (n, 2), descending, and right singular vectors of W.
+
+    sigma_min = |det W| / sigma_max with |det W| = e^{-(t - t0) Im tr H_s}.
+    Raises SingularPropagator at the first t where cond W passes 1e14 or W
+    overflowed; the CLI's config validation makes this same check.
+    """
+    h_s = _as_matrix(h_s)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s_max, v = right_singular_2x2(_inverse_propagator(h_s, grid))
+        s_min = np.exp(-(grid.times() - grid.t0) * np.trace(h_s).imag) / s_max
+        cond = s_max / np.maximum(s_min, 5e-324)  # sigma_min can underflow to 0
+    bad = ~(cond <= _COND_LIMIT)
+    if np.any(bad):
+        raise SingularPropagator(
+            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
+            f"at t = {grid.times()[np.argmax(bad)]:.6g}"
+        )
+    return np.stack([s_max, s_min], axis=1), v
 
 
 def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
@@ -158,19 +183,7 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     """
     h_s = _as_matrix(h_s)
     grid = cfg.grid
-    _, sigma, vh = np.linalg.svd(_inverse_propagator(h_s, grid))
-    # The SVD's sigma_min carries sigma_max's absolute error; |det W| / sigma_max
-    # with |det W| = e^{-(t - t0) Im tr H_s} is accurate to roundoff.
-    sigma[:, -1] = np.exp(-(grid.times() - grid.t0) * np.trace(h_s).imag) / sigma[:, 0]
-    # sigma_min can underflow to zero outright in the broken regime.
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = sigma[:, 0] / np.maximum(sigma[:, -1], 5e-324)
-    if np.max(cond) > _COND_LIMIT:
-        t_bad = grid.times()[np.argmax(cond > _COND_LIMIT)]
-        raise SingularPropagator(
-            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
-            f"at t = {t_bad:.6g}"
-        )
+    sigma, v = propagator_svd(h_s, grid)
     mu_prime = float(np.min(sigma[:, -1] ** 2))
     if m0 is None:
         m0 = (1.0 + cfg.margin) / mu_prime
@@ -178,28 +191,27 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     if not 1.0 < m0 < np.inf:
         raise ValueError(f"m0 must be finite and exceed 1, got {m0} (margin = {cfg.margin})")
 
-    v = vh.conj().swapaxes(-1, -2)
+    vh = v.conj().swapaxes(-1, -2)
     s_eig = m0 * sigma**2  # eigenvalues of M(t), descending
     d_eig2 = s_eig - 1.0  # eigenvalues of M - I
     if float(np.min(d_eig2)) <= 0.0:
         raise PositivityLost(f"min eig(M - I) = {np.min(d_eig2):.3e} <= 0")
     d_eig = np.sqrt(d_eig2)
 
-    ht = vh @ h_s @ v  # H_s in the metric eigenbasis
+    ht = mul_2x2(mul_2x2(vh, h_s), v)  # H_s in the metric eigenbasis
     hth = ht.conj().swapaxes(-1, -2)
 
-    di = d_eig[:, :, None]
-    dj = d_eig[:, None, :]
+    di, dj = d_eig[:, :, None], d_eig[:, None, :]
     pair = di + dj
     lam_t = (di * ht + dj * hth) / pair
     gam_t = 1j * (ht - hth) / pair
 
-    lam = v @ lam_t @ vh
-    gam = v @ gam_t @ vh
+    lam = mul_2x2(mul_2x2(v, lam_t), vh)
+    gam = mul_2x2(mul_2x2(v, gam_t), vh)
     # H_sa = Lambda x I + Gamma x sigma_z as its ancilla sigma_z blocks.
     lam_h, gam_h = _hermitize(lam), _hermitize(gam)
     hsa = np.stack([lam_h + gam_h, lam_h - gam_h], axis=1)
-    m = _hermitize(v @ (s_eig[:, :, None] * np.eye(2)) @ vh)
+    m = _hermitize(mul_2x2(v * s_eig[:, None, :], vh))
 
     return DilationResult(
         m0=m0,
@@ -214,19 +226,20 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
 
 
 def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
-    """Numeric residuals of the dilation identities for the constant H_s."""
+    """Numeric residuals of the dilation identities for the constant H_s,
+    read off H_sa's two ancilla blocks (a 4x4 norm sums over both)."""
     h_s = _as_matrix(h_s)
     dt = result.grid.dt
-    hsa = block_diag(result.hsa_series.data)
+    hsa = result.hsa_series.data
     m = result.m_series.data
 
-    hsa_norm = np.maximum(np.linalg.norm(hsa, axis=(-2, -1)), 1e-300)
+    hsa_norm = np.maximum(_fro(hsa), 1e-300)
     herm = float(np.max(_herm_residual(hsa)))
 
     # Metric ODE by central differences on interior nodes, relative to the
     # commutator scale.
     dm_fd = (m[2:] - m[:-2]) / (2.0 * dt)
-    comm = h_s.conj().T @ m - m @ h_s
+    comm = mul_2x2(h_s.conj().T, m) - mul_2x2(m, h_s)
     resid = np.linalg.norm(1j * dm_fd - comm[1:-1], axis=(-2, -1))
     scale = np.maximum(
         np.linalg.norm(m[1:-1], axis=(-2, -1)) * np.linalg.norm(h_s), 1.0
@@ -234,9 +247,8 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     metric_ode = float(np.max(resid / scale))
 
     blocks = ancilla_blocks(hsa)
-    anti = np.linalg.norm(blocks["-+"] + blocks["+-"], axis=(-2, -1))
+    anti = _fro(blocks["-+"] + blocks["+-"])
     block_antisym = float(np.max(anti / hsa_norm))
-
     return DiagnosticsReport(
         hermiticity=herm,
         metric_ode=metric_ode,

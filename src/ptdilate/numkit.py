@@ -3,9 +3,9 @@
 Everything here operates on small (dim <= 4 in practice) dense complex
 matrices.  Neither the dilated H_sa nor the NV lab-frame Hamiltonian
 couples the two values of its second tensor factor, so both are carried
-as their two 2x2 blocks, stacked on axis -3.  ``unitary_2x2`` exponentiates
-a whole stack of 2x2 Hermitian blocks in closed form, ``block_diag`` is
-the one place that places the blocks into 4x4 operators, and
+as their two 2x2 blocks, stacked on axis -3.  ``unitary_2x2``, ``mul_2x2``
+and ``right_singular_2x2`` are closed forms on 2x2 stacks, ``block_diag``
+is the one place that places the blocks into 4x4 operators, and
 ``ordered_product`` is the one serial step loop of the package.
 """
 
@@ -20,6 +20,8 @@ __all__ = [
     "TimeGrid",
     "OperatorSeries",
     "unitary_2x2",
+    "mul_2x2",
+    "right_singular_2x2",
     "block_diag",
     "ordered_product",
 ]
@@ -91,6 +93,38 @@ def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
     u[..., 0, 1] = s * h[..., 0, 1]
     u[..., 1, 0] = s * h[..., 1, 0]
     return u
+
+
+def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for broadcastable 2x2 stacks, written out elementwise
+    (``@`` pays a per-matrix dispatch on long 2x2 stacks)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i, j in np.ndindex(2, 2):
+        out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max and the right singular vectors ``v`` of a (..., 2, 2) stack.
+
+    G = w^dag w = [[p, q], [q*, u]] has sigma_max^2 = (p + u)/2 + R with
+    R = hypot((p - u)/2, |q|), and top eigenvector (a, q*) for p >= u, else
+    (q, a), a = |p - u|/2 + R: neither form cancels.  G = c I (a = 0) takes
+    (1, 0).  The columns of ``v`` are (v0, v1) and (-v1*, v0*).
+    """
+    w = np.asarray(w)
+    g = (w.conj() * w).real
+    p, u = g[..., 0, 0] + g[..., 1, 0], g[..., 0, 1] + g[..., 1, 1]
+    q = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
+    rad = np.hypot((p - u) / 2.0, np.abs(q))
+    a = np.abs(p - u) / 2.0 + rad
+    top = np.where(a == 0, 1.0, np.where(p >= u, a, q))
+    low = np.where(p >= u, q.conj(), a)
+    norm = np.hypot(np.abs(top), np.abs(low))
+    v0, v1 = top / norm, low / norm
+    v = np.stack([np.stack([v0, -v1.conj()], -1), np.stack([v1, v0.conj()], -1)], -2)
+    return np.sqrt((p + u) / 2.0 + rad), v
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:

@@ -161,6 +161,17 @@ class TestConfig:
         assert "m0 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_horizon_past_condition_limit_fails_before_output(self, tmp_path, capsys):
+        # cond W passes 1e14 at t = 16.0875 for r = 1.4 on 8001 nodes over
+        # [0, 30]; r = 0.6 is fine and must not be computed or written first.
+        out = tmp_path / "out"
+        assert run("simulate", "--r", "0.6", "--r", "1.4", "--t1", "30", "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "r = 1.4: propagator condition number first exceeds 1e+14 at t = 16.0875" in err
+        assert "r = 0.6" not in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nodes": 10}))
@@ -428,13 +439,17 @@ class TestPulsesAndVerify:
 
 
 class TestExitCodes:
-    def test_numeric_failure_exit_code(self, tmp_path):
-        # Deep broken regime over a long horizon: the propagator condition
-        # limit trips, which is a numeric (not config) failure.
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+        # Equal PL rates make the readout inversion singular, which only the
+        # noisy readout finds: a numeric (not config) failure.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"pl_rates": [0.03, 0.03, 0.03, 0.03]}))
         assert run(
-            "simulate", "--r", "2.5", "--n-nodes", "4001", "--t1", "8",
-            "--outdir", str(tmp_path),
+            "sweep", "--config", str(cfg_file), "--r", "0.6", "--n-nodes", "51",
+            "--t1", "1", "--repetitions", "100", "--workers", "1",
+            "--outdir", str(tmp_path / "out"),
         ) == 2
+        assert "numeric failure: SingularReadout" in capsys.readouterr().err
 
     def test_validation_exit_code(self, tmp_path):
         assert run("simulate", "--margin", "-1", "--outdir", str(tmp_path)) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_dilation import eta_series, lambda_gamma
+from reference_dilation import eta_series, hsa_blocks_mp, lambda_gamma
 from reference_expm import expm
 
 from ptdilate.dilation import (
@@ -74,7 +74,7 @@ class TestInitialMetric:
         # from a 40-digit mpmath evaluation of W = expm(i t H_s); the
         # minimum sits at t = 8 for both strengths.
         m0 = dilate(pt_hamiltonian(r), cfg(TimeGrid(0.0, 8.0, 801))).m0
-        assert m0 == pytest.approx(m0_exact, rel=1e-12)
+        assert m0 == pytest.approx(m0_exact, rel=1e-14)
 
     def test_metric_starts_scalar(self):
         result = dilate(pt_hamiltonian(0.6), cfg())
@@ -103,6 +103,30 @@ class TestInitialMetric:
             dilate(pt_hamiltonian(1.4), cfg(TimeGrid(0.0, 30.0, 3001)))
         t_bad = float(re.search(r"at t = (\S+)", str(info.value)).group(1))
         assert 16.0 <= t_bad <= 16.2
+
+    @pytest.mark.parametrize(
+        "r,grid", [(10.0, TimeGrid(0.0, 100.0, 2001)), (1.4, TimeGrid(0.0, 2000.0, 8001))]
+    )
+    def test_overflowing_propagator_names_first_bad_node(self, r, grid):
+        # W overflows long before t1.  The overflowed nodes count as past
+        # the limit, no RuntimeWarning escapes, and the named t is the first
+        # node where cond W = sigma_max^2 / |det W| (|det W| = 1 here) of a
+        # Pade / LAPACK reference passes 1e14.
+        with pytest.raises(SingularPropagator) as info:
+            dilate(pt_hamiltonian(r), cfg(grid))
+        t_bad = float(re.search(r"at t = (\S+)", str(info.value)).group(1))
+        ts = grid.times()
+        k = int(np.searchsorted(ts, t_bad))
+        assert ts[k] == pytest.approx(t_bad, rel=1e-6)
+        w = expm(1j * ts[k - 1 : k + 1, None, None] * pt_hamiltonian(r))
+        cond = np.linalg.svd(w, compute_uv=False)[:, 0] ** 2
+        assert cond[0] <= 1e14 < cond[1]
+
+    def test_non_finite_propagator_counts_as_past_limit(self):
+        # |H_s| ~ 1e200 overflows W at every node, t0 included: a NaN
+        # condition number must fail the check, not slip past it.
+        with pytest.raises(SingularPropagator, match="at t = 0$"):
+            dilate(pt_hamiltonian(1e200), cfg(TimeGrid(0.0, 1.0, 11)))
 
 
 class TestConstantHs:
@@ -149,12 +173,30 @@ class TestOperatorIdentities:
         # elements <+-|sigma_z|-+> = +-i, so the diagonal blocks are both
         # Lambda and the off-diagonal blocks are +-i Gamma.
         result = dilate(pt_hamiltonian(0.6), cfg())
-        blocks = ancilla_blocks(block_diag(result.hsa_series.data))
+        blocks = ancilla_blocks(result.hsa_series.data)
         lam, gam = decode_lambda_gamma(result.hsa_series.data)
         assert np.max(np.abs(blocks["--"] - lam)) < 1e-10
         assert np.max(np.abs(blocks["++"] - lam)) < 1e-10
         assert np.max(np.abs(blocks["+-"] - 1j * gam)) < 1e-10
         assert np.max(np.abs(blocks["-+"] + 1j * gam)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "r,grid,nodes",
+        [
+            (1.4, TimeGrid(0.0, 15.0, 3001), range(1000, 1200, 2)),
+            (1.1, TimeGrid(0.0, 30.0, 3001), range(1000, 1200, 2)),
+            (2.0, TimeGrid(0.0, 8.0, 3001), range(1000, 1200, 2)),
+        ],
+    )
+    def test_hsa_matches_50_digit_defining_formulas(self, r, grid, nodes):
+        # Long horizons, where m0 is ~1e12-1e13: H_sa is smallest relative
+        # to H_s near these nodes, so its relative error peaks there.
+        h = pt_hamiltonian(r)
+        result = dilate(h, cfg(grid))
+        for k in nodes:
+            ref = hsa_blocks_mp(h, grid.times()[k], result.m0)
+            err = np.linalg.norm(result.hsa_series.data[k] - ref) / np.linalg.norm(ref)
+            assert err <= 5e-12, f"node {k}"
 
     def test_direct_route_agrees_with_svd_route(self):
         # The naive formula evaluation is accurate while the metric is

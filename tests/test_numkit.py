@@ -1,4 +1,5 @@
-"""Kernel-level tests: grids, eigensolvers, exponentials, block layout, Sylvester solves.
+"""Kernel-level tests: grids, eigensolvers, exponentials, 2x2 products and
+singular pairs, block layout, Sylvester solves.
 
 The eigensolver, square-root and Sylvester kernels belong to the
 test-side reference oracle in ``reference_dilation``; the Pade ``expm``
@@ -7,6 +8,8 @@ is the test-side oracle in ``reference_expm``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_dilation import (
     NotPositive,
     SingularPair,
@@ -23,7 +26,9 @@ from ptdilate.numkit import (
     OperatorSeries,
     TimeGrid,
     block_diag,
+    mul_2x2,
     ordered_product,
+    right_singular_2x2,
     unitary_2x2,
 )
 from ptdilate.ptmodel import pt_hamiltonian
@@ -177,6 +182,59 @@ class TestUnitary2x2:
         u = unitary_2x2(stack, 0.5)
         assert u.shape == (2, 3, 2, 2)
         assert np.array_equal(u[1, 2], unitary_2x2(stack[1, 2], 0.5))
+
+
+class TestMul2x2:
+    def test_matches_matmul_on_broadcast_stacks(self):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(5, 1, 2, 2)) + 1j * rng.normal(size=(5, 1, 2, 2))
+        b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        prod = mul_2x2(a, b)
+        assert prod.shape == (5, 3, 2, 2)
+        assert np.max(np.abs(prod - a @ b)) <= 1e-15 * np.max(np.abs(a)) * np.max(np.abs(b)) * 4
+        assert np.array_equal(mul_2x2(a[0, 0], b), mul_2x2(a[:1, :1], b)[0])
+
+
+@st.composite
+def complex_2x2_stacks(draw):
+    """(n, 2, 2) complex stacks: each matrix is random, rescaled by up to
+    10^+-100, and for half of them the second column is pushed to within
+    ``eps`` of a multiple of the first (near-singular, or exactly so)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 64
+    w = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-8, 1e-3]))
+    near = w[: n // 2]
+    near[:, :, 1] = (rng.normal() + 1j * rng.normal()) * near[:, :, 0] + eps * near[:, :, 1]
+    return w * 10.0 ** draw(st.integers(-100, 100))
+
+
+class TestRightSingular2x2:
+    @settings(max_examples=40, deadline=None)
+    @given(complex_2x2_stacks())
+    def test_matches_lapack_svd(self, w):
+        sigma, v = right_singular_2x2(w)
+        _, sig_ref, vh_ref = np.linalg.svd(w)
+        assert np.max(np.abs(sigma - sig_ref[:, 0]) / sig_ref[:, 0]) <= 1e-14
+        assert unitarity_error(v) <= 1e-15
+        # The top right singular vector is fixed up to a phase wherever the
+        # two singular values are apart.
+        gap = (sig_ref[:, 0] - sig_ref[:, 1]) / sig_ref[:, 0] >= 1e-6
+        overlap = np.abs(np.sum(vh_ref[:, 0, :] * v[:, :, 0], axis=-1))
+        assert np.max(np.abs(overlap[gap] - 1.0)) <= 1e-12
+        # sigma_max is the norm of w along v, and v's second column spans
+        # the rest: w v stays within roundoff of (sigma_max, sigma_min).
+        wv = np.linalg.norm(w @ v, axis=-2)
+        assert np.max(np.abs(wv[:, 0] - sigma) / sigma) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 3.5e-100, 2e100])
+    def test_scalar_gram_takes_unit_basis(self, c):
+        # G = W^dag W = c^2 I (W = 0 among them) has no preferred
+        # direction: v is exactly I.
+        units = [np.eye(2), np.diag([1j, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        sigma, v = right_singular_2x2(c * np.stack(units).astype(complex))
+        assert np.all(np.abs(sigma - c) <= 2.3e-16 * c)
+        assert np.array_equal(v, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 class TestBlockDiag:
