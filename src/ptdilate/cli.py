@@ -136,11 +136,18 @@ class RunConfig:
         unknown_nv = set(self.nv) - set(NVParams.__dataclass_fields__)
         if unknown_nv:
             problems.append(f"unknown NV parameter fields: {sorted(unknown_nv)}")
-        for r in [] if problems else self.r_list:  # dilate's horizon check
+        if problems:
+            raise ValidationError("; ".join(problems))
+
+    def check_horizon(self) -> None:
+        """Dilate's horizon check for every r, before any compute or output."""
+        problems = []
+        for r in self.r_list:
             try:
                 propagator_svd(pt_hamiltonian(r), self.grid)
             except SingularPropagator as exc:
-                problems.append(f"r = {r:g}: {exc}; shorten t1")
+                fix = "r is too large: H_s overflows at t0" if exc.at_t0 else "shorten t1"
+                problems.append(f"r = {r:g}: {exc}; {fix}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -506,6 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.command != "fit":  # every other command dilates
+            cfg.check_horizon()
         if args.command == "dilate":
             return cmd_dilate(cfg)
         if args.command == "simulate":

@@ -56,7 +56,10 @@ _COND_LIMIT = 1e14
 
 
 class SingularPropagator(RuntimeError):
-    """Evolution operator numerically non-invertible (integration blow-up)."""
+    """Evolution operator numerically non-invertible (integration blow-up);
+    ``at_t0`` means W fails already at t0, where it is I: H_s is too large."""
+
+    at_t0 = False
 
 
 class PositivityLost(RuntimeError):
@@ -157,7 +160,7 @@ def propagator_svd(h_s, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
 
     sigma_min = |det W| / sigma_max with |det W| = e^{-(t - t0) Im tr H_s}.
     Raises SingularPropagator at the first t where cond W passes 1e14 or W
-    overflowed; the CLI's config validation makes this same check.
+    overflowed; the CLI's horizon check makes this same check.
     """
     h_s = _as_matrix(h_s)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -166,10 +169,13 @@ def propagator_svd(h_s, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         cond = s_max / np.maximum(s_min, 5e-324)  # sigma_min can underflow to 0
     bad = ~(cond <= _COND_LIMIT)
     if np.any(bad):
-        raise SingularPropagator(
+        first = int(np.argmax(bad))
+        exc = SingularPropagator(
             f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
-            f"at t = {grid.times()[np.argmax(bad)]:.6g}"
+            f"at t = {grid.times()[first]:.6g}"
         )
+        exc.at_t0 = first == 0
+        raise exc
     return np.stack([s_max, s_min], axis=1), v
 
 

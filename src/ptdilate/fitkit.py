@@ -165,9 +165,7 @@ def fit_r(
     )
 
 
-def fit_rows(
-    t, rows, r_range: tuple[float, float] = (0.0, 2.0)
-) -> list[FitResult]:
+def fit_rows(t, rows) -> list[FitResult]:
     """``fit_r`` of every row of P0 samples taken at the shared times ``t``.
 
     ``rows`` is (n_rows, len(t)); non-finite entries (failed noisy reads)
@@ -178,13 +176,12 @@ def fit_rows(
     rows = np.asarray(rows, dtype=float)
     if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
         raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
-    grid = _scan_grid(r_range)
-    blocks = list(_table_blocks(grid, t))
+    blocks = list(_table_blocks(_scan_grid((0.0, 2.0)), t))
     fits = []
     for row in rows:
         keep = np.isfinite(row)
         # compress keeps each block C-ordered (``blk[:, keep]`` is not), so
         # every row's SSE sums in the same order as ``sse`` sums it.
         blocks_kept = (blk.compress(keep, axis=1) for blk in blocks)
-        fits.append(fit_r(np.column_stack([t[keep], row[keep]]), r_range, _blocks=blocks_kept))
+        fits.append(fit_r(np.column_stack([t[keep], row[keep]]), _blocks=blocks_kept))
     return fits

@@ -1,87 +1,50 @@
 """The PT-symmetric two-level Hamiltonian family and its closed-form evolution.
 
-The family is ``H(r) = [[i r, 1], [1, -i r]]`` with real ``r >= 0`` and
-unit off-diagonal coupling; time is dimensionless (hbar = 1, one unit of
-time corresponds to 1 us at a 1 rad/us coupling).  The closed-form state
-and population formulas serve as the oracle the dilated simulation is
-checked against.
+The family is ``H(r) = [[i r, 1], [1, -i r]]`` with one real strength
+``r >= 0`` and unit off-diagonal coupling; time is dimensionless (hbar = 1,
+one unit of time corresponds to 1 us at a 1 rad/us coupling).  The
+unbroken (r < 1), exceptional-point (r = 1) and broken (r > 1) regimes
+are picked per element inside ``analytic_p0``, the closed-form population
+the dilated simulation is checked against.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "PTParams",
-    "PTRegime",
-    "EP_WINDOW",
-    "pt_hamiltonian",
-    "pt_eigenvalues",
-    "analytic_state",
-    "analytic_p0",
-    "classify",
-]
+__all__ = ["EP_WINDOW", "pt_hamiltonian", "pt_eigenvalues", "analytic_p0"]
 
 # Width of the exceptional-point window: the generic formulas are 0/0 at
 # r = 1, so |r - 1| below this switches to the polynomial limit.
 EP_WINDOW = 1e-9
 
 
-@dataclass(frozen=True)
-class PTParams:
-    """Non-Hermiticity strength of the family; negative r is rejected."""
-
-    r: float
-
-    def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"r must be >= 0 (use symmetry for r < 0), got {self.r}")
+def _strength(r):
+    """``r`` as a float array; any negative or NaN strength raises ValueError."""
+    arr = np.asarray(r, dtype=float)
+    if not np.all(arr >= 0.0):
+        raise ValueError(f"r must be >= 0 (use symmetry for r < 0), got {r}")
+    return arr
 
 
-class PTRegime(enum.Enum):
-    HERMITIAN = "hermitian"
-    UNBROKEN = "unbroken"
-    EXCEPTIONAL_POINT = "exceptional_point"
-    BROKEN = "broken"
-
-
-def _as_params(p) -> PTParams:
-    return p if isinstance(p, PTParams) else PTParams(float(p))
-
-
-def pt_hamiltonian(p: PTParams | float) -> np.ndarray:
+def pt_hamiltonian(r: float) -> np.ndarray:
     """The 2x2 matrix [[i r, 1], [1, -i r]]; non-Hermitian for r > 0."""
-    r = _as_params(p).r
+    r = float(_strength(r))
     return np.array([[1j * r, 1.0], [1.0, -1j * r]], dtype=complex)
 
 
-def pt_eigenvalues(p: PTParams | float) -> tuple[complex, complex]:
+def pt_eigenvalues(r: float) -> tuple[complex, complex]:
     """(E+, E-) = (+sqrt(1-r^2), -sqrt(1-r^2)), principal branch.
 
     Real for r <= 1, purely imaginary (+-i sqrt(r^2-1)) for r > 1, both
     zero at the exceptional point.
     """
-    r = _as_params(p).r
+    r = float(_strength(r))
     if r <= 1.0:
         e = complex(np.sqrt(1.0 - r * r))
     else:
         e = 1j * np.sqrt(r * r - 1.0)
     return e, -e
-
-
-def classify(p: PTParams | float) -> PTRegime:
-    """Regime tag, with exact threshold comparisons at r = 0 and r = 1."""
-    r = _as_params(p).r
-    if r == 0.0:
-        return PTRegime.HERMITIAN
-    if r < 1.0:
-        return PTRegime.UNBROKEN
-    if r == 1.0:
-        return PTRegime.EXCEPTIONAL_POINT
-    return PTRegime.BROKEN
 
 
 def _nilpotent(r, t):
@@ -106,14 +69,14 @@ def _growing(r, t):
 def _state_components(r, t):
     """Overflow-safe components of the evolved state from |0>.
 
-    ``r`` and ``t`` broadcast against each other; each element takes the
-    formula of its regime, picked by mask: the exceptional-point limit
-    within ``EP_WINDOW`` of r = 1, unbroken below it, broken above it.
+    ``r`` (a float array) and ``t`` broadcast against each other; each
+    element takes the formula of its regime, picked by mask: the
+    exceptional-point limit within ``EP_WINDOW`` of r = 1, unbroken below
+    it, broken above it.
     Returns ``(a, b)`` with the physical (unnormalized) state proportional
     to ``(a, -i b)``; the common dominant exponential has been divided
     out, so only ratios of a and b are meaningful.
     """
-    r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     ep = np.abs(r - 1.0) < EP_WINDOW
     unbroken = (r < 1.0) & ~ep
@@ -130,19 +93,7 @@ def _state_components(r, t):
     return a, b
 
 
-def analytic_state(p: PTParams | float, t) -> np.ndarray:
-    """Unnormalized evolved state from |0> = (1, 0)^T at time(s) ``t``.
-
-    Rescaled by the dominant exponential for r > 1 so magnitudes never
-    overflow; only the ray (direction) is meaningful.  Scalar ``t`` gives
-    shape (2,), array ``t`` gives shape t.shape + (2,).
-    """
-    r = _as_params(p).r
-    a, b = _state_components(r, t)
-    return np.stack([np.asarray(a, dtype=complex), -1j * np.asarray(b, dtype=complex)], axis=-1)
-
-
-def analytic_p0(p: PTParams | float, t):
+def analytic_p0(r, t):
     """Normalized population of |0> at time(s) ``t``: |psi0|^2 / |psi|^2.
 
     Overflow-safe (the dominant exponential cancels) and continuous in r
@@ -152,10 +103,7 @@ def analytic_p0(p: PTParams | float, t):
     equal to the scalar-r call.  Any negative or NaN strength raises
     ``ValueError``.
     """
-    r = np.asarray(p.r if isinstance(p, PTParams) else p, dtype=float)
-    if not np.all(r >= 0.0):
-        raise ValueError(f"r must be >= 0 (use symmetry for r < 0), got {p}")
-    a, b = _state_components(r, t)
+    a, b = _state_components(_strength(r), t)
     a2 = np.abs(a) ** 2
     b2 = np.abs(b) ** 2
     return a2 / (a2 + b2)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, DilationResult, dilate
 from .numkit import OperatorSeries, TimeGrid, block_diag, ordered_product, unitary_2x2
-from .ptmodel import PTParams, pt_hamiltonian
+from .ptmodel import pt_hamiltonian
 
 __all__ = [
     "ZeroBranch",
@@ -106,23 +106,17 @@ def branch_populations(states: np.ndarray) -> np.ndarray:
     return pops / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
 
 
-def simulate_pt(
-    r: float | PTParams,
-    grid: TimeGrid,
-    margin: float = 0.1,
-    psi0: np.ndarray | None = None,
-) -> tuple[Trajectory, DilationResult]:
-    """Dilate the PT Hamiltonian at strength r and evolve from |psi0>|->...
+def simulate_pt(r: float, grid: TimeGrid, margin: float = 0.1) -> tuple[Trajectory, DilationResult]:
+    """Dilate the PT Hamiltonian at strength r and evolve from |0>|-> ...
 
     Convenience wrapper: runs the dilation pipeline, prepares the initial
     state with eta0 = sqrt(m0 - 1) (scalar M(0)), and propagates with
     ``evolve_dilated``, one step per grid interval, so the grid alone sets
     the accuracy.  Returns the trajectory together with the dilation it used.
+    Another initial state takes the same steps by hand: ``dilate``, then
+    ``prepare_initial(psi0, sqrt(m0 - 1))``, then ``evolve_dilated``.
     """
-    h_s = pt_hamiltonian(r)
-    result = dilate(h_s, DilationConfig(grid=grid, margin=margin))
-    if psi0 is None:
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-    initial = prepare_initial(psi0, np.sqrt(result.m0 - 1.0))
+    result = dilate(pt_hamiltonian(r), DilationConfig(grid=grid, margin=margin))
+    initial = prepare_initial(np.array([1.0, 0.0], dtype=complex), np.sqrt(result.m0 - 1.0))
     traj = evolve_dilated(result.hsa_series, initial)
     return traj, result

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ptdilate
 from ptdilate.cli import RunConfig, ValidationError, main
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.fitkit import fit_r, fit_rows
@@ -171,6 +174,33 @@ class TestConfig:
         assert "r = 1.4: propagator condition number first exceeds 1e+14 at t = 16.0875" in err
         assert "r = 0.6" not in err
         assert not out.exists()
+
+    def test_overflowing_strength_is_named_not_the_horizon(self, tmp_path, capsys):
+        # k = sqrt(1 - r^2) overflows at r = 1e200, so W is NaN at t0 itself,
+        # where no t1 can help.
+        out = tmp_path / "out"
+        assert run(
+            "simulate", "--r", "1e200", "--n-nodes", "11", "--t1", "1", "--outdir", str(out)
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "r = 1e+200: propagator condition number" in err
+        assert "at t = 0; r is too large" in err
+        assert "shorten t1" not in err
+        assert not out.exists()
+
+    def test_fit_skips_the_horizon_check(self, tmp_path):
+        # fit never dilates, so a config whose r_list and t1 lie past the
+        # horizon (r = 1.4 to t1 = 30, as in the horizon test) does not stop it.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"r_list": [1.4], "t1": 30}))
+        ts = np.linspace(0.0, 4.0, 21)
+        path = write_matrix(tmp_path / "m.csv", [0.6], ts, [analytic_p0(0.6, ts)])
+        out = tmp_path / "out"
+        assert run(
+            "fit", "--config", str(cfg_file), "--input", str(path), "--outdir", str(out)
+        ) == 0
+        assert (out / "fits.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -453,6 +483,17 @@ class TestExitCodes:
 
     def test_validation_exit_code(self, tmp_path):
         assert run("simulate", "--margin", "-1", "--outdir", str(tmp_path)) == 1
+
+    def test_module_entry_point_prints_version(self):
+        # The child imports the same package as this process.
+        src = os.path.dirname(os.path.dirname(ptdilate.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptdilate", "--version"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == ptdilate.__version__ + "\n"
 
 
 class TestCsvTables:

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 from reference_expm import expm
 
-from ptdilate.ptmodel import (
-    EP_WINDOW,
-    PTParams,
-    PTRegime,
-    analytic_p0,
-    analytic_state,
-    classify,
-    pt_eigenvalues,
-    pt_hamiltonian,
-)
+from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_eigenvalues, pt_hamiltonian
 
 
 def brute_force_p0(r, t):
@@ -24,8 +15,14 @@ def brute_force_p0(r, t):
 
 class TestParams:
     def test_rejects_negative_r(self):
-        with pytest.raises(ValueError):
-            PTParams(-0.1)
+        for f in (pt_hamiltonian, pt_eigenvalues):
+            with pytest.raises(ValueError):
+                f(-0.1)
+
+    def test_rejects_nan_r(self):
+        for f in (pt_hamiltonian, pt_eigenvalues):
+            with pytest.raises(ValueError):
+                f(np.nan)
 
     def test_hamiltonian_entries(self):
         h = pt_hamiltonian(0.6)
@@ -61,20 +58,6 @@ class TestEigenvalues:
             direct = sorted(np.linalg.eigvals(pt_hamiltonian(r)), key=key)
             ours = sorted(pt_eigenvalues(r), key=key)
             assert np.allclose(direct, ours, atol=1e-12)
-
-
-class TestClassify:
-    @pytest.mark.parametrize(
-        "r,regime",
-        [
-            (0.0, PTRegime.HERMITIAN),
-            (0.5, PTRegime.UNBROKEN),
-            (1.0, PTRegime.EXCEPTIONAL_POINT),
-            (1.0001, PTRegime.BROKEN),
-        ],
-    )
-    def test_regimes(self, r, regime):
-        assert classify(r) is regime
 
 
 class TestAnalyticP0:
@@ -139,25 +122,3 @@ class TestModelTable:
     def test_rejects_negative_or_nan_strength(self, bad):
         with pytest.raises(ValueError):
             analytic_p0(np.array([0.5, bad, 1.2])[:, None], np.linspace(0.0, 1.0, 5))
-
-
-class TestAnalyticState:
-    def test_starts_at_ket_zero(self):
-        psi = analytic_state(0.6, 0.0)
-        assert np.allclose(psi, [1.0, 0.0])
-
-    def test_ray_matches_brute_force(self):
-        # Only the direction is meaningful (the broken-regime growth is
-        # divided out), so compare normalized outer products.
-        for r in (0.5, 1.3):
-            for t in (0.4, 1.6):
-                ours = analytic_state(r, t)
-                ours = ours / np.linalg.norm(ours)
-                ref = expm(-1j * t * pt_hamiltonian(r)) @ np.array([1.0, 0.0 + 0j])
-                ref = ref / np.linalg.norm(ref)
-                overlap = abs(np.vdot(ours, ref))
-                assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_vectorized_shape(self):
-        t = np.linspace(0.0, 2.0, 7)
-        assert analytic_state(0.6, t).shape == (7, 2)

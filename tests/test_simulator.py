@@ -5,9 +5,9 @@ import pytest
 from reference_dilation import eta_series
 from reference_expm import expm
 
-from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
+from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import OperatorSeries, TimeGrid, block_diag
-from ptdilate.ptmodel import analytic_p0, analytic_state, pt_hamiltonian
+from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 from ptdilate.simulator import (
     ZeroBranch,
     branch_populations,
@@ -113,11 +113,12 @@ class TestSimulatePT:
 
     def test_success_probability_identity(self):
         # psi^dag M psi is conserved, so the |-> branch weight equals
-        # |psi(t)|^2 / m0 with psi the unnormalized closed-form state.
+        # |psi(t)|^2 / m0 with psi = e^{-i t H_s} |0>.
         r = 0.6
         grid = TimeGrid(0.0, 4.0, 4001)
         traj, result = simulate_pt(r, grid)
-        psi = analytic_state(r, grid.times())
+        h = pt_hamiltonian(r)
+        psi = expm(-1j * grid.times()[:, None, None] * h) @ np.array([1.0, 0.0], dtype=complex)
         expected = np.sum(np.abs(psi) ** 2, axis=-1) / result.m0
         assert np.max(np.abs(traj.success_prob - expected)) < 1e-6
 
@@ -137,7 +138,8 @@ class TestSimulatePT:
     def test_custom_initial_state(self):
         grid = TimeGrid(0.0, 1.0, 501)
         psi0 = np.array([0.0, 1.0], dtype=complex)
-        traj, _ = simulate_pt(0.0, grid, psi0=psi0)
+        result = dilate(pt_hamiltonian(0.0), DilationConfig(grid))
+        traj = evolve_dilated(result.hsa_series, prepare_initial(psi0, np.sqrt(result.m0 - 1.0)))
         # Hermitian limit from |1>: P0 = sin^2 t.
         assert np.max(np.abs(traj.p0 - np.sin(grid.times()) ** 2)) < 1e-6
 
