@@ -55,6 +55,15 @@ __all__ = ["RunConfig", "ValidationError", "main"]
 
 OUTDIR_ENV = "PTDILATE_OUTDIR"
 
+# Resource bounds, checked before anything is allocated.  Peak RSS grows by
+# ~1.07 kB per grid node (horizon check and dilation: 143 MB at 100,001
+# nodes, 356 MB at 300,001, 663 MB at 600,001), and the lab audit adds
+# ~0.32 kB per fine step plus ~0.35 kB per grid node it keeps alive
+# (x86-64, numpy 2.4).  Either way the largest accepted run peaks near 2 GB
+# per process; a pooled sweep holds one such peak per worker.
+MAX_NODES = 1_800_000
+MAX_AUDIT_NODES = 4_000_000
+
 _NUMERIC_ERRORS = (
     SingularPropagator,
     PositivityLost,
@@ -94,7 +103,6 @@ class RunConfig:
     """All knobs of a pipeline run; see field comments for units."""
 
     r_list: list[float] = field(default_factory=lambda: [0.6])
-    t0: float = 0.0
     t1: float = 8.0
     n_nodes: int = 8001
     margin: float = 0.1
@@ -121,10 +129,10 @@ class RunConfig:
             problems.append("r_list must not be empty")
         elif any(r < 0 for r in self.r_list):
             problems.append(f"r values must be >= 0, got {self.r_list}")
-        if not self.t1 > self.t0:
-            problems.append(f"need t1 > t0, got ({self.t0}, {self.t1})")
-        if self.n_nodes < 2:
-            problems.append(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if not self.t1 > 0:
+            problems.append(f"t1 must be > 0 (runs cover [0, t1]), got {self.t1}")
+        if not 2 <= self.n_nodes <= MAX_NODES:
+            problems.append(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
         if not self.margin > 0:
             problems.append(f"margin must be > 0, got {self.margin}")
         if self.repetitions < 0:
@@ -146,14 +154,14 @@ class RunConfig:
             try:
                 propagator_svd(pt_hamiltonian(r), self.grid)
             except SingularPropagator as exc:
-                fix = "r is too large: H_s overflows at t0" if exc.at_t0 else "shorten t1"
+                fix = "r is too large: H_s overflows at t = 0" if exc.at_t0 else "shorten t1"
                 problems.append(f"r = {r:g}: {exc}; {fix}")
         if problems:
             raise ValidationError("; ".join(problems))
 
     @property
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.t0, self.t1, self.n_nodes)
+        return TimeGrid(0.0, self.t1, self.n_nodes)
 
     @property
     def rates(self) -> PLRates:
@@ -234,7 +242,7 @@ def _write_csv(path: str, meta: dict, columns, rows) -> None:
     _atomic_write(path, chain(head, body))
 
 
-def cmd_dilate(cfg: RunConfig) -> int:
+def cmd_dilate(cfg: RunConfig, args: argparse.Namespace) -> int:
     for r in cfg.r_list:
         result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         report = verify_dilation(result, pt_hamiltonian(r))
@@ -263,7 +271,7 @@ def cmd_dilate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     for r in cfg.r_list:
         traj, _ = simulate_pt(r, cfg.grid, margin=cfg.margin)
         ts = cfg.grid.times()
@@ -292,7 +300,7 @@ def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | No
     return traj.p0, noisy
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     n = len(cfg.r_list)
     workers = min(cfg.workers or os.cpu_count() or 1, n)
     worker = partial(_sweep_worker, cfg)
@@ -313,16 +321,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
-    if lab_audit and not (
-        cfg.audit_times and all(cfg.t0 < t <= cfg.t1 for t in cfg.audit_times)
-    ):
-        raise ValidationError(
-            f"audit_times must be a non-empty list of times in (t0, t1] = "
-            f"({cfg.t0}, {cfg.t1}], got {cfg.audit_times}"
-        )
+def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
     nv = cfg.nv_params
     _, carriers = subspace_h0(nv)
+    if args.lab_audit:
+        if not (cfg.audit_times and all(0 < t <= cfg.t1 for t in cfg.audit_times)):
+            raise ValidationError(
+                f"audit_times must be a non-empty list of times in (0, t1] = "
+                f"(0, {cfg.t1}], got {cfg.audit_times}"
+            )
+        dt = 0.015 / (max(carriers) / (2.0 * math.pi))  # 0.015 carrier cycles
+        t_max = max(cfg.audit_times)
+        fine = TimeGrid(0.0, t_max, int(math.ceil(t_max / dt)) + 1)
+        if fine.n_nodes > MAX_AUDIT_NODES:
+            raise ValidationError(
+                f"the lab audit to t = {t_max} needs {fine.n_nodes} fine nodes, "
+                f"more than {MAX_AUDIT_NODES}; audit earlier times"
+            )
     for r in cfg.r_list:
         result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         aser = extract_a_series(result.hsa_series)
@@ -334,8 +349,8 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
             roundtrip_residual=resid,
             carriers=list(carriers),
         )
-        if lab_audit:
-            meta["lab_audit"] = _lab_audit(cfg, r, result, aser, prog, nv)
+        if args.lab_audit:
+            meta["lab_audit"] = _lab_audit(cfg, r, result, aser, prog, nv, fine)
         w1, w2 = prog.carriers
         _write_csv(
             os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"),
@@ -347,19 +362,14 @@ def cmd_pulses(cfg: RunConfig, lab_audit: bool = False) -> int:
     return 0
 
 
-def _lab_audit(cfg, r, result, aser, prog, nv) -> dict:
-    t_max = max(cfg.audit_times)
-    f_carrier = max(prog.carriers) / (2.0 * math.pi)
-    dt = 0.015 / f_carrier
-    n_fine = int(math.ceil((t_max - cfg.t0) / dt)) + 1
-    fine = TimeGrid(cfg.t0, t_max, n_fine)
+def _lab_audit(cfg, r, result, aser, prog, nv, fine) -> dict:
     initial = prepare_initial(
         np.array([1.0, 0.0], dtype=complex), math.sqrt(result.m0 - 1.0)
     )
     lab = simulate_lab_frame(prog, aser, nv, fine, initial)
     report = []
     for tq in cfg.audit_times:
-        idx = int(round((tq - cfg.t0) / fine.dt))
+        idx = int(round(tq / fine.dt))
         rot = float(analytic_p0(r, fine.times()[idx]))
         report.append(
             {
@@ -403,7 +413,8 @@ def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return body[:, 0], ts, body[:, 1:]
 
 
-def cmd_fit(cfg: RunConfig, input_path: str, max_points: int = 201) -> int:
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    input_path, max_points = args.input, args.max_points
     if max_points < 3:
         raise ValidationError(f"max_points must be >= 3 (a fit needs 3 samples), got {max_points}")
     r_nominal, ts, mat = _read_matrix(input_path)
@@ -438,7 +449,7 @@ def cmd_fit(cfg: RunConfig, input_path: str, max_points: int = 201) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     worst_fail = 0
     for r in cfg.r_list:
         h_s = pt_hamiltonian(r)
@@ -463,7 +474,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--r", type=float, action="append", help="non-Hermiticity strength (repeatable)")
-    p.add_argument("--t0", type=float)
     p.add_argument("--t1", type=float)
     p.add_argument("--n-nodes", dest="n_nodes", type=int)
     p.add_argument("--margin", type=float)
@@ -482,15 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("dilate", "emit drive-coefficient series and dilation diagnostics"),
-        ("simulate", "trajectories with oracle comparison"),
-        ("sweep", "P0 matrix over r and t (optionally with shot noise)"),
-        ("pulses", "MW pulse programs (optionally with a lab-frame audit)"),
-        ("fit", "fit strengths and the eigenvalue curve from a sweep matrix"),
-        ("verify", "run the dilation invariant checks"),
+    # ``main`` calls the subcommand's ``run(cfg, args)``.
+    for name, run, help_text in (
+        ("dilate", cmd_dilate, "emit drive-coefficient series and dilation diagnostics"),
+        ("simulate", cmd_simulate, "trajectories with oracle comparison"),
+        ("sweep", cmd_sweep, "P0 matrix over r and t (optionally with shot noise)"),
+        ("pulses", cmd_pulses, "MW pulse programs (optionally with a lab-frame audit)"),
+        ("fit", cmd_fit, "fit strengths and the eigenvalue curve from a sweep matrix"),
+        ("verify", cmd_verify, "run the dilation invariant checks"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         _add_common(p)
         if name == "pulses":
             p.add_argument(
@@ -515,19 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         if args.command != "fit":  # every other command dilates
             cfg.check_horizon()
-        if args.command == "dilate":
-            return cmd_dilate(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "pulses":
-            return cmd_pulses(cfg, lab_audit=args.lab_audit)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.input, max_points=args.max_points)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     # Numeric errors first: several of them (LinAlgError among them) are
     # ValueError subclasses.
     except _NUMERIC_ERRORS as exc:

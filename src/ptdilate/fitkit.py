@@ -48,9 +48,11 @@ class FitResult:
 
     ``stderr`` follows the asymptotic least-squares convention
     sqrt(2 SSE / (n - 2) / d2SSE/dr2).  The fit is flagged ``degenerate``
-    and stderr is infinite when the curvature is not positive, or when
-    the scan minimum is pinned to the edge of the search range: its upper
-    end, or its lower end when that lies above the physical edge r = 0.
+    and stderr is infinite when the curvature is not positive, when the
+    scan minimum is pinned to the edge of the search range (its upper
+    end, or its lower end when that lies above the physical edge r = 0),
+    or when a range narrower than [0, 2] misses the minimum of the full
+    [0, 2] scan.
     """
 
     r_exp: float
@@ -101,6 +103,11 @@ def _table_blocks(grid: np.ndarray, t: np.ndarray):
         yield analytic_p0(grid[i : i + _SCAN_CHUNK, None], t)
 
 
+def _scores(blocks, p0: np.ndarray) -> np.ndarray:
+    """SSE of every grid row of the model table ``blocks`` against ``p0``."""
+    return np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in blocks])
+
+
 def fit_r(
     samples, r_range: tuple[float, float] = (0.0, 2.0), *, _blocks=None
 ) -> FitResult:
@@ -126,7 +133,7 @@ def fit_r(
     grid = _scan_grid(r_range)
     if _blocks is None:
         _blocks = _table_blocks(grid, t)
-    scores = np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in _blocks])
+    scores = _scores(_blocks, p0)
     k = int(np.argmin(scores))
     blo = grid[max(k - 1, 0)]
     bhi = grid[min(k + 1, len(grid) - 1)]
@@ -147,6 +154,12 @@ def fit_r(
     ) ** 2
     dof = max(n - 2, 1)
     pinned = k == len(grid) - 1 or (k == 0 and grid[0] > 0.0)
+    if not pinned and (grid[0] > 0.0 or grid[-1] < 2.0):
+        # A narrowed range can hold an interior local minimum while a
+        # better fit lies outside it.
+        full = _scan_grid((0.0, 2.0))
+        r_full = full[np.argmin(_scores(_table_blocks(full, t), p0))]
+        pinned = not grid[0] <= r_full <= grid[-1]
     if d2 > 0 and not pinned:
         stderr = math.sqrt(2.0 * best / dof / d2)
         degenerate = False

@@ -96,6 +96,9 @@ def _state_components(r, t):
 def analytic_p0(r, t):
     """Normalized population of |0> at time(s) ``t``: |psi0|^2 / |psi|^2.
 
+    ``t`` is the time elapsed since |0> was prepared, so a trajectory on a
+    grid that starts at t0 != 0 compares at ``grid.times() - grid.t0``.
+
     Overflow-safe (the dominant exponential cancels) and continuous in r
     across the exceptional point.  Vectorized over ``t``, and over ``r``
     when it is an array of strengths broadcasting against ``t``: a model

@@ -172,8 +172,14 @@ def simulate_lab_frame(
     from the (4,) amplitudes ``initial``, transforms each node through the
     interaction-picture unitary (whose exponent is diagonal), and reports
     the post-selected trajectory.  The A-series supplies the A2/A4
-    integrals that define the frame.
+    integrals that define the frame.  ``grid_fine`` must lie inside the
+    program's grid; the drives are not extrapolated past it.
     """
+    if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
+        raise ValueError(
+            f"grid_fine [{grid_fine.t0}, {grid_fine.t1}] must lie inside the "
+            f"pulse program's grid [{prog.grid.t0}, {prog.grid.t1}]"
+        )
     h0, _ = subspace_h0(params)
     f_carrier = max(abs(c) for c in prog.carriers) / (2.0 * math.pi)
     if grid_fine.dt * f_carrier > _MAX_CYCLES_PER_STEP:

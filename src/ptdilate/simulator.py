@@ -113,6 +113,8 @@ def simulate_pt(r: float, grid: TimeGrid, margin: float = 0.1) -> tuple[Trajecto
     state with eta0 = sqrt(m0 - 1) (scalar M(0)), and propagates with
     ``evolve_dilated``, one step per grid interval, so the grid alone sets
     the accuracy.  Returns the trajectory together with the dilation it used.
+    The state is |0> at ``grid.t0``, so ``analytic_p0(r, grid.times() - grid.t0)``
+    is its oracle.
     Another initial state takes the same steps by hand: ``dilate``, then
     ``prepare_initial(psi0, sqrt(m0 - 1))``, then ``evolve_dilated``.
     """

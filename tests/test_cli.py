@@ -1,15 +1,17 @@
 """End-to-end CLI tests: config handling, file schemas, determinism, exits."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ptdilate
-from ptdilate.cli import RunConfig, ValidationError, main
+from ptdilate.cli import MAX_AUDIT_NODES, MAX_NODES, RunConfig, ValidationError, main
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.fitkit import fit_r, fit_rows
 from ptdilate.numkit import TimeGrid
@@ -103,10 +105,9 @@ class TestConfig:
         [
             ("simulate", ("--margin", "inf")),
             ("simulate", ("--t1", "inf")),
-            ("simulate", ("--t0", "nan")),
             ("dilate", ("--margin", "inf")),
         ],
-        ids=["simulate-margin-inf", "simulate-t1-inf", "simulate-t0-nan", "dilate-margin-inf"],
+        ids=["simulate-margin-inf", "simulate-t1-inf", "dilate-margin-inf"],
     )
     def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, command, flags):
         out = tmp_path / "out"
@@ -223,6 +224,64 @@ class TestConfig:
         assert info.value.code == 2
         assert "unrecognized arguments: --substeps" in capsys.readouterr().err
 
+    def test_t0_key_is_unknown(self, tmp_path, capsys):
+        # Every run covers [0, t1]: H_s is constant, so only the time since
+        # |0> was prepared matters, and the oracle is compared at that time.
+        assert "t0" not in RunConfig.__dataclass_fields__
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"t0": 1.0}))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg_file), "--outdir", str(out)) == 1
+        assert "unknown config keys: ['t0']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_t0_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--t0", "1", "--n-nodes", "11", "--outdir", str(tmp_path))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --t0" in capsys.readouterr().err
+
+    @staticmethod
+    def traced_run(*argv):
+        """``run(*argv)`` and the peak of the memory it allocated, in bytes."""
+        tracemalloc.start()
+        try:
+            return run(*argv), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_nodes_past_bound_rejected_before_allocation(self, tmp_path, capsys):
+        RunConfig(n_nodes=MAX_NODES).validate()
+        out = tmp_path / "out"
+        code, peak = self.traced_run(
+            "simulate", "--n-nodes", str(MAX_NODES + 1), "--outdir", str(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert f"n_nodes must be in [2, {MAX_NODES}], got {MAX_NODES + 1}" in err
+        assert peak < 10_000_000  # the run itself would peak near 2 GB
+        assert not out.exists()
+
+    def test_audit_nodes_past_bound_rejected_before_allocation(self, tmp_path, capsys):
+        # The audit steps 0.015 carrier cycles and takes ceil(t_max / dt) + 1
+        # fine nodes: MAX_AUDIT_NODES + 1 here, one too many.
+        dt = 0.015 / (max(subspace_h0(NVParams())[1]) / (2.0 * math.pi))
+        t_max = (MAX_AUDIT_NODES - 0.5) * dt
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"audit_times": [t_max]}))
+        out = tmp_path / "out"
+        code, peak = self.traced_run(
+            "pulses", "--lab-audit", "--config", str(cfg_file), "--r", "0.6",
+            "--t1", repr(t_max), "--n-nodes", "11", "--outdir", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert f"needs {MAX_AUDIT_NODES + 1} fine nodes, more than {MAX_AUDIT_NODES}" in err
+        assert peak < 10_000_000
+        assert not out.exists()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PTDILATE_OUTDIR", str(tmp_path))
         assert run("simulate", "--r", "0.2", "--n-nodes", "51", "--t1", "0.5") == 0
@@ -321,6 +380,22 @@ class TestSweepAndFit:
         assert header[0] == "r_nominal"
         assert curve[0, 2] == 0.0  # Im E+ = 0 below the transition
         assert curve[1, 1] == 0.0  # Re E+ = 0 above it
+
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        # Below the metadata line, which names workers and outdir, the
+        # process-pool matrices equal the serial ones byte for byte.
+        args = (
+            "sweep", "--r", "0", "--r", "0.6", "--r", "1.4", "--n-nodes", "101",
+            "--t1", "2", "--repetitions", "2000", "--seed", "5",
+        )
+        for workers in ("1", "2"):
+            assert run(*args, "--workers", workers, "--outdir", str(tmp_path / workers)) == 0
+        names = ["sweep_p0.csv", "sweep_p0_noisy.csv"]
+        assert sorted(os.listdir(tmp_path / "1")) == sorted(os.listdir(tmp_path / "2")) == names
+        for name in names:
+            serial, pooled = ((tmp_path / w / name).read_text().split("\n", 1) for w in "12")
+            assert pooled[1] == serial[1]
+            assert json.loads(pooled[0][2:])["config"]["workers"] == 2
 
     def test_each_r_simulated_once(self, tmp_path, monkeypatch):
         calls = []

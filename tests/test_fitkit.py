@@ -86,6 +86,20 @@ class TestValidation:
         assert res.degenerate
         assert res.stderr == np.inf
 
+    def test_narrowed_range_missing_the_best_fit_flagged(self):
+        # Truth 0.3 lies below r_range = [0.5, 2]: the scan there settles
+        # on an interior local minimum near 0.874 with a small curvature
+        # error, while the [0, 2] scan finds 0.3 outside the range.
+        res = fit_r(clean_samples(0.3), r_range=(0.5, 2.0))
+        assert res.degenerate
+        assert res.stderr == np.inf
+
+    def test_narrowed_range_holding_the_best_fit_keeps_finite_stderr(self):
+        res = fit_r(clean_samples(0.8), r_range=(0.5, 2.0))
+        assert res.r_exp == pytest.approx(0.8, abs=1e-6)
+        assert not res.degenerate
+        assert np.isfinite(res.stderr)
+
     def test_zero_strength_keeps_finite_stderr(self):
         # r = 0 with lo = 0 is the physical edge r >= 0, not a pinned fit.
         res = fit_r(clean_samples(0.0))

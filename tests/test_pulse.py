@@ -147,6 +147,14 @@ class TestLabFrame:
         with pytest.raises(GridTooCoarse):
             simulate_lab_frame(prog, aser, NVParams(), grid, init)
 
+    def test_fine_grid_past_the_program_raises(self):
+        # np.interp would hold the last drive value past the program's end.
+        aser, result = aseries_for(0.6, TimeGrid(0.0, 0.01, 11))
+        prog = synthesize(aser, subspace_h0(NVParams())[1])
+        init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
+        with pytest.raises(ValueError, match="inside the pulse program's grid"):
+            simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.02, 2001), init)
+
     def test_empty_minus_branch_raises(self):
         # A start entirely in the |+> ancilla branch leaves nothing to
         # post-select at t = 0.

@@ -111,6 +111,15 @@ class TestSimulatePT:
         oracle = analytic_p0(r, grid.times())
         assert np.max(np.abs(traj.p0 - oracle)) < 1e-5
 
+    def test_shifted_grid_compares_at_elapsed_time(self):
+        # H_s is constant, so a run from t0 = 1 is the run from 0 shifted:
+        # the oracle takes the time elapsed since |0> was prepared.
+        grid = TimeGrid(1.0, 3.0, 201)
+        traj, _ = simulate_pt(0.6, grid)
+        assert np.max(np.abs(traj.p0 - analytic_p0(0.6, grid.times() - grid.t0))) < 1e-5
+        from_zero, _ = simulate_pt(0.6, TimeGrid(0.0, 2.0, 201))
+        assert np.max(np.abs(traj.p0 - from_zero.p0)) < 1e-12
+
     def test_success_probability_identity(self):
         # psi^dag M psi is conserved, so the |-> branch weight equals
         # |psi(t)|^2 / m0 with psi = e^{-i t H_s} |0>.
