@@ -137,6 +137,8 @@ class RunConfig:
             problems.append(f"margin must be > 0, got {self.margin}")
         if self.repetitions < 0:
             problems.append(f"repetitions must be >= 0, got {self.repetitions}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if len(self.pl_rates) != 4 or any(v < 0 for v in self.pl_rates):
             problems.append(f"pl_rates must be 4 values >= 0, got {self.pl_rates}")
         if self.workers < 0:

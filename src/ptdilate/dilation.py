@@ -10,8 +10,8 @@ dilated Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z``
 on a uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
 from the ancilla coupling ``eta(t) = sqrt(M(t) - I)`` and is kept only
 inside H_sa.  H_sa leaves the two ancilla sigma_z levels uncoupled, so
-it is stored as its two blocks ``[Lambda + Gamma, Lambda - Gamma]``;
-``numkit.block_diag`` builds the 4x4 operator where one is needed.
+it is stored as its two blocks ``[Lambda + Gamma, Lambda - Gamma]``,
+one per ancilla level, and never assembled into a 4x4 operator.
 Post-selecting the ancilla on the |-> branch of the dilated unitary
 evolution reproduces the non-unitary H_s dynamics.
 

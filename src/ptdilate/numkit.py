@@ -1,12 +1,13 @@
 """Dense complex linear-algebra kernels shared by the dilation pipeline.
 
-Everything here operates on small (dim <= 4 in practice) dense complex
-matrices.  Neither the dilated H_sa nor the NV lab-frame Hamiltonian
-couples the two values of its second tensor factor, so both are carried
-as their two 2x2 blocks, stacked on axis -3.  ``unitary_2x2``, ``mul_2x2``
-and ``right_singular_2x2`` are closed forms on 2x2 stacks, ``block_diag``
-is the one place that places the blocks into 4x4 operators, and
-``ordered_product`` is the one serial step loop of the package.
+Everything here operates on stacks of 2x2 complex matrices.  Neither the
+dilated H_sa nor the NV lab-frame Hamiltonian couples the two values of
+its second tensor factor, so both are carried as their two 2x2 blocks,
+stacked on axis -3, and every evolution step is two independent 2x2
+unitaries.  ``unitary_2x2``, ``mul_2x2`` and ``right_singular_2x2`` are
+closed forms on 2x2 stacks, and ``chain_2x2`` is the one ordered product
+of steps in the package: a doubling prefix scan over whole stacks, with
+no loop over the steps.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ __all__ = [
     "unitary_2x2",
     "mul_2x2",
     "right_singular_2x2",
-    "block_diag",
-    "ordered_product",
+    "chain_2x2",
 ]
 
 
@@ -59,7 +59,8 @@ class OperatorSeries:
 
     ``data`` has shape ``(n_nodes, ...)``: ``(n_nodes, d, d)`` for operators
     and ``(n_nodes, 2, 2, 2)`` for the two 2x2 blocks of a block-diagonal
-    4x4 operator (see ``block_diag``).
+    4x4 operator, block k acting on the levels whose second tensor factor
+    is k.
     """
 
     grid: TimeGrid
@@ -127,31 +128,22 @@ def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt((p + u) / 2.0 + rad), v
 
 
-def block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(..., 4, 4) operators from their two (..., 2, 2) blocks on axis -3.
+def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Step chain: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
 
-    Block k sits on levels (k, k + 2): with the system (electron) factor
-    first, those are the levels where the second tensor factor is k.
+    ``steps`` is a ``(n, ..., 2, 2)`` stack and ``init`` a ``(..., 2)``
+    state; the result stacks ``n + 1`` states of that shape.  The prefix
+    products are built by a doubling (Hillis-Steele) scan: after the pass
+    with shift s, ``prod[k]`` is the product of steps max(0, k - 2s + 1)
+    to k, so log2(n) whole-stack ``mul_2x2`` passes cover every prefix.
+    The association differs from a left-to-right loop, so the states agree
+    with it to rounding, not bitwise.
     """
-    blocks = np.asarray(blocks)
-    if blocks.shape[-3:] != (2, 2, 2):
-        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
-    out = np.zeros((*blocks.shape[:-3], 4, 4), dtype=blocks.dtype)
-    for k in (0, 1):
-        out[..., k::2, k::2] = blocks[..., k, :, :]
-    return out
-
-
-def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Step product: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
-
-    ``init`` is a matrix or a state vector; the result stacks
-    ``len(steps) + 1`` arrays of its shape.
-    """
-    cur = np.asarray(init, dtype=complex)
-    out = np.empty((len(steps) + 1, *cur.shape), dtype=complex)
-    out[0] = cur
-    for k, step in enumerate(steps):
-        cur = step @ cur
-        out[k + 1] = cur
-    return out
+    prod = np.array(steps, dtype=complex)
+    shift = 1
+    while shift < len(prod):
+        prod[shift:] = mul_2x2(prod[shift:], prod[:-shift])
+        shift *= 2
+    init = np.asarray(init, dtype=complex)
+    states = prod[..., 0] * init[..., None, 0] + prod[..., 1] * init[..., None, 1]
+    return np.concatenate([init[None], states])

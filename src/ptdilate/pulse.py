@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TimeGrid, block_diag, ordered_product, unitary_2x2
+from .numkit import TimeGrid, chain_2x2, unitary_2x2
 from .pauli import PAULI_1Q, ASeries
 from .simulator import Trajectory, _postselect_batch
 
@@ -223,8 +223,8 @@ def simulate_lab_frame(
         stop = min(start + _STEPS_PER_CHUNK, n - 1)
         drives = 2.0 * math.pi * om_mid[start:stop, None] * np.cos(angles[start:stop])
         blocks = z[:, None, None] * PAULI_1Q[3] + drives[..., None, None] * PAULI_1Q[1]
-        steps = block_diag(unitary_2x2(blocks, h))
-        states[start : stop + 1] = ordered_product(steps, states[start])
+        chain = chain_2x2(unitary_2x2(blocks, h), states[start].reshape(2, 2).T)
+        states[start : stop + 1] = chain.swapaxes(-1, -2).reshape(-1, 4)
 
     # Back to the rotating frame: the exponent of U_rot is diagonal; H0
     # enters it less the dropped traces, as (z, -z).

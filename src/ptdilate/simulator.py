@@ -5,7 +5,8 @@ State ordering is system (x) ancilla with basis
 renormalizing recovers the non-unitary system trajectory; ``p0`` is the
 population of the system |0> state of that conditional trajectory.  H_sa
 arrives as its two ancilla sigma_z blocks, so every step is their two
-closed-form 2x2 exponentials, placed by ``numkit.block_diag``.
+closed-form 2x2 exponentials; block k chains the amplitudes
+``state.reshape(2, 2)[:, k]`` with ``numkit.chain_2x2``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, DilationResult, dilate
-from .numkit import OperatorSeries, TimeGrid, block_diag, ordered_product, unitary_2x2
+from .numkit import OperatorSeries, TimeGrid, chain_2x2, unitary_2x2
 from .ptmodel import pt_hamiltonian
 
 __all__ = [
@@ -78,7 +79,8 @@ def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     """
     grid = hsa.grid
     hmid = (hsa.data[:-1] + hsa.data[1:]) / 2.0
-    states = ordered_product(block_diag(unitary_2x2(hmid, grid.dt)), initial)
+    blocks = chain_2x2(unitary_2x2(hmid, grid.dt), np.reshape(initial, (2, 2)).T)
+    states = blocks.swapaxes(-1, -2).reshape(-1, 4)
     p0, succ = _postselect_batch(states)
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
 

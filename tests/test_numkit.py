@@ -1,9 +1,10 @@
 """Kernel-level tests: grids, eigensolvers, exponentials, 2x2 products and
-singular pairs, block layout, Sylvester solves.
+singular pairs, block layout, step chains, Sylvester solves.
 
 The eigensolver, square-root and Sylvester kernels belong to the
 test-side reference oracle in ``reference_dilation``; the Pade ``expm``
-is the test-side oracle in ``reference_expm``.
+is the test-side oracle in ``reference_expm``; the 4x4 block layout and
+the serial step loop are the test-side oracle in ``reference_steps``.
 """
 
 import numpy as np
@@ -19,15 +20,15 @@ from reference_dilation import (
     sylvester_hermitian,
 )
 from reference_expm import expm
+from reference_steps import block_diag, ordered_product
 
 from ptdilate.dilation import _inverse_propagator
 from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
     TimeGrid,
-    block_diag,
+    chain_2x2,
     mul_2x2,
-    ordered_product,
     right_singular_2x2,
     unitary_2x2,
 )
@@ -315,3 +316,30 @@ class TestOrderedProduct:
             for k in range(5):
                 ref = steps[k] @ ref
                 assert np.array_equal(out[k + 1], ref)
+
+
+class TestChain2x2:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 16384])
+    def test_block_chains_match_serial_4x4_product(self, n):
+        # Block k acts on the amplitudes whose second tensor factor is k,
+        # i.e. state.reshape(2, 2)[:, k].
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 2, 2, 2)) + 1j * rng.normal(size=(n, 2, 2, 2))
+        steps = unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+        init = rng.normal(size=4) + 1j * rng.normal(size=4)
+        init /= np.linalg.norm(init)
+        out = chain_2x2(steps, init.reshape(2, 2).T)
+        assert out.shape == (n + 1, 2, 2)
+        ref = ordered_product(block_diag(steps), init)
+        assert np.max(np.abs(out.swapaxes(-1, -2).reshape(-1, 4) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 16384])
+    def test_single_chain_matches_serial_product(self, n):
+        rng = np.random.default_rng(n + 1)
+        a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        steps = unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+        init = np.array([0.6, 0.8j])
+        out = chain_2x2(steps, init)
+        assert out.shape == (n + 1, 2)
+        assert np.array_equal(out[0], init)
+        assert np.max(np.abs(out - ordered_product(steps, init))) <= 1e-13

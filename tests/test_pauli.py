@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_pauli import _A_SLOTS, _B_SLOTS, assemble, pauli_decompose
+from reference_steps import block_diag
 
 from ptdilate.cli import _write_csv
 from ptdilate.dilation import DilationConfig, dilate
-from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid, block_diag
+from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid
 from ptdilate.pauli import ASeries, BNonVanishing, PAULI_1Q, extract_a_series
 from ptdilate.ptmodel import pt_hamiltonian
 

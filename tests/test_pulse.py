@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from reference_steps import ordered_product
 
+from ptdilate import pulse
 from ptdilate.cli import main
 from ptdilate.dilation import ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import TimeGrid
@@ -128,14 +130,18 @@ class TestSynthesize:
         assert [float(ln.split(",")[0]) for ln in lines[2:]] == [0.0, 0.5, 1.0]
 
 
-@pytest.fixture(scope="module")
-def short_audit():
+def run_short_audit():
     """Lab-frame trajectory at r = 0.6 over [0, 0.5] on 40001 fine nodes."""
     coarse = TimeGrid(0.0, 0.5, 501)
     aser, result = aseries_for(0.6, coarse)
     prog = synthesize(aser, subspace_h0(NVParams())[1])
     init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
     return simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.5, 40001), init)
+
+
+@pytest.fixture(scope="module")
+def short_audit():
+    return run_short_audit()
 
 
 class TestLabFrame:
@@ -177,3 +183,15 @@ class TestLabFrame:
     def test_short_audit_keeps_unit_norm(self, short_audit):
         norms = np.linalg.norm(short_audit.states, axis=-1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-13
+
+    def test_short_audit_matches_serial_chain(self, short_audit, monkeypatch):
+        # The 40000 steps run as three chunks, each chained from the last
+        # state of the one before.  One serial loop over all the same 2x2
+        # steps (the block axis matrix-multiplies column vectors) must agree.
+        assert pulse._STEPS_PER_CHUNK < 40000
+        monkeypatch.setattr(pulse, "_STEPS_PER_CHUNK", 40000)
+        monkeypatch.setattr(
+            pulse, "chain_2x2", lambda steps, init: ordered_product(steps, init[..., None])[..., 0]
+        )
+        serial = run_short_audit()
+        assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13

@@ -1,17 +1,23 @@
-"""Readout-chain tests: calibration, inversion, shot noise, conditionals."""
+"""Readout-chain tests: calibration, inversion, shot noise, conditionals.
+
+The rate calibration is the test-side reference oracle in
+``reference_readout``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from ptdilate.readout import (
-    PLRates,
+from reference_readout import (
     RankDeficient,
-    SingularReadout,
     calibrate_rates,
     calibration_design,
     expected_calibration_counts,
+)
+
+from ptdilate.readout import (
+    PLRates,
+    SingularReadout,
     expected_counts,
     inversion_matrix,
     noisy_p0_curve,

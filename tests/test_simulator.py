@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from reference_dilation import eta_series
 from reference_expm import expm
+from reference_steps import block_diag
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, dilate
-from ptdilate.numkit import OperatorSeries, TimeGrid, block_diag
+from ptdilate.numkit import OperatorSeries, TimeGrid
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 from ptdilate.simulator import (
     ZeroBranch,
