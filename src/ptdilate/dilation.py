@@ -90,7 +90,11 @@ class DilationResult:
 
 @dataclass
 class DiagnosticsReport:
-    """Max-over-grid residuals of the dilation identities (all relative)."""
+    """Max-over-grid residuals of the dilation identities (all relative).
+
+    ``hermiticity`` and ``block_antisym`` are 0 and ``min_eig_m_minus_i`` is
+    ``margin`` by construction; ``metric_ode`` is the one that can move.
+    """
 
     hermiticity: float  # H_sa vs its adjoint
     metric_ode: float  # i dM/dt = H^dag M - M H (central differences)

@@ -6,11 +6,12 @@ r-derivative is singular at r = 1, so derivative-based optimizers are
 avoided); each fit also carries the eigenvalues E+- = +-sqrt(1 - r^2) of
 its strength, the points of the bifurcation curve.
 
-The scan scores every grid r at once against the model table
-``analytic_p0(grid[:, None], t)``, held as blocks of ``_SCAN_CHUNK`` grid
-rows so the transients stay small.  The table does not depend on the
-data: ``fit_rows`` builds it once for the shared times of a sweep matrix,
-and each row's fit scores the columns of its finite samples.
+The scan scores every r of the one grid ``_GRID`` (``GRID_STEP`` over
+[0, 2]) against the model table ``analytic_p0(_GRID[:, None], t)``, held as
+blocks of ``_SCAN_CHUNK`` grid rows so the transients stay small; a narrowed
+search range is the window of ``_GRID`` points inside it.  The table does
+not depend on the data: ``fit_rows`` builds it once for the shared times of
+a sweep matrix, and each row's fit scores the columns of its finite samples.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ REFINE_TOL = 1e-6
 # overhead, few enough that each block's transients stay near 200 kB at
 # 201 samples.
 _SCAN_CHUNK = 128
+# The one scan grid; a narrowed r_range is a window on it.
+_GRID = np.arange(0.0, 2.0 + GRID_STEP / 2.0, GRID_STEP)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step for the central-difference curvature of the SSE at the minimum.
 _CURVATURE_STEP = 1e-4
@@ -70,7 +73,7 @@ def sse(r: float, t: np.ndarray, p0: np.ndarray) -> float:
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimum of a unimodal f on [lo, hi] to within tol."""
+    """Minimum of a unimodal f on [lo, hi] to within tol (lo when lo == hi)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -87,25 +90,10 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _scan_grid(r_range) -> np.ndarray:
-    """The ``GRID_STEP`` grid over ``r_range``, its last point clipped to hi."""
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if not (0.0 <= lo < hi <= 2.0):
-        raise ValueError(f"r_range must satisfy 0 <= lo < hi <= 2, got {r_range}")
-    grid = np.arange(lo, hi + GRID_STEP / 2.0, GRID_STEP)
-    grid[-1] = min(grid[-1], hi)
-    return grid
-
-
-def _table_blocks(grid: np.ndarray, t: np.ndarray):
-    """The model table over ``grid`` x ``t``, ``_SCAN_CHUNK`` rows per block."""
-    for i in range(0, grid.size, _SCAN_CHUNK):
-        yield analytic_p0(grid[i : i + _SCAN_CHUNK, None], t)
-
-
-def _scores(blocks, p0: np.ndarray) -> np.ndarray:
-    """SSE of every grid row of the model table ``blocks`` against ``p0``."""
-    return np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in blocks])
+def _table_blocks(t: np.ndarray):
+    """The model table over ``_GRID`` x ``t``, ``_SCAN_CHUNK`` rows per block."""
+    for i in range(0, _GRID.size, _SCAN_CHUNK):
+        yield analytic_p0(_GRID[i : i + _SCAN_CHUNK, None], t)
 
 
 def fit_r(
@@ -113,11 +101,12 @@ def fit_r(
 ) -> FitResult:
     """Least-squares strength estimate from (t, P0) samples.
 
-    Scores every r of a 1e-3 grid over ``r_range`` against the model
-    table, refines the best bracket by golden section to 1e-6, and
-    reports the curvature-based standard error.  ``samples`` is a
-    sequence of (t, P0) pairs or a (n, 2) array.  ``_blocks`` is the
-    model table of this ``r_range`` at exactly these sample times, as
+    Scores every r of the 1e-3 grid over [0, 2] against the model table,
+    takes the best r among the grid points inside ``r_range`` (a range
+    holding none raises ValueError), refines its bracket within them by
+    golden section to 1e-6, and reports the curvature-based standard
+    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2) array.
+    ``_blocks`` is the model table at exactly these sample times, as
     ``fit_rows`` passes it; without it the table is built here.
     """
     arr = np.asarray(samples, dtype=float)
@@ -130,42 +119,36 @@ def fit_r(
         raise ValueError("samples contain non-finite values; filter them first")
     t, p0 = arr[:, 0], arr[:, 1]
 
-    grid = _scan_grid(r_range)
+    lo, hi = float(r_range[0]), float(r_range[1])
+    if not (0.0 <= lo < hi <= 2.0):
+        raise ValueError(f"r_range must satisfy 0 <= lo < hi <= 2, got {r_range}")
+    window = np.flatnonzero((_GRID >= lo) & (_GRID <= hi))
+    if not window.size:
+        raise ValueError(f"r_range {r_range} holds no point of the {GRID_STEP:g} scan grid")
+    first, last = int(window[0]), int(window[-1])
     if _blocks is None:
-        _blocks = _table_blocks(grid, t)
-    scores = _scores(_blocks, p0)
-    k = int(np.argmin(scores))
-    blo = grid[max(k - 1, 0)]
-    bhi = grid[min(k + 1, len(grid) - 1)]
-    if bhi > blo:
-        r_best = _golden_section(lambda r: sse(r, t, p0), blo, bhi, REFINE_TOL)
-    else:
-        r_best = float(grid[k])
+        _blocks = _table_blocks(t)
+    scores = np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in _blocks])
+    k = first + int(np.argmin(scores[first : last + 1]))
+    blo = _GRID[max(k - 1, first)]
+    bhi = _GRID[min(k + 1, last)]
+    r_best = _golden_section(lambda r: sse(r, t, p0), blo, bhi, REFINE_TOL)
     best = sse(r_best, t, p0)
     # Golden section assumes unimodality within the bracket; keep the
     # grid minimum if refinement somehow did worse.
     if scores[k] < best:
-        r_best, best = float(grid[k]), float(scores[k])
+        r_best, best = float(_GRID[k]), float(scores[k])
 
     h = _CURVATURE_STEP
     r_minus = max(r_best - h, 0.0)
     d2 = (sse(r_best + h, t, p0) - 2.0 * best + sse(r_minus, t, p0)) / (
         (r_best + h - r_minus) / 2.0
     ) ** 2
-    dof = max(n - 2, 1)
-    pinned = k == len(grid) - 1 or (k == 0 and grid[0] > 0.0)
-    if not pinned and (grid[0] > 0.0 or grid[-1] < 2.0):
-        # A narrowed range can hold an interior local minimum while a
-        # better fit lies outside it.
-        full = _scan_grid((0.0, 2.0))
-        r_full = full[np.argmin(_scores(_table_blocks(full, t), p0))]
-        pinned = not grid[0] <= r_full <= grid[-1]
-    if d2 > 0 and not pinned:
-        stderr = math.sqrt(2.0 * best / dof / d2)
-        degenerate = False
-    else:
-        stderr = math.inf
-        degenerate = True
+    # Pinned to the window's edge (its lower edge only above r = 0), or a
+    # narrowed window missing the best fit of the whole grid.
+    pinned = k == last or (k == first and _GRID[k] > 0.0) or not first <= np.argmin(scores) <= last
+    degenerate = pinned or not d2 > 0
+    stderr = math.inf if degenerate else math.sqrt(2.0 * best / (n - 2) / d2)
     e_plus, e_minus = pt_eigenvalues(r_best)
     return FitResult(
         r_exp=float(r_best),
@@ -189,7 +172,7 @@ def fit_rows(t, rows) -> list[FitResult]:
     rows = np.asarray(rows, dtype=float)
     if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
         raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
-    blocks = list(_table_blocks(_scan_grid((0.0, 2.0)), t))
+    blocks = list(_table_blocks(t))
     fits = []
     for row in rows:
         keep = np.isfinite(row)

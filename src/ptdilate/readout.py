@@ -161,7 +161,9 @@ def p0_from_populations(populations: np.ndarray) -> np.ndarray:
     P0 = P(|0 1>) / (P(|0 1>) + P(|-1 1>)) for each (4,) population row;
     the |1>_n branch is the one onto which the ancilla post-selection
     maps.  Rows whose branch carries less than 1e-12 are undefined and
-    come back NaN.  A single row gives a scalar.
+    come back NaN.  ``simulator._postselect_batch`` floors exact states
+    at 1e-60 instead, as valid runs reach weights near 1e-14; here the
+    floor decides which noisy reads are NaN.  A single row gives a scalar.
     """
     pops = np.asarray(populations, dtype=float)
     denom = pops[..., 0] + pops[..., 2]

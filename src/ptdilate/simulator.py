@@ -58,7 +58,9 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p0, success probability) per state of a stack.
 
     Raises ZeroBranch when the |-> branch of any state has (numerically)
-    no weight, or a NaN weight.
+    no weight, or a NaN weight.  The floor is 1e-60, not the 1e-12 of
+    ``readout.p0_from_populations``: at large m0 valid runs post-select
+    from weights near 1e-14 and still match ``analytic_p0``.
     """
     pops = branch_populations(states)
     w = pops[..., 0] + pops[..., 2]  # the |-> levels |0 1> and |-1 1>

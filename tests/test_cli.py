@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ptdilate
+from ptdilate import cli
 from ptdilate.cli import MAX_AUDIT_NODES, MAX_NODES, RunConfig, ValidationError, main
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.fitkit import fit_r, fit_rows
@@ -535,6 +536,20 @@ class TestPulsesAndVerify:
             "--outdir", str(tmp_path),
         ) == 0
 
+    def test_verify_fails_on_a_corrupted_metric(self, tmp_path, capsys, monkeypatch):
+        # Hermiticity, block antisymmetry and min eig(M - I) hold by
+        # construction of the stored blocks and of m0, so a metric and an
+        # H_sa corrupted at one node show only in the metric-ODE residual.
+        def corrupted_dilate(h_s, cfg):
+            result = dilate(h_s, cfg)
+            result.m_series.data[100] *= 1.5
+            result.hsa_series.data[100] *= 3
+            return result
+
+        monkeypatch.setattr(cli, "dilate", corrupted_dilate)
+        assert run("verify", "--r", "0.6", "--n-nodes", "401", "--outdir", str(tmp_path)) == 2
+        assert "FAIL" in capsys.readouterr().out
+
     def test_metadata_header_reproducibility_fields(self, tmp_path):
         assert run(
             "simulate", "--r", "0.3", "--n-nodes", "101", "--t1", "1",
@@ -546,6 +561,33 @@ class TestPulsesAndVerify:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "nv, message",
+        [({"b_field": -5}, "magnetic field must be > 0"), ({"bfield": 5}, "'bfield'")],
+        ids=["negative-field", "unknown-field"],
+    )
+    @pytest.mark.parametrize("command", ["dilate", "simulate", "sweep", "pulses", "fit", "verify"])
+    def test_bad_nv_override_fails_before_compute(
+        self, tmp_path, capsys, monkeypatch, command, nv, message
+    ):
+        # Every command builds the NV parameters during validation, before
+        # the horizon check runs the first propagator.
+        def no_compute(*args):
+            raise AssertionError("computed before the NV overrides were validated")
+
+        monkeypatch.setattr(cli, "propagator_svd", no_compute)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"nv": nv}))
+        ts = np.linspace(0.0, 4.0, 21)
+        matrix = write_matrix(tmp_path / "sweep.csv", [0.6], ts, [analytic_p0(0.6, ts)])
+        extra = ("--input", str(matrix)) if command == "fit" else ("--n-nodes", "101")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg_file), *extra, "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert message in err
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # Equal PL rates make the readout inversion singular, which only the
         # noisy readout finds: a numeric (not config) failure.

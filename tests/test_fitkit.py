@@ -100,6 +100,35 @@ class TestValidation:
         assert not res.degenerate
         assert np.isfinite(res.stderr)
 
+    @pytest.mark.parametrize("r_range", [(0.2, 2.0), (0.0, 1.6), "around"])
+    @pytest.mark.parametrize("r", [0.3, 0.61, 0.8, 0.95, 1.0, 1.2, 1.47])
+    def test_narrowing_around_the_best_fit_changes_nothing(self, r, r_range):
+        # A narrowed range is a window on the one [0, 2] scan: every range
+        # that holds the best fit returns the full-range fit bit for bit.
+        rng = np.random.default_rng(3)
+        p0 = analytic_p0(r, T_SAMPLES) + rng.normal(scale=0.01, size=T_SAMPLES.shape)
+        samples = np.column_stack([T_SAMPLES, np.clip(p0, 0.0, 1.0)])
+        if r_range == "around":
+            r_range = (r - 0.1, r + 0.1)
+        full = fit_r(samples)
+        narrowed = fit_r(samples, r_range=r_range)
+        assert r_range[0] < full.r_exp < r_range[1]
+        assert (narrowed.r_exp, narrowed.stderr) == (full.r_exp, full.stderr)
+
+    @pytest.mark.parametrize(
+        "r, r_range", [(0.6, (0.2345, 0.5)), (0.3, (0.3005, 0.9)), (0.8, (0.7995, 0.8005))]
+    )
+    def test_off_lattice_bounds_hold_the_fit(self, r, r_range):
+        # The best fit lies outside, or on the edge of, the grid points in
+        # each range: the fit stays inside it and is flagged.
+        res = fit_r(clean_samples(r), r_range=r_range)
+        assert r_range[0] <= res.r_exp <= r_range[1]
+        assert res.degenerate
+
+    def test_range_holding_no_scan_point_rejected(self):
+        with pytest.raises(ValueError, match="r_range"):
+            fit_r(clean_samples(0.5), r_range=(0.5001, 0.5009))
+
     def test_zero_strength_keeps_finite_stderr(self):
         # r = 0 with lo = 0 is the physical edge r >= 0, not a pinned fit.
         res = fit_r(clean_samples(0.0))
