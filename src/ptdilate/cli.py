@@ -532,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.command in ("dilate", "verify") and cfg.n_nodes < 3:
+            # verify_dilation's metric-ODE differences need an interior node.
+            raise ValidationError(f"{args.command} needs n_nodes >= 3, got {cfg.n_nodes}")
         if args.command != "fit":  # every other command dilates
             cfg.check_horizon()
         return args.run(cfg, args)

@@ -6,12 +6,13 @@ its second tensor factor, so both are carried as their two 2x2 blocks,
 stacked on axis -3, and every evolution step is two independent 2x2
 unitaries.  ``unitary_2x2``, ``mul_2x2`` and ``right_singular_2x2`` are
 closed forms on 2x2 stacks, and ``chain_2x2`` is the one ordered product
-of steps in the package: a doubling prefix scan over whole stacks, with
-no loop over the steps.
+of steps in the package: a two-level blocked prefix scan, O(n) work in
+O(sqrt(n)) Python iterations, with no loop over the steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +133,33 @@ def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Step chain: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
 
     ``steps`` is a ``(n, ..., 2, 2)`` stack and ``init`` a ``(..., 2)``
-    state; the result stacks ``n + 1`` states of that shape.  The prefix
-    products are built by a doubling (Hillis-Steele) scan: after the pass
-    with shift s, ``prod[k]`` is the product of steps max(0, k - 2s + 1)
-    to k, so log2(n) whole-stack ``mul_2x2`` passes cover every prefix.
-    The association differs from a left-to-right loop, so the states agree
-    with it to rounding, not bitwise.
+    state; the result stacks ``n + 1`` states of that shape.  A two-level
+    blocked scan: the steps split into chunks of L = ceil(sqrt(n)), the
+    last one possibly shorter.  L - 1 ``mul_2x2`` passes, each across all
+    chunks, build every chunk's prefix products; then one elementwise pass
+    per chunk applies them to the state the chunk before ended in.  That
+    is O(n) work in O(sqrt(n)) Python iterations.  The association differs
+    from a left-to-right loop, so the states agree with it to rounding,
+    not bitwise.
     """
-    prod = np.array(steps, dtype=complex)
-    shift = 1
-    while shift < len(prod):
-        prod[shift:] = mul_2x2(prod[shift:], prod[:-shift])
-        shift *= 2
+    steps = np.asarray(steps)
     init = np.asarray(init, dtype=complex)
-    states = prod[..., 0] * init[..., None, 0] + prod[..., 1] * init[..., None, 1]
-    return np.concatenate([init[None], states])
+    n = len(steps)
+    size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)), at least 1
+    # prod[k] = steps[k] @ ... @ steps[start of k's chunk]; position j of
+    # every chunk is the strided slice [j::size], the last chunk included
+    # while it is longer than j.  Each pass multiplies onto the previous
+    # pass's contiguous result rather than its strided copy in prod.
+    prod = np.empty(steps.shape, dtype=complex)
+    prod[::size] = prev = steps[::size]
+    for j in range(1, size):
+        cur = prod[j::size]
+        cur[...] = prev = mul_2x2(steps[j::size], prev[: len(cur)])
+    out = np.empty((n + 1, *init.shape), dtype=complex)
+    out[0] = init
+    for start in range(0, n, size):
+        m, v = prod[start : start + size], out[start]
+        dst = out[start + 1 : start + size + 1]
+        np.multiply(m[..., 0], v[..., None, 0], out=dst)
+        dst += m[..., 1] * v[..., None, 1]
+    return out

@@ -588,6 +588,25 @@ class TestExitCodes:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dilate", "verify"])
+    def test_two_node_grid_fails_before_compute(self, tmp_path, capsys, monkeypatch, command):
+        # The metric-ODE central differences of verify_dilation have no
+        # interior node on a 2-node grid.
+        def no_compute(*args):
+            raise AssertionError("computed before n_nodes was validated")
+
+        monkeypatch.setattr(cli, "propagator_svd", no_compute)
+        out = tmp_path / "out"
+        assert run(command, "--n-nodes", "2", "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert f"{command} needs n_nodes >= 3, got 2" in err
+        assert not out.exists()
+
+    def test_two_node_grid_simulates(self, tmp_path):
+        assert run("simulate", "--n-nodes", "2", "--outdir", str(tmp_path)) == 0
+        assert (tmp_path / "trajectory_r0p6.csv").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # Equal PL rates make the readout inversion singular, which only the
         # noisy readout finds: a numeric (not config) failure.

@@ -22,6 +22,7 @@ from reference_dilation import (
 from reference_expm import expm
 from reference_steps import block_diag, ordered_product
 
+from ptdilate import numkit
 from ptdilate.dilation import _inverse_propagator
 from ptdilate.numkit import (
     NotHermitian,
@@ -318,14 +319,24 @@ class TestOrderedProduct:
                 assert np.array_equal(out[k + 1], ref)
 
 
+# Chain lengths: chain_2x2 splits n steps into chunks of ceil(sqrt(n)).
+# n = 17, 130, 1000 and 13,656 (the lab audit's last chunk) leave a
+# shorter last chunk; 16,384 and 40,000 split exactly.
+CHAIN_SIZES = [1, 2, 3, 7, 8, 9, 17, 130, 1000, 13656, 16384, 40000]
+
+
+def random_steps(rng, shape):
+    a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+    return unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+
+
 class TestChain2x2:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 16384])
+    @pytest.mark.parametrize("n", CHAIN_SIZES)
     def test_block_chains_match_serial_4x4_product(self, n):
         # Block k acts on the amplitudes whose second tensor factor is k,
         # i.e. state.reshape(2, 2)[:, k].
         rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, 2, 2, 2)) + 1j * rng.normal(size=(n, 2, 2, 2))
-        steps = unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+        steps = random_steps(rng, (n, 2))
         init = rng.normal(size=4) + 1j * rng.normal(size=4)
         init /= np.linalg.norm(init)
         out = chain_2x2(steps, init.reshape(2, 2).T)
@@ -333,13 +344,39 @@ class TestChain2x2:
         ref = ordered_product(block_diag(steps), init)
         assert np.max(np.abs(out.swapaxes(-1, -2).reshape(-1, 4) - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 16384])
+    @pytest.mark.parametrize("n", CHAIN_SIZES)
     def test_single_chain_matches_serial_product(self, n):
         rng = np.random.default_rng(n + 1)
-        a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-        steps = unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+        steps = random_steps(rng, (n,))
         init = np.array([0.6, 0.8j])
         out = chain_2x2(steps, init)
         assert out.shape == (n + 1, 2)
         assert np.array_equal(out[0], init)
         assert np.max(np.abs(out - ordered_product(steps, init))) <= 1e-13
+
+    def test_extra_batch_axis_matches_serial_product(self):
+        n = 130
+        rng = np.random.default_rng(n + 2)
+        steps = random_steps(rng, (n, 3, 2))
+        init = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        out = chain_2x2(steps, init)
+        assert out.shape == (n + 1, 3, 2, 2)
+        ref = ordered_product(steps, init[..., None])[..., 0]
+        assert np.max(np.abs(out - ref)) <= 1e-13
+
+    def test_work_is_linear_in_steps(self, monkeypatch):
+        # A doubling scan forms ~n log2(n) products (~13n here); the
+        # two-level scan forms n - ceil(n / ceil(sqrt(n))) of them.
+        n = 16384
+        products = 0
+        mul = numkit.mul_2x2
+
+        def counting_mul(a, b):
+            nonlocal products
+            out = mul(a, b)
+            products += out[..., 0, 0].size
+            return out
+
+        monkeypatch.setattr(numkit, "mul_2x2", counting_mul)
+        chain_2x2(random_steps(np.random.default_rng(5), (n,)), np.array([1.0, 0.0]))
+        assert 0 < products <= 2 * n

@@ -1,5 +1,7 @@
 """Dilated-evolution and post-selection tests against the closed-form oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference_dilation import eta_series
@@ -102,6 +104,21 @@ class TestEvolveDilated:
             + np.einsum("ni,a->nia", eta_psi, ANCILLA_PLUS)
         ).reshape(-1, 4) / np.sqrt(result.m0)
         assert np.max(np.abs(traj.states - expected)) <= 1e-5
+
+
+    def test_peak_memory_per_node(self):
+        # dilate peaks near 1 kB per node, so evolving after it must stay
+        # under 600 B per node for dilate to remain the process peak.
+        grid = TimeGrid(0.0, 16.0, 100001)
+        result = dilate(pt_hamiltonian(1.4), DilationConfig(grid))
+        initial = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
+        tracemalloc.start()
+        try:
+            evolve_dilated(result.hsa_series, initial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * grid.n_nodes
 
 
 class TestSimulatePT:
