@@ -58,11 +58,12 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
 # ~1.07 kB per grid node (horizon check and dilation: 143 MB at 100,001
 # nodes, 356 MB at 300,001, 663 MB at 600,001), and the lab audit adds
-# ~0.32 kB per fine step plus ~0.35 kB per grid node it keeps alive
-# (x86-64, numpy 2.4).  Either way the largest accepted run peaks near 2 GB
-# per process; a pooled sweep holds one such peak per worker.
+# ~117 B per fine step (`pulses --lab-audit --t1 16`: 123 MB at 775,521
+# fine nodes, 210 MB at 1,551,041) plus ~0.35 kB per grid node it keeps
+# alive (x86-64, numpy 2.4).  Either way the largest accepted run peaks near
+# 2 GB per process; a pooled sweep holds one such peak per worker.
 MAX_NODES = 1_800_000
-MAX_AUDIT_NODES = 4_000_000
+MAX_AUDIT_NODES = 10_000_000
 
 _NUMERIC_ERRORS = (
     SingularPropagator,
@@ -370,10 +371,11 @@ def _lab_audit(cfg, r, result, aser, prog, nv, fine) -> dict:
         np.array([1.0, 0.0], dtype=complex), math.sqrt(result.m0 - 1.0)
     )
     lab = simulate_lab_frame(prog, aser, nv, fine, initial)
+    ts = fine.times()
     report = []
     for tq in cfg.audit_times:
         idx = int(round(tq / fine.dt))
-        rot = float(analytic_p0(r, fine.times()[idx]))
+        rot = float(analytic_p0(r, ts[idx]))
         report.append(
             {
                 "t": tq,

@@ -102,8 +102,10 @@ def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (``@`` pays a per-matrix dispatch on long 2x2 stacks)."""
     a, b = np.asarray(a), np.asarray(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for i, j in np.ndindex(2, 2):
-        out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
+    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
+    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
     return out
 
 

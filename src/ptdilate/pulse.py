@@ -36,8 +36,9 @@ __all__ = [
 # Max fraction of a carrier cycle a lab-frame step may span.
 _MAX_CYCLES_PER_STEP = 0.02
 
-# Lab-frame steps built per batch: bounds the memory of the ~1e5+ step
-# audit.
+# Lab-frame steps per chunk.  Drives, steps, chain, back-rotation and
+# post-selection live for one chunk; only the fine times, the A-integrals
+# and the returned trajectory span the audit's fine grid.
 _STEPS_PER_CHUNK = 16384
 
 
@@ -174,6 +175,14 @@ def simulate_lab_frame(
     the post-selected trajectory.  The A-series supplies the A2/A4
     integrals that define the frame.  ``grid_fine`` must lie inside the
     program's grid; the drives are not extrapolated past it.
+
+    Only the fine times, the two A-integrals and the returned trajectory
+    span the whole fine grid.  Everything else (drive angles, step blocks,
+    the chain, the back-rotation and the post-selection) is built and
+    dropped per chunk of ``_STEPS_PER_CHUNK`` steps, written straight into
+    the trajectory's arrays.  Each chunk chains on from the lab-frame state
+    the one before ended in, so ``ZeroBranch`` raises at the first chunk
+    holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
         raise ValueError(
@@ -191,24 +200,13 @@ def simulate_lab_frame(
     ts = grid_fine.times()
     h = grid_fine.dt
     n = grid_fine.n_nodes
-    mids = ts[:-1] + h / 2.0
 
-    a2 = a.a[:, 1]
-    a4 = a.a[:, 3]
-    # Cumulative integrals of A4 and A2 on the fine grid (trapezoid).
-    a4_f = np.interp(ts, t_nodes, a4)
-    a2_f = np.interp(ts, t_nodes, a2)
-    int_a4 = np.concatenate([[0.0], np.cumsum((a4_f[1:] + a4_f[:-1]) / 2.0 * h)])
-    int_a2 = np.concatenate([[0.0], np.cumsum((a2_f[1:] + a2_f[:-1]) / 2.0 * h)])
+    def running_integral(col: int) -> np.ndarray:
+        """Trapezoid integral of A-series column ``col`` on the fine grid."""
+        f = np.interp(ts, t_nodes, a.a[:, col])
+        return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2.0 * h)])
 
-    w1, w2 = prog.carriers
-    int_a4_mid = np.interp(mids, ts, int_a4)
-    om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
-    ph_mid = np.interp(mids, t_nodes, prog.phase)
-    # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
-    angles = np.stack(
-        [w1 * mids + 2.0 * int_a4_mid - ph_mid, w2 * mids - 2.0 * int_a4_mid + ph_mid], axis=-1
-    )
+    int_a2, int_a4 = running_integral(1), running_integral(3)
 
     # H0 is diagonal and drive k flips the electron with the nuclear spin on
     # level k (|1>_n, then |0>_n): one 2x2 block per nuclear level.  Block k
@@ -217,25 +215,42 @@ def simulate_lab_frame(
     # e^{-i a_k t} is folded into the back-rotation below.
     h0_diag = np.real(np.diag(h0))
     z = (h0_diag[:2] - h0_diag[2:]) / 2.0  # (h0[k, k] - h0[k + 2, k + 2]) / 2
-    states = np.empty((n, 4), dtype=complex)
-    states[0] = initial
-    for start in range(0, n - 1, _STEPS_PER_CHUNK):
-        stop = min(start + _STEPS_PER_CHUNK, n - 1)
-        drives = 2.0 * math.pi * om_mid[start:stop, None] * np.cos(angles[start:stop])
-        blocks = z[:, None, None] * PAULI_1Q[3] + drives[..., None, None] * PAULI_1Q[1]
-        chain = chain_2x2(unitary_2x2(blocks, h), states[start].reshape(2, 2).T)
-        states[start : stop + 1] = chain.swapaxes(-1, -2).reshape(-1, 4)
-
     # Back to the rotating frame: the exponent of U_rot is diagonal; H0
     # enters it less the dropped traces, as (z, -z).
+    z_rot = np.concatenate([z, -z])
     sz_n = np.array([1.0, -1.0, 1.0, -1.0])  # I x sz diagonal
     sz_sz = np.array([1.0, -1.0, -1.0, 1.0])  # sz x sz diagonal
-    exponent = (
-        np.concatenate([z, -z])[None, :] * ts[:, None]
-        - int_a2[:, None] * sz_n[None, :]
-        - int_a4[:, None] * sz_sz[None, :]
-    )
-    states = np.exp(1j * exponent) * states
+    w1, w2 = prog.carriers
 
-    p0, succ = _postselect_batch(states)
+    def lab_blocks(mids: np.ndarray) -> np.ndarray:
+        """The two 2x2 blocks of the traceless lab Hamiltonian at ``mids``
+        (a function so that its temporaries go before the chain runs)."""
+        int_a4_mid = np.interp(mids, ts, int_a4)
+        ph_mid = np.interp(mids, t_nodes, prog.phase)
+        # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
+        angles = np.stack(
+            [w1 * mids + 2.0 * int_a4_mid - ph_mid, w2 * mids - 2.0 * int_a4_mid + ph_mid],
+            axis=-1,
+        )
+        om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
+        drives = 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
+        return z[:, None, None] * PAULI_1Q[3] + drives[..., None, None] * PAULI_1Q[1]
+
+    states = np.empty((n, 4), dtype=complex)
+    p0, succ = np.empty(n), np.empty(n)
+    # Block k's lab-frame state is column k of the (2, 2) amplitudes.
+    lab = np.reshape(np.asarray(initial, dtype=complex), (2, 2)).T
+    for start in range(0, n - 1, _STEPS_PER_CHUNK):
+        stop = min(start + _STEPS_PER_CHUNK, n - 1)
+        chain = chain_2x2(unitary_2x2(lab_blocks(ts[start:stop] + h / 2.0), h), lab)
+        lab = chain[-1].copy()  # the next chunk starts un-rotated
+        rows = slice(start, stop + 1)  # node start repeats the last chunk's end
+        exponent = (
+            z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
+        )
+        np.multiply(
+            np.exp(1j * exponent), chain.swapaxes(-1, -2).reshape(-1, 4), out=states[rows]
+        )
+        del chain, exponent
+        p0[rows], succ[rows] = _postselect_batch(states[rows])
     return Trajectory(grid=grid_fine, states=states, p0=p0, success_prob=succ)

@@ -1,9 +1,11 @@
 """NV pulse-synthesis tests: carriers, drive reconstruction, lab-frame audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference_lab_frame import simulate_lab_frame as whole_grid_lab_frame
 from reference_steps import ordered_product
 
 from ptdilate import pulse
@@ -130,13 +132,28 @@ class TestSynthesize:
         assert [float(ln.split(",")[0]) for ln in lines[2:]] == [0.0, 0.5, 1.0]
 
 
-def run_short_audit():
-    """Lab-frame trajectory at r = 0.6 over [0, 0.5] on 40001 fine nodes."""
-    coarse = TimeGrid(0.0, 0.5, 501)
-    aser, result = aseries_for(0.6, coarse)
+def audit_inputs(t1, n_fine):
+    """Program, A-series, fine grid and start state at r = 0.6 over [0, t1]."""
+    aser, result = aseries_for(0.6, TimeGrid(0.0, t1, int(round(1000 * t1)) + 1))
     prog = synthesize(aser, subspace_h0(NVParams())[1])
     init = prepare_initial(np.array([1.0, 0.0]), math.sqrt(result.m0 - 1.0))
-    return simulate_lab_frame(prog, aser, NVParams(), TimeGrid(0.0, 0.5, 40001), init)
+    return prog, aser, NVParams(), TimeGrid(0.0, t1, n_fine), init
+
+
+def run_short_audit():
+    """Lab-frame trajectory at r = 0.6 over [0, 0.5] on 40001 fine nodes."""
+    return simulate_lab_frame(*audit_inputs(0.5, 40001))
+
+
+def audit_peak(t1, n_fine):
+    """tracemalloc peak of one lab-frame run, its inputs built beforehand."""
+    inputs = audit_inputs(t1, n_fine)
+    tracemalloc.start()
+    try:
+        simulate_lab_frame(*inputs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +212,28 @@ class TestLabFrame:
         )
         serial = run_short_audit()
         assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "t1, n_fine",
+        [
+            (0.1, 8001),  # one chunk, shorter than _STEPS_PER_CHUNK
+            (0.4, 32769),  # two full chunks
+            (0.5, 40001),  # two full chunks and a ragged last one
+        ],
+    )
+    def test_matches_whole_grid_oracle_bitwise(self, t1, n_fine):
+        # Streaming changes where each node is computed, not how: every
+        # operation is elementwise per node with the same association.
+        inputs = audit_inputs(t1, n_fine)
+        lab, ref = simulate_lab_frame(*inputs), whole_grid_lab_frame(*inputs)
+        for name in ("states", "p0", "success_prob"):
+            assert np.array_equal(getattr(lab, name), getattr(ref, name)), name
+
+    def test_peak_memory_per_fine_node(self):
+        # Only the fine times, the two A-integrals and the returned
+        # trajectory (~104 B per node) span the fine grid; the chunk's own
+        # working set is fixed.  So doubling the short audit's grid may add
+        # at most 200 B per added node (~104 streamed; ~325 with the drive
+        # angles, back-rotation and post-selection over the whole grid).
+        grown = audit_peak(1.0, 80001) - audit_peak(0.5, 40001)
+        assert grown <= 200 * 40000
