@@ -7,12 +7,11 @@ stacked on axis -3, and every evolution step is two independent 2x2
 unitaries.  ``unitary_2x2``, ``mul_2x2`` and ``right_singular_2x2`` are
 closed forms on 2x2 stacks, and ``chain_2x2`` is the one ordered product
 of steps in the package: a two-level blocked prefix scan, O(n) work in
-O(sqrt(n)) Python iterations, with no loop over the steps.
+O(log n) Python iterations, with no loop over the steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +84,21 @@ def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
     a = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
     z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
     w = np.hypot(z, np.abs(h[..., 1, 0]))
-    phase = np.exp(-1j * dt * a)
+    w *= dt
+    s = np.exp(-1j * dt * a)  # the phase, turned into s in place below
+    del a
     # U = c I + s (h - a I), where h - a I = [[z, h01], [h10, -z]].
-    c = phase * np.cos(dt * w)
-    s = (-1j * dt) * phase * np.sinc(dt * w / np.pi)
+    c = s * np.cos(w)
+    s *= -1j * dt
+    w /= np.pi
+    s *= np.sinc(w)
+    del w
     u = np.empty(h.shape, dtype=complex)
-    u[..., 0, 0] = c + s * z
-    u[..., 1, 1] = c - s * z
-    u[..., 0, 1] = s * h[..., 0, 1]
-    u[..., 1, 0] = s * h[..., 1, 0]
+    np.multiply(s, h[..., 0, 1], out=u[..., 0, 1])
+    np.multiply(s, h[..., 1, 0], out=u[..., 1, 0])
+    s *= z
+    np.add(c, s, out=u[..., 0, 0])
+    np.subtract(c, s, out=u[..., 1, 1])
     return u
 
 
@@ -136,32 +141,48 @@ def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
 
     ``steps`` is a ``(n, ..., 2, 2)`` stack and ``init`` a ``(..., 2)``
     state; the result stacks ``n + 1`` states of that shape.  A two-level
-    blocked scan: the steps split into chunks of L = ceil(sqrt(n)), the
-    last one possibly shorter.  L - 1 ``mul_2x2`` passes, each across all
-    chunks, build every chunk's prefix products; then one elementwise pass
-    per chunk applies them to the state the chunk before ended in.  That
-    is O(n) work in O(sqrt(n)) Python iterations.  The association differs
-    from a left-to-right loop, so the states agree with it to rounding,
-    not bitwise.
+    blocked scan: the steps are copied once into m chunks of
+    L = n.bit_length() steps, chunk-major with the last chunk padded by
+    identities.  L - 1 ``mul_2x2`` passes, each across all chunks, build
+    every chunk's prefix products; a doubling (Hillis-Steele) scan of
+    ~log2(m) passes over the chunk totals gives the state entering each
+    chunk; one elementwise pass applies every prefix to its entering state.
+    That is O(n) work in O(log n) Python iterations.  The association
+    differs from a left-to-right loop, so the states agree with it to
+    rounding, not bitwise.
     """
     steps = np.asarray(steps)
     init = np.asarray(init, dtype=complex)
-    n = len(steps)
-    size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)), at least 1
-    # prod[k] = steps[k] @ ... @ steps[start of k's chunk]; position j of
-    # every chunk is the strided slice [j::size], the last chunk included
-    # while it is longer than j.  Each pass multiplies onto the previous
-    # pass's contiguous result rather than its strided copy in prod.
-    prod = np.empty(steps.shape, dtype=complex)
-    prod[::size] = prev = steps[::size]
+    n, shape = len(steps), steps.shape[1:]
+    size = max(n.bit_length(), 1)
+    full, tail = divmod(n, size)
+    m = full + (tail > 0)
+    # buf[j, c] = steps[c * size + j]: each pass reads and writes one
+    # contiguous slab.  Identity padding keeps the products exact.
+    buf = np.empty((size, m, *shape), dtype=complex)
+    buf[:, :full] = steps[: full * size].reshape(full, size, *shape).swapaxes(0, 1)
+    if tail:
+        buf[:tail, full] = steps[full * size :]
+        buf[tail:, full] = np.eye(2)
     for j in range(1, size):
-        cur = prod[j::size]
-        cur[...] = prev = mul_2x2(steps[j::size], prev[: len(cur)])
-    out = np.empty((n + 1, *init.shape), dtype=complex)
+        buf[j] = mul_2x2(buf[j], buf[j - 1])
+    # tot[c] = total of chunks 0..c, for every chunk but the last.
+    tot = buf[-1, :-1].copy()
+    shift = 1
+    while shift < len(tot):
+        tot[shift:] = mul_2x2(tot[shift:], tot[:-shift])
+        shift *= 2
+    # v[c]: the state entering chunk c.
+    v = np.empty((m, *init.shape), dtype=complex)
+    v[:1] = init
+    np.multiply(tot[..., 0], init[..., None, 0], out=v[1:])
+    v[1:] += tot[..., 1] * init[..., None, 1]
+    # out is padded to whole chunks, so dst views it chunk-major; column 1
+    # is scaled in place in buf, so the apply adds no n-sized temporary.
+    out = np.empty((m * size + 1, *init.shape), dtype=complex)
     out[0] = init
-    for start in range(0, n, size):
-        m, v = prod[start : start + size], out[start]
-        dst = out[start + 1 : start + size + 1]
-        np.multiply(m[..., 0], v[..., None, 0], out=dst)
-        dst += m[..., 1] * v[..., None, 1]
-    return out
+    dst = out[1:].reshape(m, size, *init.shape).swapaxes(0, 1)
+    buf[..., 1] *= v[..., None, 1]
+    np.multiply(buf[..., 0], v[..., None, 0], out=dst)
+    dst += buf[..., 1]
+    return out[: n + 1]

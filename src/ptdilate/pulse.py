@@ -234,7 +234,11 @@ def simulate_lab_frame(
         )
         om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
         drives = 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
-        return z[:, None, None] * PAULI_1Q[3] + drives[..., None, None] * PAULI_1Q[1]
+        # Block k is [[z_k, drive_k], [drive_k, -z_k]], written entry by entry.
+        blocks = np.empty((len(mids), 2, 2, 2), dtype=complex)
+        blocks[..., 0, 0], blocks[..., 1, 1] = z, -z
+        blocks[..., 0, 1] = blocks[..., 1, 0] = drives
+        return blocks
 
     states = np.empty((n, 4), dtype=complex)
     p0, succ = np.empty(n), np.empty(n)

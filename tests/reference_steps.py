@@ -1,7 +1,8 @@
 """Test-side reference oracle: 4x4 step operators and the serial step loop.
 
 The package evolves each ancilla (or nuclear) block as its own chain of
-2x2 steps (``ptdilate.numkit.chain_2x2``, a two-level blocked scan).
+2x2 steps (``ptdilate.numkit.chain_2x2``, a two-level blocked scan over
+chunks of ``n.bit_length()`` steps, O(log n) vectorised passes).
 This module keeps the layout that places the two blocks into one 4x4
 operator and the left-to-right step loop, for the tests to compare
 against.  Imported by the tests; not itself a test module.

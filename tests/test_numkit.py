@@ -7,6 +7,8 @@ is the test-side oracle in ``reference_expm``; the 4x4 block layout and
 the serial step loop are the test-side oracle in ``reference_steps``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,20 @@ class TestUnitary2x2:
         assert relative_error(u, expm(-1j * dt * stack)) <= 1e-13
         assert unitarity_error(u) <= 1e-14
 
+    def test_peak_memory_per_block(self):
+        # The result takes 64 B per 2x2 block; every intermediate is dropped
+        # once used, so the phase, c, s and z never all live beside it.
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(16384, 2, 2, 2)) + 1j * rng.normal(size=(16384, 2, 2, 2))
+        h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+        tracemalloc.start()
+        try:
+            unitary_2x2(h, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 136 * 2 * 16384
+
     def test_broadcasts_over_leading_axes(self):
         rng = np.random.default_rng(31)
         stack = np.stack([random_hermitian(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
@@ -319,10 +335,14 @@ class TestOrderedProduct:
                 assert np.array_equal(out[k + 1], ref)
 
 
-# Chain lengths: chain_2x2 splits n steps into chunks of ceil(sqrt(n)).
-# n = 17, 130, 1000 and 13,656 (the lab audit's last chunk) leave a
-# shorter last chunk; 16,384 and 40,000 split exactly.
-CHAIN_SIZES = [1, 2, 3, 7, 8, 9, 17, 130, 1000, 13656, 16384, 40000]
+# Chain lengths: chain_2x2 splits n steps into chunks of n.bit_length().
+# n = 0 is the empty chain; 15/16, 255/256/257 and 16,383/16,384/16,385
+# sit where the chunk length changes.  1, 2, 8, 1000 and 40,000 split
+# exactly; the rest, 13,656 (the lab audit's last chunk) and 16,384 (its
+# full chunk) among them, pad a shorter last chunk.
+CHAIN_SIZES = [
+    0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 130, 255, 256, 257, 1000, 13656, 16383, 16384, 16385, 40000
+]
 
 
 def random_steps(rng, shape):
@@ -366,7 +386,8 @@ class TestChain2x2:
 
     def test_work_is_linear_in_steps(self, monkeypatch):
         # A doubling scan forms ~n log2(n) products (~13n here); the
-        # two-level scan forms n - ceil(n / ceil(sqrt(n))) of them.
+        # two-level scan forms (L - 1) m over m chunks of L = n.bit_length()
+        # and under m log2(m) more for the chunk totals, ~1.5n.
         n = 16384
         products = 0
         mul = numkit.mul_2x2
@@ -380,3 +401,34 @@ class TestChain2x2:
         monkeypatch.setattr(numkit, "mul_2x2", counting_mul)
         chain_2x2(random_steps(np.random.default_rng(5), (n,)), np.array([1.0, 0.0]))
         assert 0 < products <= 2 * n
+
+    def test_passes_grow_with_log_n(self, monkeypatch):
+        # L - 1 prefix passes over chunks of L = n.bit_length() steps and
+        # ~log2(n / L) doubling passes over the chunk totals: 25 calls here.
+        n = 16384
+        calls = 0
+        mul = numkit.mul_2x2
+
+        def counting_mul(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(numkit, "mul_2x2", counting_mul)
+        chain_2x2(random_steps(np.random.default_rng(6), (n,)), np.array([1.0, 0.0]))
+        assert 0 < calls <= 2 * n.bit_length()
+
+    def test_peak_memory_per_step(self):
+        # The chunk-major copy of the steps (128 B per 2x2-block step) and
+        # the result (64 B) span the chain; the chunk totals, the entering
+        # states and each pass's product add ~1/L of that.
+        n = 16384
+        steps = random_steps(np.random.default_rng(7), (n, 2))
+        init = np.array([[0.6, 1.0], [0.8j, 0.0]])
+        tracemalloc.start()
+        try:
+            chain_2x2(steps, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 225 * n
