@@ -56,13 +56,13 @@ __all__ = ["RunConfig", "ValidationError", "main"]
 OUTDIR_ENV = "PTDILATE_OUTDIR"
 
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
-# ~1.07 kB per grid node (horizon check and dilation: 143 MB at 100,001
-# nodes, 356 MB at 300,001, 663 MB at 600,001), and the lab audit adds
+# at most ~0.8 kB per grid node (`simulate`, one-r `sweep`: 112 MB at 100,001
+# nodes, 265 MB at 300,001, 814 MB at 1,200,001), and the lab audit adds
 # ~117 B per fine step (`pulses --lab-audit --t1 16`: 123 MB at 775,521
 # fine nodes, 210 MB at 1,551,041) plus ~0.35 kB per grid node it keeps
 # alive (x86-64, numpy 2.4).  Either way the largest accepted run peaks near
 # 2 GB per process; a pooled sweep holds one such peak per worker.
-MAX_NODES = 1_800_000
+MAX_NODES = 2_500_000
 MAX_AUDIT_NODES = 10_000_000
 
 _NUMERIC_ERRORS = (

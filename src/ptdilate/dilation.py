@@ -26,6 +26,10 @@ the metric spans 13+ orders of magnitude (broken-symmetry regime at
 long times), where the direct products lose several digits to
 cancellation.  ``V`` comes from the closed-form eigenvectors of W^dag W
 and every product is written out elementwise: no LAPACK call is made.
+Both closed forms are Hermitian elementwise, so each ancilla block is
+formed in one pass as ``V (Lambda~ +- Gamma~) V^dag`` and M as
+``V diag(m0 sigma^2) V^dag``, each with a real diagonal and its (1, 0)
+entry the conjugate of its (0, 1) entry: Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -84,24 +88,21 @@ class DilationResult:
     m_series: OperatorSeries
     hsa_series: OperatorSeries  # (n_nodes, 2, 2, 2): Lambda + Gamma, Lambda - Gamma
     min_eig_m_minus_i: np.ndarray  # per node, from singular values (stable)
-    presym_lambda: float  # max Hermiticity residual of Lambda before symmetrization
-    presym_gamma: float
 
 
 @dataclass
 class DiagnosticsReport:
     """Max-over-grid residuals of the dilation identities (all relative).
 
-    ``hermiticity`` and ``block_antisym`` are 0 and ``min_eig_m_minus_i`` is
-    ``margin`` by construction; ``metric_ode`` is the one that can move.
+    ``hermiticity`` and ``block_antisym`` are exactly 0 (``dilate`` writes
+    H_sa Hermitian) and ``min_eig_m_minus_i`` is ``margin`` by construction;
+    ``metric_ode`` is the one that can move.
     """
 
     hermiticity: float  # H_sa vs its adjoint
     metric_ode: float  # i dM/dt = H^dag M - M H (central differences)
     block_antisym: float  # H^(-+) = -H^(+-) in the |+->, |-> ancilla basis
     min_eig_m_minus_i: float  # min over grid
-    presym_lambda: float  # Hermiticity of Lambda before symmetrization
-    presym_gamma: float
 
 
 def _as_matrix(h_s) -> np.ndarray:
@@ -130,33 +131,25 @@ def _inverse_propagator(h_s: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.exp(1j * tau * s)[:, None, None] * w
 
 
-def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+def _sandwich(v: np.ndarray, p, q, s) -> np.ndarray:
+    """``v x v^dag`` for ``x = [[p, q], [q*, s]]`` (p, s real) and the right
+    singular vectors ``v = [[a, -b*], [b, a*]]`` of ``right_singular_2x2``,
+    written out elementwise.  The diagonal is real and entry (1, 0) is the
+    conjugate of entry (0, 1): the result is Hermitian by construction."""
+    a, b = v[..., 0, 0], v[..., 1, 0]
+    aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    re_abq = (a * b * q).real
+    out = np.empty((*np.broadcast_shapes(a.shape, np.shape(p)), 2, 2), dtype=complex)
+    out[..., 0, 0] = aa * p + bb * s - 2.0 * re_abq
+    out[..., 1, 1] = bb * p + aa * s + 2.0 * re_abq
+    out[..., 0, 1] = a * b.conj() * (p - s) + a * a * q - (b * b * q).conj()
+    out[..., 1, 0] = out[..., 0, 1].conj()
+    return out
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
     """Per-node Frobenius norm; for (n, 2, 2, 2) blocks, that of the 4x4."""
     return np.sqrt(np.sum((x.conj() * x).real, axis=tuple(range(1, x.ndim))))
-
-
-def _herm_residual(x: np.ndarray) -> np.ndarray:
-    return _fro(x - x.conj().swapaxes(-1, -2)) / np.maximum(_fro(x), 1e-300)
-
-
-def ancilla_blocks(blocks: np.ndarray) -> dict[str, np.ndarray]:
-    """System-space blocks of H_sa in the {|+>, |->} ancilla basis, keyed
-    '++', '+-', '-+', '--', from its ancilla sigma_z blocks B_k stacked as
-    (..., 2, 2, 2): the (a, b) block is sum_k conj(a_k) b_k B_k."""
-    blocks = np.asarray(blocks)
-    if blocks.shape[-3:] != (2, 2, 2):
-        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
-    basis = (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS))
-    return {
-        la + lb: c[0] * blocks[..., 0, :, :] + c[1] * blocks[..., 1, :, :]
-        for la, a in basis
-        for lb, b in basis
-        for c in [a.conj() * b]
-    }
 
 
 def propagator_svd(h_s, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -201,27 +194,24 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     if not 1.0 < m0 < np.inf:
         raise ValueError(f"m0 must be finite and exceed 1, got {m0} (margin = {cfg.margin})")
 
-    vh = v.conj().swapaxes(-1, -2)
     s_eig = m0 * sigma**2  # eigenvalues of M(t), descending
     d_eig2 = s_eig - 1.0  # eigenvalues of M - I
     if float(np.min(d_eig2)) <= 0.0:
         raise PositivityLost(f"min eig(M - I) = {np.min(d_eig2):.3e} <= 0")
     d_eig = np.sqrt(d_eig2)
 
-    ht = mul_2x2(mul_2x2(vh, h_s), v)  # H_s in the metric eigenbasis
-    hth = ht.conj().swapaxes(-1, -2)
-
-    di, dj = d_eig[:, :, None], d_eig[:, None, :]
-    pair = di + dj
-    lam_t = (di * ht + dj * hth) / pair
-    gam_t = 1j * (ht - hth) / pair
-
-    lam = mul_2x2(mul_2x2(v, lam_t), vh)
-    gam = mul_2x2(mul_2x2(v, gam_t), vh)
+    # H_s in the metric eigenbasis, then the entries p, q, s of the closed
+    # forms Lambda~ +- Gamma~, one per ancilla sigma_z block (axis 1).
+    ht = mul_2x2(mul_2x2(v.conj().swapaxes(-1, -2), h_s), v)[:, None]
+    sign = np.array([1.0, -1.0])
+    d0, d1 = d_eig[:, :1], d_eig[:, 1:]
+    p = ht[..., 0, 0].real - sign * ht[..., 0, 0].imag / d0
+    s = ht[..., 1, 1].real - sign * ht[..., 1, 1].imag / d1
+    q = ((d0 + 1j * sign) * ht[..., 0, 1] + (d1 - 1j * sign) * ht[..., 1, 0].conj()) / (d0 + d1)
+    del ht
     # H_sa = Lambda x I + Gamma x sigma_z as its ancilla sigma_z blocks.
-    lam_h, gam_h = _hermitize(lam), _hermitize(gam)
-    hsa = np.stack([lam_h + gam_h, lam_h - gam_h], axis=1)
-    m = _hermitize(mul_2x2(v * s_eig[:, None, :], vh))
+    hsa = _sandwich(v[:, None], p, q, s)
+    m = _sandwich(v, s_eig[:, 0], 0.0, s_eig[:, 1])
 
     return DilationResult(
         m0=m0,
@@ -230,8 +220,6 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
         m_series=OperatorSeries(grid, m),
         hsa_series=OperatorSeries(grid, hsa),
         min_eig_m_minus_i=d_eig2[:, -1].copy(),
-        presym_lambda=float(np.max(_herm_residual(lam))),
-        presym_gamma=float(np.max(_herm_residual(gam))),
     )
 
 
@@ -244,26 +232,23 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     m = result.m_series.data
 
     hsa_norm = np.maximum(_fro(hsa), 1e-300)
-    herm = float(np.max(_herm_residual(hsa)))
+    herm = float(np.max(_fro(hsa - hsa.conj().swapaxes(-1, -2)) / hsa_norm))
 
     # Metric ODE by central differences on interior nodes, relative to the
     # commutator scale.
     dm_fd = (m[2:] - m[:-2]) / (2.0 * dt)
     comm = mul_2x2(h_s.conj().T, m) - mul_2x2(m, h_s)
     resid = np.linalg.norm(1j * dm_fd - comm[1:-1], axis=(-2, -1))
-    scale = np.maximum(
-        np.linalg.norm(m[1:-1], axis=(-2, -1)) * np.linalg.norm(h_s), 1.0
-    )
+    scale = np.maximum(np.linalg.norm(m[1:-1], axis=(-2, -1)) * np.linalg.norm(h_s), 1.0)
     metric_ode = float(np.max(resid / scale))
 
-    blocks = ancilla_blocks(hsa)
-    anti = _fro(blocks["-+"] + blocks["+-"])
+    # H^(-+) + H^(+-) in the {|+>, |->} ancilla basis: sum_k 2 Re(<-|k><k|+>) B_k.
+    c = 2.0 * (ANCILLA_MINUS.conj() * ANCILLA_PLUS).real
+    anti = _fro(c[0] * hsa[:, 0] + c[1] * hsa[:, 1])
     block_antisym = float(np.max(anti / hsa_norm))
     return DiagnosticsReport(
         hermiticity=herm,
         metric_ode=metric_ode,
         block_antisym=block_antisym,
         min_eig_m_minus_i=float(np.min(result.min_eig_m_minus_i)),
-        presym_lambda=result.presym_lambda,
-        presym_gamma=result.presym_gamma,
     )

@@ -119,8 +119,10 @@ def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     G = w^dag w = [[p, q], [q*, u]] has sigma_max^2 = (p + u)/2 + R with
     R = hypot((p - u)/2, |q|), and top eigenvector (a, q*) for p >= u, else
-    (q, a), a = |p - u|/2 + R: neither form cancels.  G = c I (a = 0) takes
-    (1, 0).  The columns of ``v`` are (v0, v1) and (-v1*, v0*).
+    (q, a), a = |p - u|/2 + R: neither form cancels.  G = c I to rounding
+    (a <= eps (p + u)) takes (1, 0): its top eigenvector is noise there, and
+    a subnormal (a, q) would not normalize.  The columns of ``v`` are
+    (v0, v1) and (-v1*, v0*).
     """
     w = np.asarray(w)
     g = (w.conj() * w).real
@@ -128,8 +130,9 @@ def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
     rad = np.hypot((p - u) / 2.0, np.abs(q))
     a = np.abs(p - u) / 2.0 + rad
-    top = np.where(a == 0, 1.0, np.where(p >= u, a, q))
-    low = np.where(p >= u, q.conj(), a)
+    scalar = a <= np.finfo(float).eps * (p + u)
+    top = np.where(scalar, 1.0, np.where(p >= u, a, q))
+    low = np.where(scalar, 0.0, np.where(p >= u, q.conj(), a))
     norm = np.hypot(np.abs(top), np.abs(low))
     v0, v1 = top / norm, low / norm
     v = np.stack([np.stack([v0, -v1.conj()], -1), np.stack([v1, v0.conj()], -1)], -2)

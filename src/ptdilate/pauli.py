@@ -4,9 +4,12 @@ Index order is (I, x, y, z).  H_sa = Lambda x I + Gamma x sigma_z
 arrives as its two ancilla sigma_z blocks Lambda +- Gamma, so its
 two-qubit coefficient of sigma_i x I is the sigma_i coefficient of
 Lambda and that of sigma_i x sigma_z the one of Gamma; no other
-coefficient can be nonzero.  For the dilated Hamiltonians produced from
-the PT family only four of these survive: A1 (x,I), A2 (I,z), A3 (y,z)
-and A4 (z,z); the complementary four are reported as B diagnostics.
+coefficient can be nonzero.  Those eight are read entry by entry from
+Lambda = (B_0 + B_1)/2 and Gamma = (B_0 - B_1)/2: I = (h00 + h11)/2,
+x = (h01 + h10)/2, y = i (h01 - h10)/2 and z = (h00 - h11)/2.  For the
+dilated Hamiltonians produced from the PT family only four of these
+survive: A1 (x,I), A2 (I,z), A3 (y,z) and A4 (z,z); the complementary
+four are reported as B diagnostics.
 """
 
 from __future__ import annotations
@@ -65,10 +68,17 @@ def extract_a_series(hsa: OperatorSeries) -> ASeries:
     blocks = np.asarray(hsa.data, dtype=complex)
     if blocks.shape[-3:] != (2, 2, 2):
         raise ValueError(f"expected H_sa blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
-    lam = (blocks[..., 0, :, :] + blocks[..., 1, :, :]) / 2.0
-    gam = (blocks[..., 0, :, :] - blocks[..., 1, :, :]) / 2.0
-    # c[..., 0, i] = Tr(sigma_i Lambda) / 2 and c[..., 1, i] = Tr(sigma_i Gamma) / 2.
-    c = np.einsum("iab,...kba->...ki", PAULI_1Q, np.stack([lam, gam], axis=-3)) / 2.0
+    # c[..., 0, i] and c[..., 1, i]: the sigma_i coefficients of Lambda and
+    # Gamma, read entry by entry from h = 2 Lambda, then h = 2 Gamma.
+    c = np.empty((*blocks.shape[:-3], 2, 4), dtype=complex)
+    for k, op in enumerate((np.add, np.subtract)):
+        h = op(blocks[..., 0, :, :], blocks[..., 1, :, :])
+        np.add(h[..., 0, 0], h[..., 1, 1], out=c[..., k, 0])
+        np.add(h[..., 0, 1], h[..., 1, 0], out=c[..., k, 1])
+        np.subtract(h[..., 0, 1], h[..., 1, 0], out=c[..., k, 2])
+        np.subtract(h[..., 0, 0], h[..., 1, 1], out=c[..., k, 3])
+    c[..., 2] *= 1j
+    c /= 4.0
     max_imag = float(np.max(np.abs(c.imag), initial=0.0))
     if max_imag > _HERM_TOL:
         raise NotHermitian(

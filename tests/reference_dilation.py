@@ -5,12 +5,14 @@ of the inverse propagator.  This module evaluates the defining formulas
 as written, with the Hermitian eigensolver, PSD square root and
 Sylvester kernels they need.  It is accurate while the metric is
 moderately conditioned, which is where the tests compare the two routes.
-Imported by the tests; not itself a test module.
+``ancilla_blocks`` rewrites H_sa in the {|+>, |->} ancilla basis, for the
+block-structure test.  Imported by the tests; not itself a test module.
 """
 
 import mpmath as mp
 import numpy as np
 
+from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
 from ptdilate.numkit import NotHermitian, OperatorSeries
 
 
@@ -143,3 +145,19 @@ def hsa_blocks_mp(h_s: np.ndarray, t: float, m0: float, dps: int = 50) -> np.nda
         lam, gam = (lam + lam.H) / 2, (gam + gam.H) / 2
         return np.array([[[complex(x[i, j]) for j in range(2)] for i in range(2)]
                          for x in (lam + gam, lam - gam)])
+
+
+def ancilla_blocks(blocks: np.ndarray) -> dict[str, np.ndarray]:
+    """System-space blocks of H_sa in the {|+>, |->} ancilla basis, keyed
+    '++', '+-', '-+', '--', from its ancilla sigma_z blocks B_k stacked as
+    (..., 2, 2, 2): the (a, b) block is sum_k conj(a_k) b_k B_k."""
+    blocks = np.asarray(blocks)
+    if blocks.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
+    basis = (("+", ANCILLA_PLUS), ("-", ANCILLA_MINUS))
+    return {
+        la + lb: c[0] * blocks[..., 0, :, :] + c[1] * blocks[..., 1, :, :]
+        for la, a in basis
+        for lb, b in basis
+        for c in [a.conj() * b]
+    }

@@ -254,6 +254,15 @@ class TestRightSingular2x2:
         assert np.all(np.abs(sigma - c) <= 2.3e-16 * c)
         assert np.array_equal(v, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
+    def test_scalar_gram_to_rounding_takes_unit_basis(self):
+        # A unitary W with subnormal noise off its real part: G = I up to a
+        # subnormal q, whose direction is noise and would not normalize.
+        tiny = 2 * 5e-324
+        w = np.array([[-0.8 - tiny * 1j, -tiny + 0.6j], [-tiny + 0.6j, -0.8 - tiny * 1j]])
+        sigma, v = right_singular_2x2(w[None])
+        assert sigma[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(v[0], np.eye(2))
+
 
 class TestBlockDiag:
     def test_matches_kronecker_form_exactly(self):

@@ -114,6 +114,44 @@ class TestASeriesExtraction:
         with pytest.raises(NotHermitian):
             extract_a_series(OperatorSeries(grid, blocks))
 
+    @pytest.mark.parametrize("part", [0, 1], ids=["lambda", "gamma"])
+    @pytest.mark.parametrize("i", range(4), ids=["I", "x", "y", "z"])
+    def test_rejects_imaginary_coefficient_past_tolerance(self, part, i):
+        # Lambda or Gamma = (1 + i eps) sigma_i: the decode reads eps as the
+        # imaginary part of that one coefficient, and only eps > 1e-9 fails.
+        def series(eps):
+            ops = np.zeros((2, 2, 2), dtype=complex)
+            ops[part] = (1.0 + 1j * eps) * PAULI_1Q[i]
+            blocks = np.stack([ops[0] + ops[1], ops[0] - ops[1]])
+            return OperatorSeries(TimeGrid(0.0, 1.0, 3), np.repeat(blocks[None], 3, axis=0))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BNonVanishing)
+            extract_a_series(series(0.5e-9))
+            with pytest.raises(NotHermitian):
+                extract_a_series(series(2e-9))
+
+    def test_warns_for_dilated_hs_outside_family(self):
+        # A general complex H_s dilates to an H_sa with non-zero B slots.
+        h = np.array([[0.3 + 0.2j, 1.0], [0.5, -0.1j]])
+        result = dilate(h, DilationConfig(TimeGrid(0.0, 1.0, 101)))
+        with pytest.warns(BNonVanishing):
+            extract_a_series(result.hsa_series)
+
+    def test_decode_matches_reference_codec_on_random_hermitian_blocks(self):
+        # Entry-by-entry decode against the 16-product 4x4 codec, on blocks
+        # drawn as Hermitian matrices rather than from Pauli coefficients.
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(256, 2, 2, 2)) + 1j * rng.normal(size=(256, 2, 2, 2))
+        blocks = (x + x.conj().swapaxes(-1, -2)) / 2.0
+        grid = TimeGrid(0.0, 1.0, len(blocks))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BNonVanishing)
+            aser = extract_a_series(OperatorSeries(grid, blocks))
+        ref = pauli_decompose(block_diag(blocks))
+        assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-15
+        assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-15
+
     def test_rejects_4x4_series(self):
         series = OperatorSeries(TimeGrid(0.0, 1.0, 3), np.zeros((3, 4, 4), dtype=complex))
         with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2, 2\)"):

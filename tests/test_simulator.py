@@ -107,8 +107,10 @@ class TestEvolveDilated:
 
 
     def test_peak_memory_per_node(self):
-        # dilate peaks near 1 kB per node, so evolving after it must stay
-        # under 600 B per node for dilate to remain the process peak.
+        # Evolving sets the process peak of `simulate` and `sweep`, on
+        # top of the ~200 B per node the dilation keeps alive (dilate itself
+        # peaks near 464 B per node): the 600 B bound holds the ~0.8 kB per
+        # node RSS slope that cli.MAX_NODES rests on.
         grid = TimeGrid(0.0, 16.0, 100001)
         result = dilate(pt_hamiltonian(1.4), DilationConfig(grid))
         initial = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
