@@ -32,8 +32,8 @@ from .dilation import (
     DilationConfig,
     PositivityLost,
     SingularPropagator,
+    check_horizon,
     dilate,
-    propagator_svd,
     verify_dilation,
 )
 from .fitkit import fit_rows
@@ -156,7 +156,7 @@ class RunConfig:
         problems = []
         for r in self.r_list:
             try:
-                propagator_svd(pt_hamiltonian(r), self.grid)
+                check_horizon(pt_hamiltonian(r), self.grid)
             except SingularPropagator as exc:
                 fix = "r is too large: H_s overflows at t = 0" if exc.at_t0 else "shorten t1"
                 problems.append(f"r = {r:g}: {exc}; {fix}")
@@ -270,7 +270,7 @@ def cmd_dilate(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         print(
             f"r={r:g} m0={result.m0:.6g} hermiticity={report.hermiticity:.3e} "
-            f"block={report.block_antisym:.3e} min_eig={report.min_eig_m_minus_i:.4f}"
+            f"block={report.block_antisym:.3e} min_eig={report.min_eig_m_minus_i:.3e}"
         )
     return 0
 
@@ -473,7 +473,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(
             f"r={r:g} {status} hermiticity={report.hermiticity:.3e} "
             f"block={report.block_antisym:.3e} metric_ode={report.metric_ode:.3e} "
-            f"min_eig={report.min_eig_m_minus_i:.4f}"
+            f"min_eig={report.min_eig_m_minus_i:.3e}"
         )
         if not ok:
             worst_fail = 2

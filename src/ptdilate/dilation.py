@@ -4,10 +4,13 @@ The inverse propagator ``W(t) = exp(+i (t - t0) H_s)`` is evaluated in
 closed form at every grid node: with ``tau = tr H_s / 2``,
 ``A = H_s - tau I`` and ``k = sqrt(-det A)``, ``A^2 = k^2 I`` gives
 ``W = e^{i tau s} (cos(k s) I + i sin(k s)/k A)``, ``s = t - t0``, and
-``sin(k s)/k = s`` at the exceptional point ``k = 0``.  From ``W`` the
-engine builds the metric operator ``M(t)`` and the time-dependent
-dilated Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z``
-on a uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
+``sin(k s)/k = s`` at the exceptional point ``k = 0``.  The bracket has
+determinant 1, so the horizon check, cond W <= 1e14, needs neither W nor
+an SVD: ``cond W + 1/cond W = ||W||_F^2 / |det W|`` is
+``2 |cos k s|^2 + |sin(k s)/k|^2 ||A||_F^2``.  From ``W`` the engine
+builds the metric operator ``M(t)`` and the time-dependent dilated
+Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a
+uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
 from the ancilla coupling ``eta(t) = sqrt(M(t) - I)`` and is kept only
 inside H_sa.  H_sa leaves the two ancilla sigma_z levels uncoupled, so
 it is stored as its two blocks ``[Lambda + Gamma, Lambda - Gamma]``,
@@ -47,7 +50,7 @@ __all__ = [
     "DilationResult",
     "DiagnosticsReport",
     "verify_dilation",
-    "propagator_svd",
+    "check_horizon",
     "dilate",
 ]
 
@@ -72,6 +75,9 @@ class PositivityLost(RuntimeError):
 
 @dataclass(frozen=True)
 class DilationConfig:
+    """m0 = (1 + margin) / mu'.  A margin below ~dt^2 costs accuracy with no
+    error (README, numeric limits); below ~1e-16 dilate raises PositivityLost."""
+
     grid: TimeGrid
     margin: float = 0.1  # safety factor in the M(0) selection
 
@@ -87,7 +93,6 @@ class DilationResult:
     grid: TimeGrid
     m_series: OperatorSeries
     hsa_series: OperatorSeries  # (n_nodes, 2, 2, 2): Lambda + Gamma, Lambda - Gamma
-    min_eig_m_minus_i: np.ndarray  # per node, from singular values (stable)
 
 
 @dataclass
@@ -102,7 +107,7 @@ class DiagnosticsReport:
     hermiticity: float  # H_sa vs its adjoint
     metric_ode: float  # i dM/dt = H^dag M - M H (central differences)
     block_antisym: float  # H^(-+) = -H^(+-) in the |+->, |-> ancilla basis
-    min_eig_m_minus_i: float  # min over grid
+    min_eig_m_minus_i: float  # min over grid, m0 mu' - 1 (mu' from singular values)
 
 
 def _as_matrix(h_s) -> np.ndarray:
@@ -117,18 +122,31 @@ def _as_matrix(h_s) -> np.ndarray:
     return mat
 
 
-def _inverse_propagator(h_s: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """W(t_k) = eps1^{-1}(t_k) = expm(+i (t_k - t0) H_s) as (n_nodes, 2, 2).
-
-    The closed form of the module docstring, ``k`` the principal root.
-    """
+def _horizon_terms(h_s: np.ndarray, grid: TimeGrid):
+    """s = t - t0, tau, A, cos(k s), sin(k s)/k of W (module docstring), checked."""
     s = grid.times() - grid.t0
     tau = (h_s[0, 0] + h_s[1, 1]) / 2.0
     a = h_s - tau * np.eye(2)
-    k = np.sqrt(a[0, 0] ** 2 + a[0, 1] * a[1, 0])  # -det A, as tr A = 0
-    sin_k = np.sin(k * s) / k if k != 0 else s
-    w = np.cos(k * s)[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a
-    return np.exp(1j * tau * s)[:, None, None] * w
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = np.sqrt(a[0, 0] ** 2 + a[0, 1] * a[1, 0])  # -det A, as tr A = 0
+        cos_k = np.cos(k * s)
+        sin_k = np.sin(k * s) / k if k != 0 else s
+        cond_sum = 2.0 * np.abs(cos_k) ** 2 + np.abs(sin_k) ** 2 * np.sum(np.abs(a) ** 2)
+    bad = ~(cond_sum <= _COND_LIMIT)
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        exc = SingularPropagator(
+            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
+            f"at t = {grid.times()[first]:.6g}"
+        )
+        exc.at_t0 = first == 0
+        raise exc
+    return s, tau, a, cos_k, sin_k
+
+
+def check_horizon(h_s, grid: TimeGrid) -> None:
+    """Raise SingularPropagator at the first node where cond W passes 1e14 or is NaN."""
+    _horizon_terms(_as_matrix(h_s), grid)
 
 
 def _sandwich(v: np.ndarray, p, q, s) -> np.ndarray:
@@ -152,31 +170,7 @@ def _fro(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((x.conj() * x).real, axis=tuple(range(1, x.ndim))))
 
 
-def propagator_svd(h_s, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (n, 2), descending, and right singular vectors of W.
-
-    sigma_min = |det W| / sigma_max with |det W| = e^{-(t - t0) Im tr H_s}.
-    Raises SingularPropagator at the first t where cond W passes 1e14 or W
-    overflowed; the CLI's horizon check makes this same check.
-    """
-    h_s = _as_matrix(h_s)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s_max, v = right_singular_2x2(_inverse_propagator(h_s, grid))
-        s_min = np.exp(-(grid.times() - grid.t0) * np.trace(h_s).imag) / s_max
-        cond = s_max / np.maximum(s_min, 5e-324)  # sigma_min can underflow to 0
-    bad = ~(cond <= _COND_LIMIT)
-    if np.any(bad):
-        first = int(np.argmax(bad))
-        exc = SingularPropagator(
-            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
-            f"at t = {grid.times()[first]:.6g}"
-        )
-        exc.at_t0 = first == 0
-        raise exc
-    return np.stack([s_max, s_min], axis=1), v
-
-
-def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
+def dilate(h_s, cfg: DilationConfig) -> DilationResult:
     """Run the full dilation pipeline for the constant 2x2 H_s on the grid.
 
     All metric-derived operators are evaluated in the singular basis of
@@ -186,10 +180,16 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
     """
     h_s = _as_matrix(h_s)
     grid = cfg.grid
-    sigma, v = propagator_svd(h_s, grid)
+    # W = eps1^{-1}; sigma_min = |det W| / sigma_max, |det W| = e^{-(t - t0) Im tr H_s}.
+    elapsed, tau, a, cos_k, sin_k = _horizon_terms(h_s, grid)
+    s_max, v = right_singular_2x2(
+        np.exp(1j * tau * elapsed)[:, None, None]
+        * (cos_k[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a)
+    )
+    sigma = np.stack([s_max, np.exp(-elapsed * np.trace(h_s).imag) / s_max], axis=1)
+    del elapsed, cos_k, sin_k, s_max
     mu_prime = float(np.min(sigma[:, -1] ** 2))
-    if m0 is None:
-        m0 = (1.0 + cfg.margin) / mu_prime
+    m0 = (1.0 + cfg.margin) / mu_prime
     # (1 + margin) / mu' overflows to inf for a huge margin.
     if not 1.0 < m0 < np.inf:
         raise ValueError(f"m0 must be finite and exceed 1, got {m0} (margin = {cfg.margin})")
@@ -219,7 +219,6 @@ def dilate(h_s, cfg: DilationConfig, m0: float | None = None) -> DilationResult:
         grid=grid,
         m_series=OperatorSeries(grid, m),
         hsa_series=OperatorSeries(grid, hsa),
-        min_eig_m_minus_i=d_eig2[:, -1].copy(),
     )
 
 
@@ -250,5 +249,5 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
         hermiticity=herm,
         metric_ode=metric_ode,
         block_antisym=block_antisym,
-        min_eig_m_minus_i=float(np.min(result.min_eig_m_minus_i)),
+        min_eig_m_minus_i=result.m0 * result.mu_prime - 1.0,
     )

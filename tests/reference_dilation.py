@@ -6,14 +6,16 @@ as written, with the Hermitian eigensolver, PSD square root and
 Sylvester kernels they need.  It is accurate while the metric is
 moderately conditioned, which is where the tests compare the two routes.
 ``ancilla_blocks`` rewrites H_sa in the {|+>, |->} ancilla basis, for the
-block-structure test.  Imported by the tests; not itself a test module.
+block-structure test.  ``horizon_first_bad`` is the propagator horizon
+check done with singular values, the oracle for the closed-form
+``check_horizon``.  Imported by the tests; not itself a test module.
 """
 
 import mpmath as mp
 import numpy as np
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
-from ptdilate.numkit import NotHermitian, OperatorSeries
+from ptdilate.numkit import NotHermitian, OperatorSeries, right_singular_2x2
 
 
 class NotPositive(ValueError):
@@ -161,3 +163,27 @@ def ancilla_blocks(blocks: np.ndarray) -> dict[str, np.ndarray]:
         for lb, b in basis
         for c in [a.conj() * b]
     }
+
+
+def horizon_first_bad(h_s: np.ndarray, grid, limit: float = 1e14) -> int | None:
+    """Index of the first node where cond W = sigma_max / sigma_min of
+    W = expm(i (t - t0) H_s) is not <= ``limit`` (an overflowed W counts),
+    or None when every node passes.
+
+    W is built at every node from its closed form (see ``ptdilate.dilation``),
+    sigma_max comes from ``right_singular_2x2`` and
+    sigma_min = |det W| / sigma_max with |det W| = e^{-(t - t0) Im tr H_s}.
+    """
+    h_s = np.asarray(h_s, dtype=complex)
+    s = grid.times() - grid.t0
+    tau = (h_s[0, 0] + h_s[1, 1]) / 2.0
+    a = h_s - tau * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = np.sqrt(a[0, 0] ** 2 + a[0, 1] * a[1, 0])
+        sin_k = np.sin(k * s) / k if k != 0 else s
+        w = np.cos(k * s)[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a
+        s_max, _ = right_singular_2x2(np.exp(1j * tau * s)[:, None, None] * w)
+        s_min = np.exp(-s * np.trace(h_s).imag) / s_max
+        cond = s_max / np.maximum(s_min, 5e-324)  # sigma_min can underflow to 0
+    bad = ~(cond <= limit)
+    return int(np.argmax(bad)) if np.any(bad) else None

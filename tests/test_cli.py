@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ptdilate
-from ptdilate import cli
+from ptdilate import cli, dilation, simulator
 from ptdilate.cli import MAX_AUDIT_NODES, MAX_NODES, RunConfig, ValidationError, main
 from ptdilate.dilation import DilationConfig, dilate
 from ptdilate.fitkit import fit_r, fit_rows
@@ -56,6 +56,17 @@ def assert_table(path, columns, expected):
     header, body = read_csv(path)
     assert header == list(columns)
     assert np.array_equal(body, np.column_stack(expected), equal_nan=True)
+
+
+def forbid_compute(monkeypatch, why):
+    """Make the CLI's horizon pre-flight and every dilation raise ``why``."""
+
+    def no_compute(*args):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(cli, "check_horizon", no_compute)
+    monkeypatch.setattr(cli, "dilate", no_compute)
+    monkeypatch.setattr(simulator, "dilate", no_compute)
 
 
 class TestConfig:
@@ -205,6 +216,23 @@ class TestConfig:
             "fit", "--config", str(cfg_file), "--input", str(path), "--outdir", str(out)
         ) == 0
         assert (out / "fits.csv").exists()
+
+    @pytest.mark.parametrize("command", ["dilate", "simulate", "sweep", "pulses", "verify"])
+    def test_one_singular_vector_pass_per_r(self, tmp_path, monkeypatch, command):
+        # The horizon pre-flight needs no singular vectors, so each r takes
+        # one right_singular_2x2 pass: dilate's own.
+        calls, svd = [], dilation.right_singular_2x2
+
+        def counting(w):
+            calls.append(len(w))
+            return svd(w)
+
+        monkeypatch.setattr(dilation, "right_singular_2x2", counting)
+        assert run(
+            command, "--r", "0", "--r", "0.6", "--r", "1.4", "--n-nodes", "101",
+            "--t1", "2", "--workers", "1", "--outdir", str(tmp_path),
+        ) == 0
+        assert calls == [101, 101, 101]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -571,11 +599,8 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, command, nv, message
     ):
         # Every command builds the NV parameters during validation, before
-        # the horizon check runs the first propagator.
-        def no_compute(*args):
-            raise AssertionError("computed before the NV overrides were validated")
-
-        monkeypatch.setattr(cli, "propagator_svd", no_compute)
+        # the horizon check or any dilation runs.
+        forbid_compute(monkeypatch, "computed before the NV overrides were validated")
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nv": nv}))
         ts = np.linspace(0.0, 4.0, 21)
@@ -592,10 +617,7 @@ class TestExitCodes:
     def test_two_node_grid_fails_before_compute(self, tmp_path, capsys, monkeypatch, command):
         # The metric-ODE central differences of verify_dilation have no
         # interior node on a 2-node grid.
-        def no_compute(*args):
-            raise AssertionError("computed before n_nodes was validated")
-
-        monkeypatch.setattr(cli, "propagator_svd", no_compute)
+        forbid_compute(monkeypatch, "computed before n_nodes was validated")
         out = tmp_path / "out"
         assert run(command, "--n-nodes", "2", "--outdir", str(out)) == 1
         err = capsys.readouterr().err

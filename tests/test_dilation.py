@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_dilation import ancilla_blocks, eta_series, hsa_blocks_mp, lambda_gamma
+from reference_dilation import (
+    ancilla_blocks,
+    eta_series,
+    horizon_first_bad,
+    hsa_blocks_mp,
+    lambda_gamma,
+)
 from reference_expm import expm
 from reference_steps import block_diag
 
@@ -19,6 +25,7 @@ from ptdilate.dilation import (
     DilationConfig,
     PositivityLost,
     SingularPropagator,
+    check_horizon,
     dilate,
     verify_dilation,
 )
@@ -89,9 +96,10 @@ class TestInitialMetric:
         assert np.min(eigs) >= 1.0 + 0.1 - 1e-9
 
     def test_positivity_lost_when_m0_too_small(self):
+        # 1 + 1e-17 rounds to 1, so m0 = 1 / mu' leaves no floor over I.
         h = pt_hamiltonian(1.2)
         with pytest.raises(PositivityLost):
-            dilate(h, cfg(), m0=1.0001)
+            dilate(h, cfg(margin=1e-17))
 
     def test_singular_propagator_guard(self):
         # Broken-regime growth e^{2 s T} beyond the condition cap.
@@ -267,6 +275,46 @@ def universality_cases(draw):
     return h, psi0 / np.linalg.norm(psi0), t1, n_nodes
 
 
+@st.composite
+def horizon_cases(draw):
+    """(H_s, grid) whose horizons straddle the 1e14 condition limit.
+
+    Four families: Bender's [[r e^{i theta}, s], [s, r e^{-i theta}]], the
+    same shifted by -i gamma I, a general complex 2x2, and
+    ``pt_hamiltonian`` within 1e-6 of the exceptional point, where cond W
+    reaches 1e14 only after ~1e4 (broken side) to ~1e7 (at r = 1) time
+    units, or never (unbroken side).  Otherwise cond W(t) is at most
+    e^{2 t ||A||}, A the traceless anti-Hermitian part of H_s, so the span
+    is drawn from half to eight times ln(1e14) / (2 ||A||); about one draw
+    in seven crosses.  The scalar e^{i tau t} cancels from cond W; it is
+    kept within e^{+-50}, where the reference's W and singular values are
+    finite.
+    """
+    family = draw(st.sampled_from(["bender", "shifted", "general", "near_ep"]))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    if family == "near_ep":
+        h = pt_hamiltonian(1.0 + draw(st.floats(min_value=-1e-6, max_value=1e-6)))
+        span = 10.0 ** draw(st.floats(min_value=2.0, max_value=7.5))
+    else:
+        if family == "general":
+            h = np.array([[complex(draw(unit), draw(unit)) for _ in range(2)] for _ in range(2)])
+        else:
+            r = draw(st.floats(min_value=0.0, max_value=2.0))
+            theta = draw(st.floats(min_value=0.0, max_value=math.pi))
+            s = draw(st.floats(min_value=0.2, max_value=1.5))
+            h = np.array([[r * cmath.exp(1j * theta), s], [s, r * cmath.exp(-1j * theta)]])
+        a = (h - h.conj().T) / 2j
+        a -= np.trace(a) / 2.0 * np.eye(2)
+        t_lo = math.log(1e14) / (2.0 * max(np.linalg.norm(a, 2), 1e-300))
+        span = min(t_lo * 2.0 ** draw(st.floats(min_value=-1.0, max_value=3.0)), 1e7)
+        if family == "shifted":
+            gamma = draw(st.floats(min_value=0.0, max_value=min(1.0, 50.0 / span)))
+            h = h - 1j * gamma * np.eye(2)
+    assume(abs(np.trace(h).imag) / 2.0 * span <= 50.0)
+    t0 = draw(st.floats(min_value=-5.0, max_value=5.0))
+    return h, TimeGrid(t0, t0 + span, draw(st.integers(min_value=11, max_value=2001)))
+
+
 class TestDilationProperties:
     @settings(max_examples=30, deadline=None)
     @given(dilation_cases())
@@ -305,6 +353,22 @@ class TestDilationProperties:
         overlap = np.sum(u.conj() * v, axis=1)
         ray_dist = np.linalg.norm(u * (overlap / np.abs(overlap))[:, None] - v, axis=1)
         assert np.max(ray_dist) <= 1000.0 * grid.dt**2
+
+    @settings(max_examples=200, deadline=None)
+    @given(horizon_cases())
+    def test_closed_form_horizon_matches_singular_values(self, case):
+        # The closed form raises at the reference's first node past 1e14,
+        # and passes where the reference passes.  A grid of at most 2001
+        # nodes keeps every t distinct in the message's 6 digits.
+        h, grid = case
+        first = horizon_first_bad(h, grid)
+        if first is None:
+            check_horizon(h, grid)
+            return
+        with pytest.raises(SingularPropagator) as info:
+            check_horizon(h, grid)
+        assert str(info.value).endswith(f"at t = {grid.times()[first]:.6g}")
+        assert info.value.at_t0 == (first == 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -364,9 +428,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DilationConfig(grid=GRID, margin=0.0)
 
-    def test_explicit_m0_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            dilate(pt_hamiltonian(0.1), cfg(), m0=0.9)
+    def test_m0_must_exceed_one(self):
+        # H_s = 0 keeps W = I, so mu' = 1 and 1 + 1e-17 rounds m0 to 1.
+        with pytest.raises(ValueError, match="exceed 1, got 1.0"):
+            dilate(np.zeros((2, 2)), cfg(margin=1e-17))
 
     @pytest.mark.parametrize("margin", [math.inf, 1e308])
     def test_overflowing_m0_rejected(self, margin):
