@@ -48,7 +48,7 @@ from .pulse import (
     synthesize,
 )
 from .ptmodel import analytic_p0, pt_hamiltonian
-from .readout import PLRates, SingularReadout, noisy_p0_curve
+from .readout import PLRates, noisy_p0_curve
 from .simulator import ZeroBranch, branch_populations, prepare_initial, simulate_pt
 
 __all__ = ["RunConfig", "ValidationError", "main"]
@@ -56,20 +56,20 @@ __all__ = ["RunConfig", "ValidationError", "main"]
 OUTDIR_ENV = "PTDILATE_OUTDIR"
 
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
-# at most ~0.8 kB per grid node (`simulate`, one-r `sweep`: 112 MB at 100,001
-# nodes, 265 MB at 300,001, 814 MB at 1,200,001), and the lab audit adds
-# ~117 B per fine step (`pulses --lab-audit --t1 16`: 123 MB at 775,521
-# fine nodes, 210 MB at 1,551,041) plus ~0.35 kB per grid node it keeps
-# alive (x86-64, numpy 2.4).  Either way the largest accepted run peaks near
-# 2 GB per process; a pooled sweep holds one such peak per worker.
-MAX_NODES = 2_500_000
+# at most ~0.47 kB per grid node, the dilation's peak (`simulate` and `pulses`
+# at r = 1.4, t1 = 16: 180 MB at 300,001 nodes, 585 MB at 1,200,001, 1.12 GB
+# at 2,400,001; one-r `sweep`, `dilate` and `verify` ~0.44 kB), so ~1.6 GB at
+# MAX_NODES.  The lab audit adds ~0.11 kB per fine step on top of ~0.3 kB per
+# grid node it keeps alive (`pulses --lab-audit`, r = 0.6, audit to t = 32:
+# 435 MB at 300,001 nodes, 692 MB at 1,200,001), so ~2.1 GB at both bounds
+# (extrapolated; x86-64, numpy 2.4).  A pooled sweep holds one such peak per worker.
+MAX_NODES = 3_500_000
 MAX_AUDIT_NODES = 10_000_000
 
 _NUMERIC_ERRORS = (
     SingularPropagator,
     PositivityLost,
     NotHermitian,
-    SingularReadout,
     ZeroBranch,
     GridTooCoarse,
     np.linalg.LinAlgError,
@@ -140,14 +140,16 @@ class RunConfig:
             problems.append(f"repetitions must be >= 0, got {self.repetitions}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
-        if len(self.pl_rates) != 4 or any(v < 0 for v in self.pl_rates):
-            problems.append(f"pl_rates must be 4 values >= 0, got {self.pl_rates}")
         if self.workers < 0:
             problems.append(f"workers must be >= 0, got {self.workers}")
         try:
             NVParams(**self.nv)
         except (TypeError, ValueError) as exc:  # an unknown field or a bad value
             problems.append(f"nv overrides rejected: {exc}")
+        try:
+            PLRates(rates=tuple(self.pl_rates))
+        except ValueError as exc:  # a wrong count, a negative or a singular inversion
+            problems.append(f"pl_rates rejected: {exc}")
         if problems:
             raise ValidationError("; ".join(problems))
 

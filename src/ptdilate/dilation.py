@@ -7,7 +7,9 @@ closed form at every grid node: with ``tau = tr H_s / 2``,
 ``sin(k s)/k = s`` at the exceptional point ``k = 0``.  The bracket has
 determinant 1, so the horizon check, cond W <= 1e14, needs neither W nor
 an SVD: ``cond W + 1/cond W = ||W||_F^2 / |det W|`` is
-``2 |cos k s|^2 + |sin(k s)/k|^2 ||A||_F^2``.  From ``W`` the engine
+``2 |cos k s|^2 + |sin(k s)/k|^2 ||A||_F^2``.  The scale
+``|det W| = e^{-s Im tr H_s}`` is checked in logs as well, so that W, its
+singular values and m0 stay inside the float range.  From ``W`` the engine
 builds the metric operator ``M(t)`` and the time-dependent dilated
 Hermitian Hamiltonian ``H_sa(t) = Lambda x I + Gamma x sigma_z`` on a
 uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
@@ -60,6 +62,9 @@ ANCILLA_MINUS = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 ANCILLA_PLUS = np.array([-1.0j, 1.0]) / np.sqrt(2.0)
 
 _COND_LIMIT = 1e14
+# Largest sigma_max^2 / sigma_min^2 of W over the nodes so far: m0 sigma_max^2
+# is (1 + margin) times it, so W, sigma, m0 and M stay finite and nonzero.
+_SPREAD_LIMIT = 1e300
 
 
 class SingularPropagator(RuntimeError):
@@ -132,12 +137,21 @@ def _horizon_terms(h_s: np.ndarray, grid: TimeGrid):
         cos_k = np.cos(k * s)
         sin_k = np.sin(k * s) / k if k != 0 else s
         cond_sum = 2.0 * np.abs(cos_k) ** 2 + np.abs(sin_k) ** 2 * np.sum(np.abs(a) ** 2)
-    bad = ~(cond_sum <= _COND_LIMIT)
+        # log sigma^2 lies within log |det W| +- log cond W, and cond W < cond_sum.
+        log_det = -s * np.trace(h_s).imag
+        log_c = np.log(cond_sum)
+        spread = np.maximum.accumulate(log_det + log_c) - np.minimum.accumulate(log_det - log_c)
+    bad_cond = ~(cond_sum <= _COND_LIMIT)
+    bad = bad_cond | ~(spread <= np.log(_SPREAD_LIMIT))
     if np.any(bad):
         first = int(np.argmax(bad))
+        t_bad = f"at t = {grid.times()[first]:.6g}"
         exc = SingularPropagator(
-            f"propagator condition number first exceeds {_COND_LIMIT:.0e} "
-            f"at t = {grid.times()[first]:.6g}"
+            f"propagator condition number first exceeds {_COND_LIMIT:.0e} {t_bad}"
+            if bad_cond[first]
+            else f"propagator scale |det W| = exp(-(t - t0) Im tr H_s) reaches "
+            f"exp({log_det[first]:.6g}): sigma_max^2 / sigma_min^2 of W over the grid "
+            f"first exceeds {_SPREAD_LIMIT:.0e} {t_bad}"
         )
         exc.at_t0 = first == 0
         raise exc
@@ -145,7 +159,9 @@ def _horizon_terms(h_s: np.ndarray, grid: TimeGrid):
 
 
 def check_horizon(h_s, grid: TimeGrid) -> None:
-    """Raise SingularPropagator at the first node where cond W passes 1e14 or is NaN."""
+    """Raise SingularPropagator at the first node where cond W passes 1e14 or
+    is NaN, or where the scale |det W| spreads W's singular values past the
+    float range (sigma_max^2 / sigma_min^2 over the nodes so far > 1e300)."""
     _horizon_terms(_as_matrix(h_s), grid)
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import TimeGrid, chain_2x2, unitary_2x2
+from .numkit import TimeGrid
 from .pauli import PAULI_1Q, ASeries
-from .simulator import Trajectory, _postselect_batch
+from .simulator import Trajectory, _evolve
 
 __all__ = [
     "GridTooCoarse",
@@ -35,11 +35,6 @@ __all__ = [
 
 # Max fraction of a carrier cycle a lab-frame step may span.
 _MAX_CYCLES_PER_STEP = 0.02
-
-# Lab-frame steps per chunk.  Drives, steps, chain, back-rotation and
-# post-selection live for one chunk; only the fine times, the A-integrals
-# and the returned trajectory span the audit's fine grid.
-_STEPS_PER_CHUNK = 16384
 
 
 class GridTooCoarse(ValueError):
@@ -176,13 +171,10 @@ def simulate_lab_frame(
     integrals that define the frame.  ``grid_fine`` must lie inside the
     program's grid; the drives are not extrapolated past it.
 
-    Only the fine times, the two A-integrals and the returned trajectory
-    span the whole fine grid.  Everything else (drive angles, step blocks,
-    the chain, the back-rotation and the post-selection) is built and
-    dropped per chunk of ``_STEPS_PER_CHUNK`` steps, written straight into
-    the trajectory's arrays.  Each chunk chains on from the lab-frame state
-    the one before ended in, so ``ZeroBranch`` raises at the first chunk
-    holding an empty branch.
+    Steps and back-rotation run chunk by chunk through ``simulator._evolve``,
+    the loop of ``evolve_dilated``: only the fine times, the two A-integrals
+    and the returned trajectory span the fine grid, and ``ZeroBranch``
+    raises at the first chunk holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
         raise ValueError(
@@ -199,7 +191,6 @@ def simulate_lab_frame(
     t_nodes = prog.grid.times()
     ts = grid_fine.times()
     h = grid_fine.dt
-    n = grid_fine.n_nodes
 
     def running_integral(col: int) -> np.ndarray:
         """Trapezoid integral of A-series column ``col`` on the fine grid."""
@@ -223,8 +214,7 @@ def simulate_lab_frame(
     w1, w2 = prog.carriers
 
     def lab_blocks(mids: np.ndarray) -> np.ndarray:
-        """The two 2x2 blocks of the traceless lab Hamiltonian at ``mids``
-        (a function so that its temporaries go before the chain runs)."""
+        """The two 2x2 blocks of the traceless lab Hamiltonian at ``mids``."""
         int_a4_mid = np.interp(mids, ts, int_a4)
         ph_mid = np.interp(mids, t_nodes, prog.phase)
         # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
@@ -240,21 +230,8 @@ def simulate_lab_frame(
         blocks[..., 0, 1] = blocks[..., 1, 0] = drives
         return blocks
 
-    states = np.empty((n, 4), dtype=complex)
-    p0, succ = np.empty(n), np.empty(n)
-    # Block k's lab-frame state is column k of the (2, 2) amplitudes.
-    lab = np.reshape(np.asarray(initial, dtype=complex), (2, 2)).T
-    for start in range(0, n - 1, _STEPS_PER_CHUNK):
-        stop = min(start + _STEPS_PER_CHUNK, n - 1)
-        chain = chain_2x2(unitary_2x2(lab_blocks(ts[start:stop] + h / 2.0), h), lab)
-        lab = chain[-1].copy()  # the next chunk starts un-rotated
-        rows = slice(start, stop + 1)  # node start repeats the last chunk's end
-        exponent = (
-            z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
-        )
-        np.multiply(
-            np.exp(1j * exponent), chain.swapaxes(-1, -2).reshape(-1, 4), out=states[rows]
-        )
-        del chain, exponent
-        p0[rows], succ[rows] = _postselect_batch(states[rows])
-    return Trajectory(grid=grid_fine, states=states, p0=p0, success_prob=succ)
+    def back_rotation(rows: slice) -> np.ndarray:
+        exponent = z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
+        return np.exp(1j * exponent)
+
+    return _evolve(grid_fine, lambda i, j: lab_blocks(ts[i:j] + h / 2.0), initial, back_rotation)

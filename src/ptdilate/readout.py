@@ -51,7 +51,8 @@ class PLRates:
     The default values are synthetic but plausible for single-NV confocal
     counting (a few hundredths of a photon per shot, pairwise distinct so
     the inversion stays well conditioned); they are configuration, not
-    measured data.
+    measured data.  Raises SingularReadout when the condition of their
+    ``inversion_matrix`` exceeds 1e12.
     """
 
     rates: tuple[float, float, float, float] = (0.040, 0.030, 0.028, 0.034)
@@ -61,6 +62,9 @@ class PLRates:
             raise ValueError(f"need 4 level rates, got {len(self.rates)}")
         if any(r < 0 for r in self.rates):
             raise ValueError(f"rates must be >= 0, got {self.rates}")
+        cond = float(np.linalg.cond(inversion_matrix(self)))
+        if not cond <= 1e12:
+            raise SingularReadout(f"inversion matrix condition {cond:.3e} exceeds 1e12")
 
     @property
     def vector(self) -> np.ndarray:
@@ -130,17 +134,12 @@ def populations_from_counts(
     ``counts`` is per-shot PL (..., 3) in the order of ``expected_counts``.
     Returns the populations (..., 4), clamped to [0, 1] and renormalized,
     and a (...,) flag of the rows that clamping changed (expected under
-    shot noise).  Raises SingularReadout when the matrix condition
-    exceeds 1e12.  For finite counts the renormalizing sum cannot be
-    zero: the unit-sum row makes each solved row sum to 1, so one of its
-    four levels is >= 1/4 and stays so after clamping to [0, 1].
+    shot noise); ``PLRates`` keeps the matrix conditioned.  For finite
+    counts the renormalizing sum cannot be zero: the unit-sum row makes
+    each solved row sum to 1, so one of its four levels is >= 1/4 and
+    stays so after clamping to [0, 1].
     """
     amat = inversion_matrix(rates)
-    cond = float(np.linalg.cond(amat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularReadout(
-            f"inversion matrix condition {cond:.3e} exceeds 1e12"
-        )
     counts = np.asarray(counts, dtype=float)
     if counts.shape[-1:] != (3,):
         raise ValueError(f"expected rows of 3 counts, got shape {counts.shape}")

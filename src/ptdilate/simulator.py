@@ -6,7 +6,8 @@ renormalizing recovers the non-unitary system trajectory; ``p0`` is the
 population of the system |0> state of that conditional trajectory.  H_sa
 arrives as its two ancilla sigma_z blocks, so every step is their two
 closed-form 2x2 exponentials; block k chains the amplitudes
-``state.reshape(2, 2)[:, k]`` with ``numkit.chain_2x2``.
+``state.reshape(2, 2)[:, k]`` with ``numkit.chain_2x2``.  ``_evolve``, the
+one chunked evolution loop, also runs the lab audit ``pulse.simulate_lab_frame``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ __all__ = [
     "branch_populations",
     "simulate_pt",
 ]
+
+
+# Steps per chunk of ``_evolve``; only the returned trajectory spans the grid.
+_STEPS_PER_CHUNK = 16384
 
 
 class ZeroBranch(RuntimeError):
@@ -69,6 +74,31 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pops[..., 0] / w, w
 
 
+def _evolve(grid: TimeGrid, step_blocks, initial: np.ndarray, phases=None) -> Trajectory:
+    """Chain the 2x2 steps on ``grid`` from ``initial`` and post-select, per chunk.
+
+    ``step_blocks(i, j)``: the Hermitian (j - i, 2, 2, 2) blocks of steps i .. j - 1;
+    ``phases(rows)``, optional: the (len, 4) factors taking nodes ``rows`` to the
+    reported frame.  Each chunk chains on from the last one's un-rotated end state,
+    so ``ZeroBranch`` raises at the first chunk with an empty branch.
+    """
+    n = grid.n_nodes
+    states = np.empty((n, 4), dtype=complex)
+    p0, succ = np.empty(n), np.empty(n)
+    carry = np.reshape(initial, (2, 2)).T  # block k's state is column k
+    for start in range(0, n - 1, _STEPS_PER_CHUNK):
+        stop = min(start + _STEPS_PER_CHUNK, n - 1)
+        rows = slice(start, stop + 1)  # node start repeats the last chunk's end
+        chain = chain_2x2(unitary_2x2(step_blocks(start, stop), grid.dt), carry)
+        states[rows].reshape(-1, 2, 2).swapaxes(-1, -2)[...] = chain
+        carry = chain[-1].copy()
+        del chain
+        if phases is not None:
+            np.multiply(phases(rows), states[rows], out=states[rows])
+        p0[rows], succ[rows] = _postselect_batch(states[rows])
+    return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
+
+
 def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     """Propagate by per-interval unitaries exp(-i dt H_sa(midpoint)).
 
@@ -77,14 +107,9 @@ def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     ``prepare_initial``.  The midpoint Hamiltonian of each interval is the
     mean of its two nodes (linear interpolation of H_sa), so the error is
     O(dt^2) and only more grid nodes reduce it.  Each step is the two
-    closed-form 2x2 block exponentials.
+    closed-form 2x2 block exponentials, taken chunk by chunk by ``_evolve``.
     """
-    grid = hsa.grid
-    hmid = (hsa.data[:-1] + hsa.data[1:]) / 2.0
-    blocks = chain_2x2(unitary_2x2(hmid, grid.dt), np.reshape(initial, (2, 2)).T)
-    states = blocks.swapaxes(-1, -2).reshape(-1, 4)
-    p0, succ = _postselect_batch(states)
-    return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
+    return _evolve(hsa.grid, lambda i, j: (hsa.data[i:j] + hsa.data[i + 1 : j + 1]) / 2.0, initial)
 
 
 def branch_populations(states: np.ndarray) -> np.ndarray:

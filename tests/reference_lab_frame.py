@@ -1,8 +1,8 @@
 """Test-side reference oracle: the lab-frame audit over whole-grid arrays.
 
 The package streams the lab-frame audit (``ptdilate.pulse.simulate_lab_frame``)
-chunk by chunk, so only the returned trajectory spans the fine grid.  This
-module keeps the version that builds every drive angle, the back-rotation
+chunk by chunk through ``ptdilate.simulator._evolve``, so only the returned
+trajectory spans the fine grid.  This module keeps the version that builds every drive angle, the back-rotation
 and the post-selection over the whole fine grid at once, for the tests to
 require bitwise-equal trajectories against.  It chains the same
 ``_STEPS_PER_CHUNK`` chunks, so the association of the step products is
@@ -17,13 +17,12 @@ from ptdilate.numkit import TimeGrid, chain_2x2, unitary_2x2
 from ptdilate.pauli import PAULI_1Q, ASeries
 from ptdilate.pulse import (
     _MAX_CYCLES_PER_STEP,
-    _STEPS_PER_CHUNK,
     GridTooCoarse,
     NVParams,
     PulseProgram,
     subspace_h0,
 )
-from ptdilate.simulator import Trajectory, _postselect_batch
+from ptdilate.simulator import _STEPS_PER_CHUNK, Trajectory, _postselect_batch
 
 
 def simulate_lab_frame(

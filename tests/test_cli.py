@@ -630,16 +630,29 @@ class TestExitCodes:
         assert (tmp_path / "trajectory_r0p6.csv").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # Equal PL rates make the readout inversion singular, which only the
-        # noisy readout finds: a numeric (not config) failure.
+        # 1 + 1e-17 rounds to 1, so m0 = 1 / mu' leaves M - I no positive
+        # floor: a numeric (not config) failure found by the dilation.
+        assert run("simulate", "--margin", "1e-17", "--outdir", str(tmp_path)) == 2
+        assert "numeric failure: PositivityLost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dilate", "simulate", "sweep", "pulses", "fit", "verify"])
+    def test_singular_pl_rates_fail_before_compute(self, tmp_path, capsys, monkeypatch, command):
+        # Equal PL rates make the readout inversion singular: a config error
+        # for every command, found when the rates are built during validation.
+        forbid_compute(monkeypatch, "computed before the PL rates were validated")
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"pl_rates": [0.03, 0.03, 0.03, 0.03]}))
+        ts = np.linspace(0.0, 4.0, 21)
+        matrix = write_matrix(tmp_path / "sweep.csv", [0.6], ts, [analytic_p0(0.6, ts)])
+        extra = ("--input", str(matrix)) if command == "fit" else ("--n-nodes", "101")
+        out = tmp_path / "out"
         assert run(
-            "sweep", "--config", str(cfg_file), "--r", "0.6", "--n-nodes", "51",
-            "--t1", "1", "--repetitions", "100", "--workers", "1",
-            "--outdir", str(tmp_path / "out"),
-        ) == 2
-        assert "numeric failure: SingularReadout" in capsys.readouterr().err
+            command, "--config", str(cfg_file), *extra, "--repetitions", "100", "--outdir", str(out)
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "pl_rates rejected: inversion matrix condition" in err
+        assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path):
         assert run("simulate", "--margin", "-1", "--outdir", str(tmp_path)) == 1

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestInitialMetric:
         w = expm(1j * ts[k - 1 : k + 1, None, None] * pt_hamiltonian(r))
         cond = np.linalg.svd(w, compute_uv=False)[:, 0] ** 2
         assert cond[0] <= 1e14 < cond[1]
+
+    @pytest.mark.parametrize("shift", [-5j, 5j])
+    def test_scale_leaving_float_range_names_scale_and_node(self, shift):
+        # A = [[1, 1], [1, -1]] is Hermitian, so cond W = 1 at every node and
+        # only the scale |det W| = e^{-+10 s} moves.  The singular-value
+        # spread e^{10 s} (bounded by 4 e^{10 s}) passes 1e300 between t = 68
+        # and 69; W or m0 would overflow near t = 71, with numpy warnings.
+        # Both shifts still run to t = 60 (m0 = 1.1 and 4.15e260).
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) + shift * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPropagator, match=r"scale \|det W\|.* at t = 69$") as info:
+                dilate(h, cfg(TimeGrid(0.0, 100.0, 101)))
+            result = dilate(h, cfg(TimeGrid(0.0, 60.0, 61)))
+        assert not info.value.at_t0
+        assert np.isfinite(result.m0) and np.all(np.isfinite(result.hsa_series.data))
 
     def test_non_finite_propagator_counts_as_past_limit(self):
         # |H_s| ~ 1e200 overflows W at every node, t0 included: a NaN

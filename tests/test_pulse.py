@@ -8,7 +8,7 @@ import pytest
 from reference_lab_frame import simulate_lab_frame as whole_grid_lab_frame
 from reference_steps import ordered_product
 
-from ptdilate import pulse
+from ptdilate import simulator
 from ptdilate.cli import main
 from ptdilate.dilation import ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import TimeGrid
@@ -205,10 +205,10 @@ class TestLabFrame:
         # The 40000 steps run as three chunks, each chained from the last
         # state of the one before.  One serial loop over all the same 2x2
         # steps (the block axis matrix-multiplies column vectors) must agree.
-        assert pulse._STEPS_PER_CHUNK < 40000
-        monkeypatch.setattr(pulse, "_STEPS_PER_CHUNK", 40000)
+        assert simulator._STEPS_PER_CHUNK < 40000
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 40000)
         monkeypatch.setattr(
-            pulse, "chain_2x2", lambda steps, init: ordered_product(steps, init[..., None])[..., 0]
+            simulator, "chain_2x2", lambda steps, init: ordered_product(steps, init[..., None])[..., 0]
         )
         serial = run_short_audit()
         assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13

@@ -8,6 +8,7 @@ from reference_dilation import eta_series
 from reference_expm import expm
 from reference_steps import block_diag
 
+from ptdilate import simulator
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import OperatorSeries, TimeGrid
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
@@ -105,13 +106,12 @@ class TestEvolveDilated:
         ).reshape(-1, 4) / np.sqrt(result.m0)
         assert np.max(np.abs(traj.states - expected)) <= 1e-5
 
-
     def test_peak_memory_per_node(self):
-        # Evolving sets the process peak of `simulate` and `sweep`, on
-        # top of the ~200 B per node the dilation keeps alive (dilate itself
-        # peaks near 464 B per node): the 600 B bound holds the ~0.8 kB per
-        # node RSS slope that cli.MAX_NODES rests on.
-        grid = TimeGrid(0.0, 16.0, 100001)
+        # Steps, chain and post-selection live for one chunk of
+        # _STEPS_PER_CHUNK steps; only the returned trajectory (80 B per
+        # node) spans the grid.  Over the whole grid at once they peaked
+        # near 460 B per node, above the dilation's own peak.
+        grid = TimeGrid(0.0, 16.0, 200001)
         result = dilate(pt_hamiltonian(1.4), DilationConfig(grid))
         initial = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
         tracemalloc.start()
@@ -120,7 +120,26 @@ class TestEvolveDilated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 600 * grid.n_nodes
+        assert peak <= 150 * grid.n_nodes
+
+    def test_chunked_run_matches_one_chunk(self, monkeypatch):
+        # Five chunks of 800 steps, each chained on from the last state of
+        # the one before, against one chunk of all 4000: the same steps,
+        # associated differently, so equal to rounding.
+        grid = TimeGrid(0.0, 8.0, 4001)
+        result = dilate(pt_hamiltonian(0.6), DilationConfig(grid))
+        initial = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
+        whole = evolve_dilated(result.hsa_series, initial)
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 800)
+        chunked = evolve_dilated(result.hsa_series, initial)
+        assert np.max(np.abs(chunked.states - whole.states)) <= 1e-13
+        assert np.max(np.abs(chunked.p0 - whole.p0)) <= 1e-13
+
+    def test_chunked_run_raises_on_empty_branch(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 3)
+        hsa = OperatorSeries(TimeGrid(0.0, 1.0, 11), np.zeros((11, 2, 2, 2)))
+        with pytest.raises(ZeroBranch):
+            evolve_dilated(hsa, np.kron([1.0, 0.0], ANCILLA_PLUS))
 
 
 class TestSimulatePT:
