@@ -59,10 +59,11 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # at most ~0.47 kB per grid node, the dilation's peak (`simulate` and `pulses`
 # at r = 1.4, t1 = 16: 180 MB at 300,001 nodes, 585 MB at 1,200,001, 1.12 GB
 # at 2,400,001; one-r `sweep`, `dilate` and `verify` ~0.44 kB), so ~1.6 GB at
-# MAX_NODES.  The lab audit adds ~0.11 kB per fine step on top of ~0.3 kB per
-# grid node it keeps alive (`pulses --lab-audit`, r = 0.6, audit to t = 32:
-# 435 MB at 300,001 nodes, 692 MB at 1,200,001), so ~2.1 GB at both bounds
-# (extrapolated; x86-64, numpy 2.4).  A pooled sweep holds one such peak per worker.
+# MAX_NODES.  The lab audit, run once the dilation is freed, adds ~0.1 kB per
+# fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 359 MB
+# at 100,001 nodes, 408 MB at 600,001; 243 MB to t = 16 at 300,001, 386 MB to
+# 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
+# sweep holds one such peak per worker.
 MAX_NODES = 3_500_000
 MAX_AUDIT_NODES = 10_000_000
 
@@ -347,6 +348,8 @@ def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
     for r in cfg.r_list:
         result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
         aser = extract_a_series(result.hsa_series)
+        m0 = result.m0
+        del result  # the audit reads only m0; H_sa and M would outlive their use
         prog = synthesize(aser, carriers)
         resid = rotating_frame_check(prog, aser)
         meta = _metadata(
@@ -356,7 +359,7 @@ def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
             carriers=list(carriers),
         )
         if args.lab_audit:
-            meta["lab_audit"] = _lab_audit(cfg, r, result, aser, prog, nv, fine)
+            meta["lab_audit"] = _lab_audit(cfg, r, m0, aser, prog, nv, fine)
         w1, w2 = prog.carriers
         _write_csv(
             os.path.join(cfg.outdir, f"pulses_r{_rtag(r)}.csv"),
@@ -368,10 +371,8 @@ def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _lab_audit(cfg, r, result, aser, prog, nv, fine) -> dict:
-    initial = prepare_initial(
-        np.array([1.0, 0.0], dtype=complex), math.sqrt(result.m0 - 1.0)
-    )
+def _lab_audit(cfg, r, m0, aser, prog, nv, fine) -> dict:
+    initial = prepare_initial(np.array([1.0, 0.0], dtype=complex), math.sqrt(m0 - 1.0))
     lab = simulate_lab_frame(prog, aser, nv, fine, initial)
     ts = fine.times()
     report = []

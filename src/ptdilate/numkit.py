@@ -4,10 +4,10 @@ Everything here operates on stacks of 2x2 complex matrices.  Neither the
 dilated H_sa nor the NV lab-frame Hamiltonian couples the two values of
 its second tensor factor, so both are carried as their two 2x2 blocks,
 stacked on axis -3, and every evolution step is two independent 2x2
-unitaries.  ``unitary_2x2``, ``mul_2x2`` and ``right_singular_2x2`` are
-closed forms on 2x2 stacks, and ``chain_2x2`` is the one ordered product
-of steps in the package: a two-level blocked prefix scan, O(n) work in
-O(log n) Python iterations, with no loop over the steps.
+unitaries, each a phase times an SU(2) step carried as its pair of entries
+(``su2_step``).  ``chain_su2`` is the one ordered product of steps in the
+package: a blocked prefix scan, O(n) work in O(log n) Python iterations.
+``mul_2x2`` and ``right_singular_2x2`` are closed forms on 2x2 stacks.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ __all__ = [
     "NotHermitian",
     "TimeGrid",
     "OperatorSeries",
-    "unitary_2x2",
+    "su2_step",
     "mul_2x2",
     "right_singular_2x2",
-    "chain_2x2",
+    "chain_su2",
 ]
 
 
@@ -73,33 +73,26 @@ class OperatorSeries:
             )
 
 
-def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt h) for a Hermitian stack ``h`` of shape ``(..., 2, 2)``.
+def su2_step(z: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+    """The pair (alpha, beta) of exp(-i dt (z sz + Re(x) sx + Im(x) sy)).
 
-    With h = a I + z sz + Re(x) sx + Im(x) sy and w = hypot(z, |x|), the
-    closed form is e^{-i dt a} (cos(dt w) I - i sin(dt w)/w (h - a I));
-    sin(dt w)/w is taken as dt sinc(dt w / pi), so w = 0 is exact.
+    ``z`` (real) and ``x`` broadcast together; the step is [[alpha, -beta*],
+    [beta, alpha*]], and a I + z sz + ... steps as e^{-i dt a} times it.
+    With w = hypot(z, |x|), alpha = cos(dt w) - i s z and beta = -i s x,
+    s = sin(dt w)/w taken as dt sinc(dt w / pi), so w = 0 is exact.
     """
-    h = np.asarray(h, dtype=complex)
-    a = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
-    z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
-    w = np.hypot(z, np.abs(h[..., 1, 0]))
+    z, x = np.asarray(z, dtype=float), np.asarray(x)
+    w = np.hypot(z, np.abs(x))
     w *= dt
-    s = np.exp(-1j * dt * a)  # the phase, turned into s in place below
-    del a
-    # U = c I + s (h - a I), where h - a I = [[z, h01], [h10, -z]].
-    c = s * np.cos(w)
-    s *= -1j * dt
+    pair = np.empty((*w.shape, 2), dtype=complex)
+    np.cos(w, out=pair[..., 0].real)
     w /= np.pi
-    s *= np.sinc(w)
+    neg_s = np.sinc(w) * -dt
     del w
-    u = np.empty(h.shape, dtype=complex)
-    np.multiply(s, h[..., 0, 1], out=u[..., 0, 1])
-    np.multiply(s, h[..., 1, 0], out=u[..., 1, 0])
-    s *= z
-    np.add(c, s, out=u[..., 0, 0])
-    np.subtract(c, s, out=u[..., 1, 1])
-    return u
+    pair[..., 0].imag = neg_s * z
+    pair[..., 1].real = -(neg_s * x.imag)
+    pair[..., 1].imag = neg_s * x.real
+    return pair
 
 
 def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,53 +132,55 @@ def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt((p + u) / 2.0 + rad), v
 
 
-def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Step chain: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
+def _mul_su2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(a, b) applied to (c, d), pair-major on axis 0: (a c - b* d, b c + a* d),
+    the pair of a product of SU(2) steps or a step applied to a state.  Its
+    four complex products are those ``mul_2x2`` forms, so the two agree bitwise."""
+    (a, b), (c, d) = p, q
+    return np.stack([a * c - b.conj() * d, b * c + a.conj() * d])
 
-    ``steps`` is a ``(n, ..., 2, 2)`` stack and ``init`` a ``(..., 2)``
-    state; the result stacks ``n + 1`` states of that shape.  A two-level
-    blocked scan: the steps are copied once into m chunks of
-    L = n.bit_length() steps, chunk-major with the last chunk padded by
-    identities.  L - 1 ``mul_2x2`` passes, each across all chunks, build
-    every chunk's prefix products; a doubling (Hillis-Steele) scan of
-    ~log2(m) passes over the chunk totals gives the state entering each
-    chunk; one elementwise pass applies every prefix to its entering state.
-    That is O(n) work in O(log n) Python iterations.  The association
-    differs from a left-to-right loop, so the states agree with it to
-    rounding, not bitwise.
+
+def chain_su2(pairs: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Step chain: ``out[0] = init`` and ``out[k + 1] = U_k @ out[k]``.
+
+    ``pairs`` is a ``(n, ..., 2)`` stack of SU(2) pairs (a, b), the steps
+    U_k = [[a, -b*], [b, a*]], and ``init`` a ``(..., 2)`` state.  A two-level
+    blocked scan: m chunks of L = n.bit_length() steps (the last padded by
+    identities) take L - 1 pair-product passes for their prefix products, a
+    doubling (Hillis-Steele) scan over the chunk totals gives the state
+    entering each chunk, and L passes apply the prefixes to it.  The states
+    agree with a left-to-right loop to rounding, not bitwise.
     """
-    steps = np.asarray(steps)
-    init = np.asarray(init, dtype=complex)
-    n, shape = len(steps), steps.shape[1:]
+    src = np.moveaxis(np.asarray(pairs), -1, 0)  # pair-major, as every pass
+    init = np.moveaxis(np.asarray(init, dtype=complex), -1, 0)
+    n, shape = src.shape[1], src.shape[2:]
     size = max(n.bit_length(), 1)
     full, tail = divmod(n, size)
     m = full + (tail > 0)
-    # buf[j, c] = steps[c * size + j]: each pass reads and writes one
-    # contiguous slab.  Identity padding keeps the products exact.
-    buf = np.empty((size, m, *shape), dtype=complex)
-    buf[:, :full] = steps[: full * size].reshape(full, size, *shape).swapaxes(0, 1)
+    # buf[:, j, c] = pairs[c * size + j]: each pass reads and writes two
+    # contiguous slabs.  Identity padding keeps the products exact.
+    buf = np.empty((2, size, m, *shape), dtype=complex)
+    buf[:, :, :full] = src[:, : full * size].reshape(2, full, size, *shape).swapaxes(1, 2)
     if tail:
-        buf[:tail, full] = steps[full * size :]
-        buf[tail:, full] = np.eye(2)
+        buf[:, :tail, full] = src[:, full * size :]
+        buf[0, tail:, full], buf[1, tail:, full] = 1.0, 0.0
     for j in range(1, size):
-        buf[j] = mul_2x2(buf[j], buf[j - 1])
-    # tot[c] = total of chunks 0..c, for every chunk but the last.
-    tot = buf[-1, :-1].copy()
+        buf[:, j] = _mul_su2(buf[:, j], buf[:, j - 1])
+    # tot[:, c] = total of chunks 0..c, for every chunk but the last.
+    tot = buf[:, -1, :-1].copy()
     shift = 1
-    while shift < len(tot):
-        tot[shift:] = mul_2x2(tot[shift:], tot[:-shift])
+    while shift < tot.shape[1]:
+        tot[:, shift:] = _mul_su2(tot[:, shift:], tot[:, :-shift])
         shift *= 2
-    # v[c]: the state entering chunk c.
-    v = np.empty((m, *init.shape), dtype=complex)
-    v[:1] = init
-    np.multiply(tot[..., 0], init[..., None, 0], out=v[1:])
-    v[1:] += tot[..., 1] * init[..., None, 1]
-    # out is padded to whole chunks, so dst views it chunk-major; column 1
-    # is scaled in place in buf, so the apply adds no n-sized temporary.
-    out = np.empty((m * size + 1, *init.shape), dtype=complex)
-    out[0] = init
-    dst = out[1:].reshape(m, size, *init.shape).swapaxes(0, 1)
-    buf[..., 1] *= v[..., None, 1]
-    np.multiply(buf[..., 0], v[..., None, 0], out=dst)
-    dst += buf[..., 1]
+    # v[:, c]: the state entering chunk c.
+    v = np.concatenate([init[:, None], _mul_su2(tot, init[:, None])], axis=1)
+    # Prefix j of every chunk applied to its entering state, as in _mul_su2.
+    out = np.empty((m * size + 1, *init.shape[1:], 2), dtype=complex)
+    out[0] = np.moveaxis(init, 0, -1)
+    dst = out[1:].reshape(m, size, *out.shape[1:])
+    c, d = v
+    for j in range(size):
+        a, b = buf[:, j]
+        dst[:, j, ..., 0] = a * c - b.conj() * d
+        dst[:, j, ..., 1] = b * c + a.conj() * d
     return out[: n + 1]

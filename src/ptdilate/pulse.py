@@ -4,8 +4,8 @@ Maps the A-coefficient form of H_sa onto the two-qubit subspace
 {|0>_e|1>_n, |0>_e|0>_n, |-1>_e|1>_n, |-1>_e|0>_n} of the NV electron +
 14N nuclear spin system: static subspace Hamiltonian, carrier
 frequencies of the two selective MW transitions, Rabi/phase/frequency
-trajectories of the drives, and a lab-frame integrator that audits the
-rotating-wave approximation.
+trajectories of the drives, and a lab-frame integrator (SU(2) steps and a
+real back-rotation exponent) that audits the rotating-wave approximation.
 
 Units: frequencies in NVParams are MHz (cycles/us); Hamiltonians and
 carrier/drive angular frequencies are rad/us; time is us (matching the
@@ -171,10 +171,11 @@ def simulate_lab_frame(
     integrals that define the frame.  ``grid_fine`` must lie inside the
     program's grid; the drives are not extrapolated past it.
 
-    Steps and back-rotation run chunk by chunk through ``simulator._evolve``,
-    the loop of ``evolve_dilated``: only the fine times, the two A-integrals
-    and the returned trajectory span the fine grid, and ``ZeroBranch``
-    raises at the first chunk holding an empty branch.
+    The traceless blocks' (z, drive) parts and the real back-rotation
+    exponent run chunk by chunk through ``simulator._evolve``, the loop of
+    ``evolve_dilated``: only the fine times, the two A-integrals and the
+    returned trajectory span the fine grid, and ``ZeroBranch`` raises at the
+    first chunk holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
         raise ValueError(
@@ -206,15 +207,15 @@ def simulate_lab_frame(
     # e^{-i a_k t} is folded into the back-rotation below.
     h0_diag = np.real(np.diag(h0))
     z = (h0_diag[:2] - h0_diag[2:]) / 2.0  # (h0[k, k] - h0[k + 2, k + 2]) / 2
-    # Back to the rotating frame: the exponent of U_rot is diagonal; H0
-    # enters it less the dropped traces, as (z, -z).
+    # Back to the rotating frame: the exponent of U_rot is diagonal and real;
+    # H0 enters it less the dropped traces, as (z, -z).
     z_rot = np.concatenate([z, -z])
     sz_n = np.array([1.0, -1.0, 1.0, -1.0])  # I x sz diagonal
     sz_sz = np.array([1.0, -1.0, -1.0, 1.0])  # sz x sz diagonal
     w1, w2 = prog.carriers
 
-    def lab_blocks(mids: np.ndarray) -> np.ndarray:
-        """The two 2x2 blocks of the traceless lab Hamiltonian at ``mids``."""
+    def lab_blocks(mids: np.ndarray) -> tuple[None, np.ndarray, np.ndarray]:
+        """Parts (a, z, x) of the two traceless lab blocks at ``mids``."""
         int_a4_mid = np.interp(mids, ts, int_a4)
         ph_mid = np.interp(mids, t_nodes, prog.phase)
         # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
@@ -223,15 +224,9 @@ def simulate_lab_frame(
             axis=-1,
         )
         om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
-        drives = 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
-        # Block k is [[z_k, drive_k], [drive_k, -z_k]], written entry by entry.
-        blocks = np.empty((len(mids), 2, 2, 2), dtype=complex)
-        blocks[..., 0, 0], blocks[..., 1, 1] = z, -z
-        blocks[..., 0, 1] = blocks[..., 1, 0] = drives
-        return blocks
+        return None, z, 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
 
     def back_rotation(rows: slice) -> np.ndarray:
-        exponent = z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
-        return np.exp(1j * exponent)
+        return z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
 
     return _evolve(grid_fine, lambda i, j: lab_blocks(ts[i:j] + h / 2.0), initial, back_rotation)

@@ -4,10 +4,10 @@ State ordering is system (x) ancilla with basis
 (|0>|0>, |0>|1>, |1>|0>, |1>|1>).  Projecting the ancilla onto |-> and
 renormalizing recovers the non-unitary system trajectory; ``p0`` is the
 population of the system |0> state of that conditional trajectory.  H_sa
-arrives as its two ancilla sigma_z blocks, so every step is their two
-closed-form 2x2 exponentials; block k chains the amplitudes
-``state.reshape(2, 2)[:, k]`` with ``numkit.chain_2x2``.  ``_evolve``, the
-one chunked evolution loop, also runs the lab audit ``pulse.simulate_lab_frame``.
+arrives as its two ancilla sigma_z blocks; block k chains the amplitudes
+``state.reshape(2, 2)[:, k]`` by SU(2) pairs (``numkit.chain_su2``) and
+takes its summed phase per node.  ``_evolve``, the one chunked evolution
+loop, also runs the lab audit ``pulse.simulate_lab_frame``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, DilationResult, dilate
-from .numkit import OperatorSeries, TimeGrid, chain_2x2, unitary_2x2
+from .numkit import OperatorSeries, TimeGrid, chain_su2, su2_step
 from .ptmodel import pt_hamiltonian
 
 __all__ = [
@@ -59,42 +59,62 @@ def prepare_initial(psi0: np.ndarray, eta0: float) -> np.ndarray:
     return np.kron(psi0, anc)
 
 
+def _on_bra(states: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """|(<s| x <bra|) state|^2 for s = 0, 1 on the last axis, unnormalized
+    (written out elementwise: ``@`` pays a per-vector dispatch on long stacks)."""
+    resh = states.reshape(*states.shape[:-1], 2, 2)
+    return np.abs(resh[..., 0] * bra[0] + resh[..., 1] * bra[1]) ** 2
+
+
 def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p0, success probability) per state of a stack.
+    """(p0, success probability) per state of a stack, from its two |-> populations.
 
     Raises ZeroBranch when the |-> branch of any state has (numerically)
     no weight, or a NaN weight.  The floor is 1e-60, not the 1e-12 of
     ``readout.p0_from_populations``: at large m0 valid runs post-select
     from weights near 1e-14 and still match ``analytic_p0``.
     """
-    pops = branch_populations(states)
-    w = pops[..., 0] + pops[..., 2]  # the |-> levels |0 1> and |-1 1>
+    pop = _on_bra(states, ANCILLA_MINUS.conj()) / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
+    w = pop[..., 0] + pop[..., 1]  # the |-> levels |0 1> and |-1 1>
     if not np.min(w) >= 1e-60:  # a NaN weight fails too
         raise ZeroBranch("post-selected |-> branch weight below 1e-60 or NaN")
-    return pops[..., 0] / w, w
+    return pop[..., 0] / w, w
 
 
-def _evolve(grid: TimeGrid, step_blocks, initial: np.ndarray, phases=None) -> Trajectory:
+def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Trajectory:
     """Chain the 2x2 steps on ``grid`` from ``initial`` and post-select, per chunk.
 
-    ``step_blocks(i, j)``: the Hermitian (j - i, 2, 2, 2) blocks of steps i .. j - 1;
-    ``phases(rows)``, optional: the (len, 4) factors taking nodes ``rows`` to the
-    reported frame.  Each chunk chains on from the last one's un-rotated end state,
-    so ``ZeroBranch`` raises at the first chunk with an empty branch.
+    ``step_parts(i, j)``: parts ``(a, z, x)`` of the blocks a I + z sz + Re(x) sx
+    + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2), ``a`` None if
+    traceless; ``frame(rows)``, optional: the real (len, 4) exponent to the
+    reported frame.  Each chunk chains on from the last one's un-rotated end
+    state and carries each block's angle -dt sum(a) on; a node takes its
+    exponent once, as cos + i sin.  ``ZeroBranch`` raises at the first empty branch.
     """
     n = grid.n_nodes
     states = np.empty((n, 4), dtype=complex)
     p0, succ = np.empty(n), np.empty(n)
     carry = np.reshape(initial, (2, 2)).T  # block k's state is column k
+    turned = np.zeros((1, 2))  # sum of a over the steps so far, per block
     for start in range(0, n - 1, _STEPS_PER_CHUNK):
         stop = min(start + _STEPS_PER_CHUNK, n - 1)
         rows = slice(start, stop + 1)  # node start repeats the last chunk's end
-        chain = chain_2x2(unitary_2x2(step_blocks(start, stop), grid.dt), carry)
+        a, z, x = step_parts(start, stop)
+        chain = chain_su2(su2_step(z, x, grid.dt), carry)
         states[rows].reshape(-1, 2, 2).swapaxes(-1, -2)[...] = chain
         carry = chain[-1].copy()
-        del chain
-        if phases is not None:
-            np.multiply(phases(rows), states[rows], out=states[rows])
+        del z, x, chain
+        exponent = np.zeros((stop + 1 - start, 4)) if frame is None else frame(rows)
+        if a is not None:
+            # One sequential sum from the first step, so chunks keep it bitwise.
+            sums = np.cumsum(np.concatenate([turned, a]), axis=0)
+            turned = sums[-1:].copy()
+            exponent += np.tile(sums * -grid.dt, 2)  # columns k and k + 2: block k
+        phase = np.empty(exponent.shape, dtype=complex)
+        np.cos(exponent, out=phase.real)
+        np.sin(exponent, out=phase.imag)
+        np.multiply(phase, states[rows], out=states[rows])
+        del a, exponent, phase
         p0[rows], succ[rows] = _postselect_batch(states[rows])
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
 
@@ -106,10 +126,16 @@ def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     stores them, and ``initial`` is the (4,) amplitude vector of
     ``prepare_initial``.  The midpoint Hamiltonian of each interval is the
     mean of its two nodes (linear interpolation of H_sa), so the error is
-    O(dt^2) and only more grid nodes reduce it.  Each step is the two
-    closed-form 2x2 block exponentials, taken chunk by chunk by ``_evolve``.
+    O(dt^2) and only more grid nodes reduce it.  ``_evolve`` steps the mean
+    of the nodes' half trace, z and x parts, chunk by chunk.
     """
-    return _evolve(hsa.grid, lambda i, j: (hsa.data[i:j] + hsa.data[i + 1 : j + 1]) / 2.0, initial)
+
+    def step_parts(i, j):
+        h = hsa.data[i : j + 1]
+        d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+        return tuple((f[:-1] + f[1:]) / 2.0 for f in ((d0 + d1) / 2.0, (d0 - d1) / 2.0, h[..., 1, 0]))
+
+    return _evolve(hsa.grid, step_parts, initial)
 
 
 def branch_populations(states: np.ndarray) -> np.ndarray:
@@ -120,16 +146,9 @@ def branch_populations(states: np.ndarray) -> np.ndarray:
     (<0,-|, <0,+|, <1,-|, <1,+|) of the dilated state.
     """
     states = np.asarray(states)
-    resh = states.reshape(*states.shape[:-1], 2, 2)
-    pops = np.empty(states.shape)
-    # Level 2 s + b projects system level s onto ancilla bra b (written out
-    # elementwise: ``@`` pays a per-vector dispatch on long stacks).
-    for b, bra in enumerate((ANCILLA_MINUS.conj(), ANCILLA_PLUS.conj())):
-        for s in (0, 1):
-            amp = resh[..., s, 0] * bra[0] + resh[..., s, 1] * bra[1]
-            pops[..., 2 * s + b] = np.abs(amp) ** 2
-    pops /= np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
-    return pops
+    # Level 2 s + b projects system level s onto ancilla bra b.
+    pops = np.stack([_on_bra(states, bra.conj()) for bra in (ANCILLA_MINUS, ANCILLA_PLUS)], -1)
+    return pops.reshape(states.shape) / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
 
 
 def simulate_pt(r: float, grid: TimeGrid, margin: float = 0.1) -> tuple[Trajectory, DilationResult]:

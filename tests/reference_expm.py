@@ -1,7 +1,7 @@
 """Test-side reference oracle: the general matrix exponential.
 
-The package takes its step exponentials in closed form
-(``ptdilate.numkit.unitary_2x2``).  This module keeps a generic
+The package takes its step exponentials in closed form, as a phase times
+an SU(2) pair (``ptdilate.numkit.su2_step``).  This module keeps a generic
 scaling-and-squaring Pade [6/6] ``expm`` that assumes no structure, for
 the tests to compare against.  Imported by the tests; not itself a test
 module.

@@ -3,8 +3,10 @@
 The package streams the lab-frame audit (``ptdilate.pulse.simulate_lab_frame``)
 chunk by chunk through ``ptdilate.simulator._evolve``, so only the returned
 trajectory spans the fine grid.  This module keeps the version that builds every drive angle, the back-rotation
-and the post-selection over the whole fine grid at once, for the tests to
-require bitwise-equal trajectories against.  It chains the same
+(``np.exp``) and the post-selection (from all four ``branch_populations``)
+over the whole fine grid at once, and steps full 2x2 matrices with the
+full-matrix kernels of ``reference_steps``, for the tests to require
+bitwise-equal trajectories against.  It chains the same
 ``_STEPS_PER_CHUNK`` chunks, so the association of the step products is
 the same.  Imported by the tests; not itself a test module.
 """
@@ -12,8 +14,9 @@ the same.  Imported by the tests; not itself a test module.
 import math
 
 import numpy as np
+from reference_steps import chain_2x2, unitary_2x2
 
-from ptdilate.numkit import TimeGrid, chain_2x2, unitary_2x2
+from ptdilate.numkit import TimeGrid
 from ptdilate.pauli import PAULI_1Q, ASeries
 from ptdilate.pulse import (
     _MAX_CYCLES_PER_STEP,
@@ -22,7 +25,7 @@ from ptdilate.pulse import (
     PulseProgram,
     subspace_h0,
 )
-from ptdilate.simulator import _STEPS_PER_CHUNK, Trajectory, _postselect_batch
+from ptdilate.simulator import _STEPS_PER_CHUNK, Trajectory, branch_populations
 
 
 def simulate_lab_frame(
@@ -104,5 +107,6 @@ def simulate_lab_frame(
     )
     states = np.exp(1j * exponent) * states
 
-    p0, succ = _postselect_batch(states)
-    return Trajectory(grid=grid_fine, states=states, p0=p0, success_prob=succ)
+    pops = branch_populations(states)
+    succ = pops[:, 0] + pops[:, 2]  # the |-> levels |0 1> and |-1 1>
+    return Trajectory(grid=grid_fine, states=states, p0=pops[:, 0] / succ, success_prob=succ)

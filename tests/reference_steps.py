@@ -1,14 +1,25 @@
-"""Test-side reference oracle: 4x4 step operators and the serial step loop.
+"""Test-side reference oracle: full 2x2 and 4x4 step operators and their chains.
 
 The package evolves each ancilla (or nuclear) block as its own chain of
-2x2 steps (``ptdilate.numkit.chain_2x2``, a two-level blocked scan over
-chunks of ``n.bit_length()`` steps, O(log n) vectorised passes).
-This module keeps the layout that places the two blocks into one 4x4
-operator and the left-to-right step loop, for the tests to compare
-against.  Imported by the tests; not itself a test module.
+2x2 steps carried as SU(2) pairs (``ptdilate.numkit.su2_step`` and
+``chain_su2``, a two-level blocked scan over chunks of ``n.bit_length()``
+steps, O(log n) vectorised passes).  This module keeps the full-matrix
+forms: ``unitary_2x2`` and ``chain_2x2``, the same closed form and scan on
+all four entries of each step; ``su2_matrices``, the 2x2 step of a pair;
+the layout that places the two blocks into one 4x4 operator; and the
+left-to-right step loop, for the tests to compare against.  Imported by
+the tests; not itself a test module.
 """
 
 import numpy as np
+
+from ptdilate.numkit import mul_2x2
+
+
+def su2_matrices(pairs: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) steps [[a, -b*], [b, a*]] of the (..., 2) pairs (a, b)."""
+    a, b = pairs[..., 0], pairs[..., 1]
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -39,3 +50,86 @@ def ordered_product(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
         cur = step @ cur
         out[k + 1] = cur
     return out
+
+
+def unitary_2x2(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt h) for a Hermitian stack ``h`` of shape ``(..., 2, 2)``.
+
+    With h = a I + z sz + Re(x) sx + Im(x) sy and w = hypot(z, |x|), the
+    closed form is e^{-i dt a} (cos(dt w) I - i sin(dt w)/w (h - a I));
+    sin(dt w)/w is taken as dt sinc(dt w / pi), so w = 0 is exact.
+    """
+    h = np.asarray(h, dtype=complex)
+    a = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
+    z = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
+    w = np.hypot(z, np.abs(h[..., 1, 0]))
+    w *= dt
+    s = np.exp(-1j * dt * a)  # the phase, turned into s in place below
+    del a
+    # U = c I + s (h - a I), where h - a I = [[z, h01], [h10, -z]].
+    c = s * np.cos(w)
+    s *= -1j * dt
+    w /= np.pi
+    s *= np.sinc(w)
+    del w
+    u = np.empty(h.shape, dtype=complex)
+    np.multiply(s, h[..., 0, 1], out=u[..., 0, 1])
+    np.multiply(s, h[..., 1, 0], out=u[..., 1, 0])
+    s *= z
+    np.add(c, s, out=u[..., 0, 0])
+    np.subtract(c, s, out=u[..., 1, 1])
+    return u
+
+
+
+
+def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Step chain: ``out[0] = init`` and ``out[k + 1] = steps[k] @ out[k]``.
+
+    ``steps`` is a ``(n, ..., 2, 2)`` stack and ``init`` a ``(..., 2)``
+    state; the result stacks ``n + 1`` states of that shape.  A two-level
+    blocked scan: the steps are copied once into m chunks of
+    L = n.bit_length() steps, chunk-major with the last chunk padded by
+    identities.  L - 1 ``mul_2x2`` passes, each across all chunks, build
+    every chunk's prefix products; a doubling (Hillis-Steele) scan of
+    ~log2(m) passes over the chunk totals gives the state entering each
+    chunk; one elementwise pass applies every prefix to its entering state.
+    That is O(n) work in O(log n) Python iterations.  The association
+    differs from a left-to-right loop, so the states agree with it to
+    rounding, not bitwise.
+    """
+    steps = np.asarray(steps)
+    init = np.asarray(init, dtype=complex)
+    n, shape = len(steps), steps.shape[1:]
+    size = max(n.bit_length(), 1)
+    full, tail = divmod(n, size)
+    m = full + (tail > 0)
+    # buf[j, c] = steps[c * size + j]: each pass reads and writes one
+    # contiguous slab.  Identity padding keeps the products exact.
+    buf = np.empty((size, m, *shape), dtype=complex)
+    buf[:, :full] = steps[: full * size].reshape(full, size, *shape).swapaxes(0, 1)
+    if tail:
+        buf[:tail, full] = steps[full * size :]
+        buf[tail:, full] = np.eye(2)
+    for j in range(1, size):
+        buf[j] = mul_2x2(buf[j], buf[j - 1])
+    # tot[c] = total of chunks 0..c, for every chunk but the last.
+    tot = buf[-1, :-1].copy()
+    shift = 1
+    while shift < len(tot):
+        tot[shift:] = mul_2x2(tot[shift:], tot[:-shift])
+        shift *= 2
+    # v[c]: the state entering chunk c.
+    v = np.empty((m, *init.shape), dtype=complex)
+    v[:1] = init
+    np.multiply(tot[..., 0], init[..., None, 0], out=v[1:])
+    v[1:] += tot[..., 1] * init[..., None, 1]
+    # out is padded to whole chunks, so dst views it chunk-major; column 1
+    # is scaled in place in buf, so the apply adds no n-sized temporary.
+    out = np.empty((m * size + 1, *init.shape), dtype=complex)
+    out[0] = init
+    dst = out[1:].reshape(m, size, *init.shape).swapaxes(0, 1)
+    buf[..., 1] *= v[..., None, 1]
+    np.multiply(buf[..., 0], v[..., None, 0], out=dst)
+    dst += buf[..., 1]
+    return out[: n + 1]

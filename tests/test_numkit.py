@@ -3,8 +3,9 @@ singular pairs, block layout, step chains, Sylvester solves.
 
 The eigensolver, square-root and Sylvester kernels belong to the
 test-side reference oracle in ``reference_dilation``; the Pade ``expm``
-is the test-side oracle in ``reference_expm``; the 4x4 block layout and
-the serial step loop are the test-side oracle in ``reference_steps``.
+is the test-side oracle in ``reference_expm``; the full-matrix step and
+chain kernels, the 4x4 block layout and the serial step loop are the
+test-side oracle in ``reference_steps``.
 """
 
 import tracemalloc
@@ -22,7 +23,13 @@ from reference_dilation import (
     sylvester_hermitian,
 )
 from reference_expm import expm
-from reference_steps import block_diag, ordered_product
+from reference_steps import (
+    block_diag,
+    chain_2x2,
+    ordered_product,
+    su2_matrices,
+    unitary_2x2,
+)
 
 from ptdilate import numkit
 from ptdilate.dilation import _horizon_terms
@@ -30,10 +37,10 @@ from ptdilate.numkit import (
     NotHermitian,
     OperatorSeries,
     TimeGrid,
-    chain_2x2,
+    chain_su2,
     mul_2x2,
     right_singular_2x2,
-    unitary_2x2,
+    su2_step,
 )
 from ptdilate.ptmodel import pt_hamiltonian
 
@@ -149,20 +156,55 @@ def unitarity_error(u):
     return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - eye)))
 
 
+def hermitian_parts(h):
+    """(a, z, x) of Hermitian 2x2 blocks h = a I + z sz + Re(x) sx + Im(x) sy."""
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    return (d0 + d1) / 2.0, (d0 - d1) / 2.0, h[..., 1, 0]
+
+
+def phase_times_pair(a, z, x, dt):
+    """exp(-i dt h) as the phase e^{-i dt a} times the 2x2 step of its SU(2) pair."""
+    return np.exp(-1j * dt * np.asarray(a))[..., None, None] * su2_matrices(su2_step(z, x, dt))
+
+
+@st.composite
+def hermitian_block_parts(draw):
+    """(a, z, x, dt) of 64 Hermitian blocks at one magnitude 10^k, k from
+    -320 (subnormal) to 300: rows 0-7 have z = x = 0 (w = 0), rows 8-15 a
+    subnormal z and x, rows 16-23 a z 1e9 times x, and dt keeps
+    dt max(|a|, w) at most 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-320, 300))
+    a, z, xr, xi = rng.normal(size=(4, 64)) * scale
+    x = xr + 1j * xi
+    z[:8] = x[:8] = 0.0
+    z[8:16] = 5e-324 * rng.integers(-9, 10, size=8)
+    x[8:16] = 5e-324 * (rng.integers(-9, 10, size=8) + 1j * rng.integers(-9, 10, size=8))
+    x[16:24] *= 1e-9
+    top = float(np.max(np.maximum(np.abs(a), np.hypot(z, np.abs(x)))))
+    theta = draw(st.floats(1e-6, 3.0))
+    return a, z, x, theta / top if top >= 1e-300 else theta
+
+
 class TestUnitary2x2:
+    """The 2x2 step exp(-i dt h), taken as a phase times an SU(2) pair."""
+
     def test_matches_reference_on_random_stacks(self):
         rng = np.random.default_rng(23)
         stack = np.stack([random_hermitian(rng, 2) for _ in range(500)])
         for dt in (1.0, 0.1, 1e-3):
-            u = unitary_2x2(stack, dt)
+            u = phase_times_pair(*hermitian_parts(stack), dt)
             assert relative_error(u, expm(-1j * dt * stack)) <= 1e-13
             assert unitarity_error(u) <= 1e-14
 
     def test_zero_and_scalar_identity(self):
-        # omega = 0: the sinc form keeps sin(dt w)/w = dt exact.
+        # omega = 0: the sinc form keeps sin(dt w)/w = dt exact, and the pair
+        # is exactly (1, 0).
         eye = np.eye(2)
         stack = np.stack([0.0 * eye, 2.5 * eye, -7.0 * eye])
-        u = unitary_2x2(stack, 0.3)
+        a, z, x = hermitian_parts(stack)
+        assert np.array_equal(su2_step(z, x, 0.3), np.tile([1.0, 0.0], (3, 1)))
+        u = phase_times_pair(a, z, x, 0.3)
         assert np.array_equal(u[0], eye.astype(complex))
         assert relative_error(u, expm(-1j * 0.3 * stack)) <= 1e-13
         assert unitarity_error(u) <= 1e-14
@@ -176,30 +218,57 @@ class TestUnitary2x2:
         stack[:, 0, 0], stack[:, 1, 1] = z - 12.6, -z - 12.6
         stack[:, 0, 1] = stack[:, 1, 0] = drive
         dt = 0.1 / z
-        u = unitary_2x2(stack, dt)
+        u = phase_times_pair(-12.6, z, drive, dt)
         assert relative_error(u, expm(-1j * dt * stack)) <= 1e-13
         assert unitarity_error(u) <= 1e-14
 
+    def test_traceless_steps_equal_full_matrix_kernel_bitwise(self):
+        # The lab audit's blocks are traceless with real drives; there the
+        # pair is entry for entry the full closed form of reference_steps.
+        rng = np.random.default_rng(30)
+        z = np.array([4.5e3, -4.4e3])
+        drive = rng.uniform(-20.0, 20.0, size=(1000, 2))
+        blocks = np.zeros((1000, 2, 2, 2), dtype=complex)
+        blocks[..., 0, 0], blocks[..., 1, 1] = z, -z
+        blocks[..., 0, 1] = blocks[..., 1, 0] = drive
+        assert np.array_equal(su2_matrices(su2_step(z, drive, 1e-5)), unitary_2x2(blocks, 1e-5))
+
     def test_peak_memory_per_block(self):
-        # The result takes 64 B per 2x2 block; every intermediate is dropped
-        # once used, so the phase, c, s and z never all live beside it.
+        # The pair takes 32 B per 2x2 block, and w, |x| and the sinc
+        # temporaries (8 B each) are dropped once used: 64 B in all.  The
+        # full 2x2 closed form peaked at 108 B per block.
         rng = np.random.default_rng(37)
-        a = rng.normal(size=(16384, 2, 2, 2)) + 1j * rng.normal(size=(16384, 2, 2, 2))
-        h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+        z = rng.normal(size=(16384, 2))
+        x = rng.normal(size=(16384, 2)) + 1j * rng.normal(size=(16384, 2))
         tracemalloc.start()
         try:
-            unitary_2x2(h, 0.7)
+            su2_step(z, x, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 136 * 2 * 16384
+        assert peak <= 72 * 2 * 16384
 
     def test_broadcasts_over_leading_axes(self):
         rng = np.random.default_rng(31)
         stack = np.stack([random_hermitian(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
-        u = unitary_2x2(stack, 0.5)
-        assert u.shape == (2, 3, 2, 2)
-        assert np.array_equal(u[1, 2], unitary_2x2(stack[1, 2], 0.5))
+        _, z, x = hermitian_parts(stack)
+        pair = su2_step(z, x, 0.5)
+        assert pair.shape == (2, 3, 2)
+        assert np.array_equal(pair[1, 2], su2_step(z[1, 2], x[1, 2], 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hermitian_block_parts())
+    def test_phase_times_pair_matches_reference(self, parts):
+        # Within the full closed form's bounds, from subnormal to huge
+        # entries, at w = 0 and with z dominating x.
+        a, z, x, dt = parts
+        h = np.zeros((len(z), 2, 2), dtype=complex)
+        h[:, 0, 0], h[:, 1, 1] = a + z, a - z
+        h[:, 1, 0], h[:, 0, 1] = x, x.conj()
+        u = phase_times_pair(a, z, x, dt)
+        assert relative_error(u, expm(-1j * dt * h)) <= 1e-13
+        assert unitarity_error(u) <= 1e-14
+        assert np.array_equal(su2_step(z[:8], x[:8], dt), np.tile([1.0, 0.0], (8, 1)))
 
 
 class TestMul2x2:
@@ -347,7 +416,7 @@ class TestOrderedProduct:
                 assert np.array_equal(out[k + 1], ref)
 
 
-# Chain lengths: chain_2x2 splits n steps into chunks of n.bit_length().
+# Chain lengths: chain_su2 splits n steps into chunks of n.bit_length().
 # n = 0 is the empty chain; 15/16, 255/256/257 and 16,383/16,384/16,385
 # sit where the chunk length changes.  1, 2, 8, 1000 and 40,000 split
 # exactly; the rest, 13,656 (the lab audit's last chunk) and 16,384 (its
@@ -357,44 +426,56 @@ CHAIN_SIZES = [
 ]
 
 
-def random_steps(rng, shape):
-    a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
-    return unitary_2x2((a + a.conj().swapaxes(-1, -2)) / 2.0, 0.7)
+def random_pairs(rng, shape):
+    """SU(2) pairs of random traceless steps, dt w of order 1."""
+    z = rng.normal(size=shape)
+    return su2_step(z, rng.normal(size=shape) + 1j * rng.normal(size=shape), 0.7)
 
 
 class TestChain2x2:
+    """Chains of 2x2 steps, carried as SU(2) pairs by ``chain_su2``."""
+
     @pytest.mark.parametrize("n", CHAIN_SIZES)
     def test_block_chains_match_serial_4x4_product(self, n):
         # Block k acts on the amplitudes whose second tensor factor is k,
         # i.e. state.reshape(2, 2)[:, k].
         rng = np.random.default_rng(n)
-        steps = random_steps(rng, (n, 2))
+        pairs = random_pairs(rng, (n, 2))
         init = rng.normal(size=4) + 1j * rng.normal(size=4)
         init /= np.linalg.norm(init)
-        out = chain_2x2(steps, init.reshape(2, 2).T)
+        out = chain_su2(pairs, init.reshape(2, 2).T)
         assert out.shape == (n + 1, 2, 2)
-        ref = ordered_product(block_diag(steps), init)
+        ref = ordered_product(block_diag(su2_matrices(pairs)), init)
         assert np.max(np.abs(out.swapaxes(-1, -2).reshape(-1, 4) - ref)) <= 1e-13
 
     @pytest.mark.parametrize("n", CHAIN_SIZES)
     def test_single_chain_matches_serial_product(self, n):
         rng = np.random.default_rng(n + 1)
-        steps = random_steps(rng, (n,))
+        pairs = random_pairs(rng, (n,))
         init = np.array([0.6, 0.8j])
-        out = chain_2x2(steps, init)
+        out = chain_su2(pairs, init)
         assert out.shape == (n + 1, 2)
         assert np.array_equal(out[0], init)
-        assert np.max(np.abs(out - ordered_product(steps, init))) <= 1e-13
+        assert np.max(np.abs(out - ordered_product(su2_matrices(pairs), init))) <= 1e-13
 
     def test_extra_batch_axis_matches_serial_product(self):
         n = 130
         rng = np.random.default_rng(n + 2)
-        steps = random_steps(rng, (n, 3, 2))
+        pairs = random_pairs(rng, (n, 3, 2))
         init = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        out = chain_2x2(steps, init)
+        out = chain_su2(pairs, init)
         assert out.shape == (n + 1, 3, 2, 2)
-        ref = ordered_product(steps, init[..., None])[..., 0]
+        ref = ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
         assert np.max(np.abs(out - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 17, 257, 13656, 16384])
+    def test_equals_full_matrix_chain_bitwise(self, n):
+        # Every pair product is the first column of the full product, formed
+        # from the same complex products, so the two scans agree bit for bit.
+        rng = np.random.default_rng(n + 3)
+        pairs = random_pairs(rng, (n, 2))
+        init = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert np.array_equal(chain_su2(pairs, init), chain_2x2(su2_matrices(pairs), init))
 
     def test_work_is_linear_in_steps(self, monkeypatch):
         # A doubling scan forms ~n log2(n) products (~13n here); the
@@ -402,16 +483,16 @@ class TestChain2x2:
         # and under m log2(m) more for the chunk totals, ~1.5n.
         n = 16384
         products = 0
-        mul = numkit.mul_2x2
+        mul = numkit._mul_su2
 
-        def counting_mul(a, b):
+        def counting_mul(p, q):
             nonlocal products
-            out = mul(a, b)
-            products += out[..., 0, 0].size
+            out = mul(p, q)
+            products += out[0].size
             return out
 
-        monkeypatch.setattr(numkit, "mul_2x2", counting_mul)
-        chain_2x2(random_steps(np.random.default_rng(5), (n,)), np.array([1.0, 0.0]))
+        monkeypatch.setattr(numkit, "_mul_su2", counting_mul)
+        chain_su2(random_pairs(np.random.default_rng(5), (n,)), np.array([1.0, 0.0]))
         assert 0 < products <= 2 * n
 
     def test_passes_grow_with_log_n(self, monkeypatch):
@@ -419,28 +500,30 @@ class TestChain2x2:
         # ~log2(n / L) doubling passes over the chunk totals: 25 calls here.
         n = 16384
         calls = 0
-        mul = numkit.mul_2x2
+        mul = numkit._mul_su2
 
-        def counting_mul(a, b):
+        def counting_mul(p, q):
             nonlocal calls
             calls += 1
-            return mul(a, b)
+            return mul(p, q)
 
-        monkeypatch.setattr(numkit, "mul_2x2", counting_mul)
-        chain_2x2(random_steps(np.random.default_rng(6), (n,)), np.array([1.0, 0.0]))
+        monkeypatch.setattr(numkit, "_mul_su2", counting_mul)
+        chain_su2(random_pairs(np.random.default_rng(6), (n,)), np.array([1.0, 0.0]))
         assert 0 < calls <= 2 * n.bit_length()
 
     def test_peak_memory_per_step(self):
-        # The chunk-major copy of the steps (128 B per 2x2-block step) and
-        # the result (64 B) span the chain; the chunk totals, the entering
-        # states and each pass's product add ~1/L of that.
+        # The chunk-major copy of the pairs (64 B per step of two blocks)
+        # and the result (64 B) span the chain; the chunk totals, the
+        # entering states, each pass's product and numpy's iterator buffers
+        # add ~22 B here.  The full 2x2 steps peaked at 214 B.
         n = 16384
-        steps = random_steps(np.random.default_rng(7), (n, 2))
+        pairs = random_pairs(np.random.default_rng(7), (n, 2))
         init = np.array([[0.6, 1.0], [0.8j, 0.0]])
         tracemalloc.start()
         try:
-            chain_2x2(steps, init)
+            chain_su2(pairs, init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 225 * n
+        assert peak <= 160 * n
+

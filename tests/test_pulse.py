@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference_lab_frame import simulate_lab_frame as whole_grid_lab_frame
-from reference_steps import ordered_product
+from reference_steps import ordered_product, su2_matrices
 
 from ptdilate import simulator
 from ptdilate.cli import main
@@ -207,10 +207,15 @@ class TestLabFrame:
         # steps (the block axis matrix-multiplies column vectors) must agree.
         assert simulator._STEPS_PER_CHUNK < 40000
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 40000)
-        monkeypatch.setattr(
-            simulator, "chain_2x2", lambda steps, init: ordered_product(steps, init[..., None])[..., 0]
-        )
+        calls = []
+
+        def serial_chain(pairs, init):
+            calls.append(len(pairs))
+            return ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
+
+        monkeypatch.setattr(simulator, "chain_su2", serial_chain)
         serial = run_short_audit()
+        assert calls == [40000]
         assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13
 
     @pytest.mark.parametrize(
