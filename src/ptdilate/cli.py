@@ -66,6 +66,8 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # sweep holds one such peak per worker.
 MAX_NODES = 3_500_000
 MAX_AUDIT_NODES = 10_000_000
+# At most this many readout times per curve: one prepare-evolve-readout run each.
+READOUT_POINTS = 201
 
 _NUMERIC_ERRORS = (
     SingularPropagator,
@@ -295,19 +297,25 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _readout_stride(n: int, max_points: int = READOUT_POINTS) -> int:
+    """Smallest stride that keeps at most ``max_points`` of ``n`` samples."""
+    return -(-(n - 1) // (max_points - 1)) if n > max_points else 1
+
+
 def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Noise-free P0 row of the idx-th r and, with repetitions, its noisy row."""
+    """Noise-free P0 row of the idx-th r at every node and, with repetitions,
+    its noisy row at the readout times only (every ``_readout_stride`` node)."""
     traj, _ = simulate_pt(cfg.r_list[idx], cfg.grid, margin=cfg.margin)
     if cfg.repetitions == 0:
         return traj.p0, None
     rng = np.random.default_rng([cfg.seed, idx])
-    noisy = noisy_p0_curve(
-        branch_populations(traj.states), cfg.rates, cfg.repetitions, seed=rng
-    )
-    return traj.p0, noisy
+    pops = branch_populations(traj.states[:: _readout_stride(cfg.n_nodes)])
+    return traj.p0, noisy_p0_curve(pops, cfg.rates, cfg.repetitions, seed=rng)
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Write ``sweep_p0.csv`` at every node and, with repetitions,
+    ``sweep_p0_noisy.csv`` at the at most ``READOUT_POINTS`` readout times."""
     n = len(cfg.r_list)
     workers = min(cfg.workers or os.cpu_count() or 1, n)
     worker = partial(_sweep_worker, cfg)
@@ -320,10 +328,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     meta = _metadata(cfg, kind="noise-free")
     _write_matrix(os.path.join(cfg.outdir, "sweep_p0.csv"), meta, cfg.r_list, ts, rows)
     if cfg.repetitions > 0:
+        stride = _readout_stride(cfg.n_nodes)
         meta = _metadata(
-            cfg, kind="poisson", noise="numpy-default_rng-poisson", repetitions=cfg.repetitions
+            cfg, kind="poisson", noise="numpy-default_rng-poisson",
+            repetitions=cfg.repetitions, readout_stride=stride,
         )
-        _write_matrix(os.path.join(cfg.outdir, "sweep_p0_noisy.csv"), meta, cfg.r_list, ts, noisy)
+        path = os.path.join(cfg.outdir, "sweep_p0_noisy.csv")
+        _write_matrix(path, meta, cfg.r_list, ts[::stride], noisy)
     print(f"sweep: {len(cfg.r_list)} r values x {cfg.n_nodes} nodes")
     return 0
 
@@ -426,7 +437,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     if max_points < 3:
         raise ValidationError(f"max_points must be >= 3 (a fit needs 3 samples), got {max_points}")
     r_nominal, ts, mat = _read_matrix(input_path)
-    stride = max(1, (len(ts) - 1) // (max_points - 1)) if len(ts) > max_points else 1
+    stride = _readout_stride(len(ts), max_points)
     rows = mat[:, ::stride]
     short = r_nominal[np.count_nonzero(np.isfinite(rows), axis=1) < 3]
     if short.size:
@@ -527,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--max-points",
                 type=int,
-                default=201,
-                help="subsample each curve to at most this many samples (at least 3)",
+                default=READOUT_POINTS,
+                help="subsample each curve to at most this many samples (at least 3); "
+                f"a noisy sweep matrix already holds at most {READOUT_POINTS}",
             )
     return parser
 

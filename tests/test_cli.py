@@ -58,6 +58,18 @@ def assert_table(path, columns, expected):
     assert np.array_equal(body, np.column_stack(expected), equal_nan=True)
 
 
+def record_fit_times(monkeypatch):
+    """Make the CLI's ``fit_rows`` record the times of every call it gets."""
+    times = []
+
+    def recording(t, rows):
+        times.append(t)
+        return fit_rows(t, rows)
+
+    monkeypatch.setattr(cli, "fit_rows", recording)
+    return times
+
+
 def forbid_compute(monkeypatch, why):
     """Make the CLI's horizon pre-flight and every dilation raise ``why``."""
 
@@ -443,6 +455,76 @@ class TestSweepAndFit:
         ) == 0
         assert calls == [0.0, 0.5, 1.2]  # noisy rows reuse the same pass
         assert (tmp_path / "sweep_p0_noisy.csv").exists()
+
+    def test_noisy_matrix_holds_the_readout_times_only(self, tmp_path, monkeypatch):
+        # 2001 nodes: the noise-free matrix keeps every node, the noisy one
+        # draws and writes every 10th (201 readout times), and fit reads
+        # both at the same times.
+        r_values, seed = (0.0, 0.6, 1.4), 5
+        args = [
+            "sweep", *(a for r in r_values for a in ("--r", str(r))), "--n-nodes", "2001",
+            "--t1", "4", "--repetitions", "2000", "--seed", str(seed),
+        ]
+        for workers in ("1", "2"):
+            assert run(*args, "--workers", workers, "--outdir", str(tmp_path / workers)) == 0
+        clean_path, noisy_path = (tmp_path / "1" / f"sweep_p0{k}.csv" for k in ("", "_noisy"))
+        clean_header, _ = read_csv(clean_path)
+        noisy_header, _ = read_csv(noisy_path)
+        assert len(clean_header) == 2002
+        assert noisy_header == ["r", *clean_header[1::10]]
+        assert read_meta(noisy_path)["readout_stride"] == 10
+        grid, rates = TimeGrid(0.0, 4.0, 2001), RunConfig().rates
+        expected = []
+        for idx, r in enumerate(r_values):
+            traj, _ = simulate_pt(r, grid)
+            rng = np.random.default_rng([seed, idx])
+            pops = branch_populations(traj.states[::10])
+            expected.append(noisy_p0_curve(pops, rates, 2000, seed=rng))
+        assert_table(noisy_path, noisy_header, [r_values, expected])
+        serial, pooled = ((tmp_path / w / noisy_path.name).read_text().split("\n", 1) for w in "12")
+        assert pooled[1] == serial[1]
+        times = record_fit_times(monkeypatch)
+        for path in (clean_path, noisy_path):
+            assert run("fit", "--input", str(path), "--outdir", str(tmp_path / "fit")) == 0
+        assert len(times[0]) == 201
+        assert np.array_equal(times[0], times[1])
+
+    @pytest.mark.slow
+    def test_readout_time_draws_fit_like_strided_node_draws(self):
+        # The noisy rows drawn at the readout times only fit, on average, to
+        # the same r_exp as rows drawn at every node and then strided, as
+        # sweep did before: the mean r_exp over 20 seeds agrees within 3
+        # standard errors of the difference, at each r.
+        r_values, seeds, reps = [0.3, 0.6, 0.9], range(20), 500_000
+        grid = TimeGrid(0.0, 8.0, 8001)
+        stride = cli._readout_stride(grid.n_nodes)
+        ts = grid.times()[::stride]
+        for idx, r in enumerate(r_values):
+            pops = branch_populations(simulate_pt(r, grid)[0].states)
+            new, old = [], []
+            for seed in seeds:
+                cfg = RunConfig(r_list=r_values, seed=seed, repetitions=reps)
+                new.append(cli._sweep_worker(cfg, idx)[1])
+                rng = np.random.default_rng([seed, idx])
+                old.append(noisy_p0_curve(pops, cfg.rates, reps, seed=rng)[::stride])
+            r_new, r_old = ([f.r_exp for f in fit_rows(ts, rows)] for rows in (new, old))
+            diff = np.mean(r_new) - np.mean(r_old)
+            se = math.hypot(np.std(r_new, ddof=1), np.std(r_old, ddof=1)) / math.sqrt(len(seeds))
+            print(f"\nr={r}: mean r_exp {np.mean(r_new):.5f} (readout times) vs "
+                  f"{np.mean(r_old):.5f} (strided), diff {diff:.1e}, SE {se:.1e}")
+            assert 0 < se <= 1e-2
+            assert abs(diff) <= 3 * se
+
+    def test_max_points_is_an_upper_bound(self, tmp_path, monkeypatch):
+        # 999 intervals at 201 points: stride 5 keeps 200 columns (stride 4
+        # would keep 250).
+        ts = np.linspace(0.0, 8.0, 1000)
+        path = write_matrix(tmp_path / "m.csv", [0.6], ts, [analytic_p0(0.6, ts)])
+        times = record_fit_times(monkeypatch)
+        assert run("fit", "--input", str(path), "--outdir", str(tmp_path)) == 0
+        assert len(times) == 1
+        assert np.array_equal(times[0], ts[::5])
+        assert len(times[0]) == 200
 
     def test_fit_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.csv"
