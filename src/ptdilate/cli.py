@@ -243,11 +243,12 @@ def _write_csv(path: str, meta: dict, columns, rows) -> None:
     """Atomically write the ``# {json}`` metadata line, the header and the rows.
 
     Every value is written in shortest round-trip form (``repr``), so equal
-    numbers always give equal bytes.  Lines are formatted as they are
-    written, so the whole text is never held in memory.
+    numbers always give equal bytes.  Each row becomes Python floats in one
+    ``tolist`` call, and lines are formatted as they are written, so the
+    whole text is never held in memory.
     """
     head = ["# " + json.dumps(meta, sort_keys=True) + "\n", ",".join(columns) + "\n"]
-    body = (",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    body = (",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\n" for row in rows)
     _atomic_write(path, chain(head, body))
 
 
@@ -405,11 +406,15 @@ def _write_matrix(path: str, meta: dict, r_values, ts, mat) -> None:
     """A sweep matrix: header ``r`` then the times, one row ``r, P0(t)...`` per r."""
     # Lazy, so the ~8k time labels are freed once joined instead of living
     # through the whole write (that list alone raised peak RSS ~0.5 MB).
-    columns = chain(["r"], (repr(float(t)) for t in ts))
-    _write_csv(path, meta, columns, ([r, *row] for r, row in zip(r_values, mat)))
+    columns = chain(["r"], map(repr, np.asarray(ts, dtype=float).tolist()))
+    _write_csv(path, meta, columns, (np.concatenate(([r], row)) for r, row in zip(r_values, mat)))
 
 
-def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(r, ts[::stride], P0[:, ::stride], stride)`` of a sweep matrix, where
+    ``stride = _readout_stride(len(ts), max_points)``.  Every row must be as wide
+    as the header, but only column 0 and the readout columns are parsed, so a
+    malformed cell in a column that ``fit`` skips is not an error."""
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     if not lines:
@@ -423,29 +428,32 @@ def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ts = np.array([float(v) for v in header[1:]])
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric time column in header: {exc}")
-    body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    if body.shape[1] != len(ts) + 1:
-        raise ValidationError(
-            f"{path}: row width {body.shape[1]} does not match header "
-            f"({len(ts) + 1} columns)"
-        )
-    return body[:, 0], ts, body[:, 1:]
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: the matrix has a header but no data rows")
+    for ln in rows:
+        if ln.count(",") != len(ts):
+            raise ValidationError(
+                f"{path}: row width {ln.count(',') + 1} does not match header "
+                f"({len(ts) + 1} columns)"
+            )
+    stride = _readout_stride(len(ts), max_points)
+    body = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=[0, *range(1, len(ts) + 1, stride)])
+    return body[:, 0], ts[::stride], body[:, 1:], stride
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     input_path, max_points = args.input, args.max_points
     if max_points < 3:
         raise ValidationError(f"max_points must be >= 3 (a fit needs 3 samples), got {max_points}")
-    r_nominal, ts, mat = _read_matrix(input_path)
-    stride = _readout_stride(len(ts), max_points)
-    rows = mat[:, ::stride]
+    r_nominal, ts, rows, stride = _read_matrix(input_path, max_points)
     short = r_nominal[np.count_nonzero(np.isfinite(rows), axis=1) < 3]
     if short.size:
         raise ValidationError(
             f"{input_path}: rows r_nominal={[float(r) for r in short]} keep fewer "
             f"than 3 finite samples at stride {stride}; a fit needs 3"
         )
-    fits = fit_rows(ts[::stride], rows)
+    fits = fit_rows(ts, rows)
     meta = _metadata(cfg, input=os.path.basename(input_path))
     _write_csv(
         os.path.join(cfg.outdir, "fits.csv"),

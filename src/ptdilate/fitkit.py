@@ -147,7 +147,7 @@ def fit_r(
     # Pinned to the window's edge (its lower edge only above r = 0), or a
     # narrowed window missing the best fit of the whole grid.
     pinned = k == last or (k == first and _GRID[k] > 0.0) or not first <= np.argmin(scores) <= last
-    degenerate = pinned or not d2 > 0
+    degenerate = bool(pinned or not d2 > 0)  # pinned can be a numpy bool
     stderr = math.inf if degenerate else math.sqrt(2.0 * best / (n - 2) / d2)
     e_plus, e_minus = pt_eigenvalues(r_best)
     return FitResult(
@@ -178,6 +178,6 @@ def fit_rows(t, rows) -> list[FitResult]:
         keep = np.isfinite(row)
         # compress keeps each block C-ordered (``blk[:, keep]`` is not), so
         # every row's SSE sums in the same order as ``sse`` sums it.
-        blocks_kept = (blk.compress(keep, axis=1) for blk in blocks)
+        blocks_kept = blocks if keep.all() else (blk.compress(keep, axis=1) for blk in blocks)
         fits.append(fit_r(np.column_stack([t[keep], row[keep]]), _blocks=blocks_kept))
     return fits

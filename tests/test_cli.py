@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -589,6 +590,92 @@ class TestSweepAndFit:
         _, fits = read_csv(tmp_path / "fits.csv")
         assert fits[:, 1].tolist() == [f.r_exp for f in expected]
         assert fits[:, 2].tolist() == [f.stderr for f in expected]
+
+
+class TestReadMatrix:
+    """``fit`` parses only column 0 and the readout columns of a matrix."""
+
+    def write_small(self, tmp_path, rows_text):
+        """A header of 21 times over [0, 4] and the given body lines."""
+        header = ",".join(["r", *map(repr, np.linspace(0.0, 4.0, 21).tolist())])
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join([header, *rows_text]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("max_points, stride", [(201, 10), (21, 100)])
+    def test_strided_read_equals_full_parse_then_stride(self, tmp_path, max_points, stride):
+        ts = TimeGrid(0.0, 4.0, 2001).times()
+        r_values = [0.0, 0.6, 1.4]
+        mat = np.array([analytic_p0(r, ts) for r in r_values])
+        mat[0, [0, 10, 11, 700]] = np.nan
+        mat[2, ::30] = np.nan
+        path = str(tmp_path / "m.csv")
+        cli._write_matrix(path, {}, r_values, ts, mat)
+        with open(path) as fh:
+            full = np.loadtxt([ln for ln in fh if ln[0] != "#"][1:], delimiter=",", ndmin=2)
+        r_read, ts_read, rows, got_stride = cli._read_matrix(path, max_points)
+        assert got_stride == stride
+        assert np.array_equal(r_read, full[:, 0])
+        assert np.array_equal(ts_read, ts[::stride])
+        assert np.array_equal(rows, full[:, 1:][:, ::stride], equal_nan=True)
+        assert np.isnan(rows).any()
+
+    @pytest.mark.parametrize("width", [21, 23], ids=["short", "long"])
+    def test_row_of_wrong_width_rejected(self, tmp_path, capsys, width):
+        good = ",".join(["0.6", *["0.5"] * 21])
+        bad = ",".join(["0.9", *["0.5"] * (width - 1)])
+        path = self.write_small(tmp_path, [good, bad])
+        out = tmp_path / "out"
+        assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"row width {width} does not match header (22 columns)" in err
+        assert not out.exists()
+
+    def test_non_numeric_cell_in_a_read_column_rejected(self, tmp_path):
+        ts = np.linspace(0.0, 4.0, 21)
+        cells = [repr(float(v)) for v in analytic_p0(0.6, ts)]
+        cells[4] = "oops"
+        path = self.write_small(tmp_path, [",".join(["0.6", *cells])])
+        out = tmp_path / "out"
+        assert run("fit", "--input", str(path), "--outdir", str(out), "--max-points", "11") == 1
+        assert not out.exists()
+
+    def test_non_numeric_cell_in_a_skipped_column_is_not_parsed(self, tmp_path):
+        # 21 times at 11 points: stride 2 reads times 0, 2, ..., 20 only.
+        ts = np.linspace(0.0, 4.0, 21)
+        cells = [repr(float(v)) for v in analytic_p0(0.6, ts)]
+        cells[5] = "oops"
+        path = self.write_small(tmp_path, [",".join(["0.6", *cells])])
+        r_read, ts_read, rows, stride = cli._read_matrix(str(path), 11)
+        assert stride == 2
+        assert np.array_equal(rows, [analytic_p0(0.6, ts)[::2]])
+
+    def test_header_only_matrix_names_the_missing_rows(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("r,0.0,0.1,0.2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "no data rows" in err
+        assert not out.exists()
+
+    def test_too_few_finite_samples_names_the_full_matrix_stride(self, tmp_path, capsys):
+        # 81 times at 21 points: stride 4, and the r = 0.7 row keeps two
+        # finite reads among the 21 readout columns.
+        ts = np.linspace(0.0, 8.0, 81)
+        mat = np.array([analytic_p0(r, ts) for r in (0.4, 0.7)])
+        mat[1, 8:] = np.nan
+        path = write_matrix(tmp_path / "m.csv", [0.4, 0.7], ts, mat)
+        out = tmp_path / "out"
+        assert run(
+            "fit", "--input", str(path), "--outdir", str(out), "--max-points", "21",
+        ) == 1
+        err = capsys.readouterr().err
+        assert "fewer than 3 finite samples at stride 4" in err
+        assert not out.exists()
 
 
 class TestPulsesAndVerify:

@@ -1,5 +1,7 @@
 """Strength-fitting tests: recovery, uncertainty, bifurcation curve."""
 
+import json
+
 import numpy as np
 import pytest
 from reference_expm import expm
@@ -124,6 +126,23 @@ class TestValidation:
         res = fit_r(clean_samples(r), r_range=r_range)
         assert r_range[0] <= res.r_exp <= r_range[1]
         assert res.degenerate
+
+    @pytest.mark.parametrize(
+        "samples, r_range",
+        [
+            (clean_samples(0.9), (1.1, 2.0)),  # lower edge above r = 0
+            (clean_samples(2.5), (0.0, 2.0)),  # upper edge
+            (clean_samples(0.3), (0.5, 2.0)),  # narrowed range misses the best fit
+            ([(0.0, 1.0)] * 3, (0.0, 2.0)),  # no curvature
+            (clean_samples(0.6), (0.0, 2.0)),  # not degenerate
+        ],
+        ids=["lower-edge", "upper-edge", "missed-best", "flat", "interior"],
+    )
+    def test_degenerate_is_a_python_bool(self, samples, r_range):
+        # The flag goes to JSON as is: a numpy bool is not serializable.
+        res = fit_r(samples, r_range=r_range)
+        assert type(res.degenerate) is bool
+        assert json.loads(json.dumps(res.degenerate)) is res.degenerate
 
     def test_range_holding_no_scan_point_rejected(self):
         with pytest.raises(ValueError, match="r_range"):
