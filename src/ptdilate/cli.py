@@ -56,10 +56,10 @@ __all__ = ["RunConfig", "ValidationError", "main"]
 OUTDIR_ENV = "PTDILATE_OUTDIR"
 
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
-# at most ~0.47 kB per grid node, the dilation's peak (`simulate` and `pulses`
-# at r = 1.4, t1 = 16: 180 MB at 300,001 nodes, 585 MB at 1,200,001, 1.12 GB
-# at 2,400,001; one-r `sweep`, `dilate` and `verify` ~0.44 kB), so ~1.6 GB at
-# MAX_NODES.  The lab audit, run once the dilation is freed, adds ~0.1 kB per
+# at most ~0.42 kB per grid node, the dilation's peak (`simulate`, `pulses`
+# and one-r `sweep` at r = 1.4, t1 = 16: 162 MB at 300,001 nodes, 540 MB at
+# 1,200,001; `dilate` and `verify` ~0.40 kB), so ~1.5 GB at MAX_NODES
+# (extrapolated).  The lab audit, run once the dilation is freed, adds ~0.1 kB per
 # fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 359 MB
 # at 100,001 nodes, 408 MB at 600,001; 243 MB to t = 16 at 300,001, 386 MB to
 # 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
@@ -414,7 +414,9 @@ def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np
     """``(r, ts[::stride], P0[:, ::stride], stride)`` of a sweep matrix, where
     ``stride = _readout_stride(len(ts), max_points)``.  Every row must be as wide
     as the header, but only column 0 and the readout columns are parsed, so a
-    malformed cell in a column that ``fit`` skips is not an error."""
+    malformed cell in a column that ``fit`` skips is not an error.  Times and
+    strengths must be finite, and a P0 cell may be nan (a failed read) but not
+    infinite; errors number the columns from 1, ``r`` being column 1."""
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     if not lines:
@@ -428,6 +430,9 @@ def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np
         ts = np.array([float(v) for v in header[1:]])
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric time column in header: {exc}")
+    if not np.all(np.isfinite(ts)):
+        col = int(np.argmin(np.isfinite(ts))) + 1
+        raise ValidationError(f"{path}: header column {col + 1} holds the non-finite time {header[col]!r}")
     rows = [ln for ln in lines[1:] if ln.strip()]
     if not rows:
         raise ValidationError(f"{path}: the matrix has a header but no data rows")
@@ -438,7 +443,13 @@ def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np
                 f"({len(ts) + 1} columns)"
             )
     stride = _readout_stride(len(ts), max_points)
-    body = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=[0, *range(1, len(ts) + 1, stride)])
+    cols = [0, *range(1, len(ts) + 1, stride)]
+    body = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=cols)
+    bad = np.isinf(body)
+    bad[:, 0] |= np.isnan(body[:, 0])
+    if bad.any():
+        row, c = np.argwhere(bad)[0]
+        raise ValidationError(f"{path}: column {cols[c] + 1} of data row {row + 1} holds {body[row, c]}")
     return body[:, 0], ts[::stride], body[:, 1:], stride
 
 

@@ -16,7 +16,8 @@ uniform time grid; the operator pair ``Lambda(t), Gamma(t)`` comes
 from the ancilla coupling ``eta(t) = sqrt(M(t) - I)`` and is kept only
 inside H_sa.  H_sa leaves the two ancilla sigma_z levels uncoupled, so
 it is stored as its two blocks ``[Lambda + Gamma, Lambda - Gamma]``,
-one per ancilla level, and never assembled into a 4x4 operator.
+one per ancilla level, each as its real Pauli coefficients (I, x, y, z):
+Hermitian by format, and never assembled into a 2x2 or 4x4 operator.
 Post-selecting the ancilla on the |-> branch of the dilated unitary
 evolution reproduces the non-unitary H_s dynamics.
 
@@ -31,10 +32,9 @@ the metric spans 13+ orders of magnitude (broken-symmetry regime at
 long times), where the direct products lose several digits to
 cancellation.  ``V`` comes from the closed-form eigenvectors of W^dag W
 and every product is written out elementwise: no LAPACK call is made.
-Both closed forms are Hermitian elementwise, so each ancilla block is
-formed in one pass as ``V (Lambda~ +- Gamma~) V^dag`` and M as
-``V diag(m0 sigma^2) V^dag``, each with a real diagonal and its (1, 0)
-entry the conjugate of its (0, 1) entry: Hermitian by construction.
+Both closed forms are Hermitian elementwise, so ``V (Lambda~ +- Gamma~)
+V^dag`` and ``M = V diag(m0 sigma^2) V^dag`` are fixed by their real
+diagonal and (0, 1) entry, which ``_sandwich`` forms in one pass.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class DilationResult:
     mu_prime: float
     grid: TimeGrid
     m_series: OperatorSeries
-    hsa_series: OperatorSeries  # (n_nodes, 2, 2, 2): Lambda + Gamma, Lambda - Gamma
+    hsa_series: OperatorSeries  # (n_nodes, 2, 4) real: (I, x, y, z) of Lambda +- Gamma
 
 
 @dataclass
@@ -105,11 +105,11 @@ class DiagnosticsReport:
     """Max-over-grid residuals of the dilation identities (all relative).
 
     ``hermiticity`` and ``block_antisym`` are exactly 0 (``dilate`` writes
-    H_sa Hermitian) and ``min_eig_m_minus_i`` is ``margin`` by construction;
-    ``metric_ode`` is the one that can move.
+    H_sa as real Pauli coefficients) and ``min_eig_m_minus_i`` is ``margin``
+    by construction; ``metric_ode`` is the one that can move.
     """
 
-    hermiticity: float  # H_sa vs its adjoint
+    hermiticity: float  # ||H_sa - H_sa^dag||_F / ||H_sa||_F = 2 ||Im c|| / ||c||
     metric_ode: float  # i dM/dt = H^dag M - M H (central differences)
     block_antisym: float  # H^(-+) = -H^(+-) in the |+->, |-> ancilla basis
     min_eig_m_minus_i: float  # min over grid, m0 mu' - 1 (mu' from singular values)
@@ -165,25 +165,16 @@ def check_horizon(h_s, grid: TimeGrid) -> None:
     _horizon_terms(_as_matrix(h_s), grid)
 
 
-def _sandwich(v: np.ndarray, p, q, s) -> np.ndarray:
-    """``v x v^dag`` for ``x = [[p, q], [q*, s]]`` (p, s real) and the right
-    singular vectors ``v = [[a, -b*], [b, a*]]`` of ``right_singular_2x2``,
-    written out elementwise.  The diagonal is real and entry (1, 0) is the
-    conjugate of entry (0, 1): the result is Hermitian by construction."""
+def _sandwich(v: np.ndarray, p, q, s):
+    """Entries (0, 0), (1, 1) and (0, 1) of ``v x v^dag`` for ``x = [[p, q], [q*, s]]``
+    (p, s real) and the right singular vectors ``v = [[a, -b*], [b, a*]]`` of
+    ``right_singular_2x2``, written out elementwise.  The diagonal is real; entry
+    (1, 0) of the Hermitian result is the conjugate of entry (0, 1)."""
     a, b = v[..., 0, 0], v[..., 1, 0]
     aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
     re_abq = (a * b * q).real
-    out = np.empty((*np.broadcast_shapes(a.shape, np.shape(p)), 2, 2), dtype=complex)
-    out[..., 0, 0] = aa * p + bb * s - 2.0 * re_abq
-    out[..., 1, 1] = bb * p + aa * s + 2.0 * re_abq
-    out[..., 0, 1] = a * b.conj() * (p - s) + a * a * q - (b * b * q).conj()
-    out[..., 1, 0] = out[..., 0, 1].conj()
-    return out
-
-
-def _fro(x: np.ndarray) -> np.ndarray:
-    """Per-node Frobenius norm; for (n, 2, 2, 2) blocks, that of the 4x4."""
-    return np.sqrt(np.sum((x.conj() * x).real, axis=tuple(range(1, x.ndim))))
+    off = a * b.conj() * (p - s) + a * a * q - (b * b * q).conj()
+    return aa * p + bb * s - 2.0 * re_abq, bb * p + aa * s + 2.0 * re_abq, off
 
 
 def dilate(h_s, cfg: DilationConfig) -> DilationResult:
@@ -225,9 +216,13 @@ def dilate(h_s, cfg: DilationConfig) -> DilationResult:
     s = ht[..., 1, 1].real - sign * ht[..., 1, 1].imag / d1
     q = ((d0 + 1j * sign) * ht[..., 0, 1] + (d1 - 1j * sign) * ht[..., 1, 0].conj()) / (d0 + d1)
     del ht
-    # H_sa = Lambda x I + Gamma x sigma_z as its ancilla sigma_z blocks.
-    hsa = _sandwich(v[:, None], p, q, s)
-    m = _sandwich(v, s_eig[:, 0], 0.0, s_eig[:, 1])
+    # H_sa = Lambda x I + Gamma x sigma_z as the Pauli coefficients of its
+    # ancilla sigma_z blocks; y is -Im of entry (0, 1), +0.0 where that is 0.
+    d00, d11, off = _sandwich(v[:, None], p, q, s)
+    del p, q, s
+    hsa = np.stack([(d00 + d11) / 2.0, off.real, 0.0 - off.imag, (d00 - d11) / 2.0], axis=-1)
+    m00, m11, m01 = _sandwich(v, s_eig[:, 0], 0.0, s_eig[:, 1])
+    m = np.stack([np.stack([m00, m01], -1), np.stack([m01.conj(), m11], -1)], -2)
 
     return DilationResult(
         m0=m0,
@@ -240,14 +235,16 @@ def dilate(h_s, cfg: DilationConfig) -> DilationResult:
 
 def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     """Numeric residuals of the dilation identities for the constant H_s,
-    read off H_sa's two ancilla blocks (a 4x4 norm sums over both)."""
+    read off the Pauli coefficients c of H_sa's two ancilla blocks (a 4x4
+    Frobenius norm is sqrt(2) ||c|| over both blocks)."""
     h_s = _as_matrix(h_s)
     dt = result.grid.dt
     hsa = result.hsa_series.data
     m = result.m_series.data
 
-    hsa_norm = np.maximum(_fro(hsa), 1e-300)
-    herm = float(np.max(_fro(hsa - hsa.conj().swapaxes(-1, -2)) / hsa_norm))
+    # H - H^dag = 2i sum_i Im(c_i) sigma_i per block.
+    hsa_norm = np.maximum(np.linalg.norm(hsa, axis=(1, 2)), 1e-300)
+    herm = float(np.max(2.0 * np.linalg.norm(np.imag(hsa), axis=(1, 2)) / hsa_norm))
 
     # Metric ODE by central differences on interior nodes, relative to the
     # commutator scale.
@@ -259,7 +256,7 @@ def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
 
     # H^(-+) + H^(+-) in the {|+>, |->} ancilla basis: sum_k 2 Re(<-|k><k|+>) B_k.
     c = 2.0 * (ANCILLA_MINUS.conj() * ANCILLA_PLUS).real
-    anti = _fro(c[0] * hsa[:, 0] + c[1] * hsa[:, 1])
+    anti = np.linalg.norm(c[0] * hsa[:, 0] + c[1] * hsa[:, 1], axis=1)
     block_antisym = float(np.max(anti / hsa_norm))
     return DiagnosticsReport(
         hermiticity=herm,

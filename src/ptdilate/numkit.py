@@ -1,12 +1,13 @@
 """Dense complex linear-algebra kernels shared by the dilation pipeline.
 
-Everything here operates on stacks of 2x2 complex matrices.  Neither the
-dilated H_sa nor the NV lab-frame Hamiltonian couples the two values of
-its second tensor factor, so both are carried as their two 2x2 blocks,
-stacked on axis -3, and every evolution step is two independent 2x2
-unitaries, each a phase times an SU(2) step carried as its pair of entries
-(``su2_step``).  ``chain_su2`` is the one ordered product of steps in the
-package: a blocked prefix scan, O(n) work in O(log n) Python iterations.
+Everything here operates on stacks of 2x2 complex matrices or their
+parts.  Neither the dilated H_sa nor the NV lab-frame Hamiltonian couples
+the two values of its second tensor factor, so every evolution step is two
+independent 2x2 unitaries, each a phase times an SU(2) step carried as its
+pair of entries (``su2_step``) and built from the parts (a, z, x) of its
+block a I + z sz + Re(x) sx + Im(x) sy.  ``chain_su2`` is the one ordered
+product of steps in the package: a blocked prefix scan, O(n) work in
+O(log n) Python iterations.
 ``mul_2x2`` and ``right_singular_2x2`` are closed forms on 2x2 stacks.
 """
 
@@ -57,10 +58,9 @@ class TimeGrid:
 class OperatorSeries:
     """A per-node sequence of operators (or state vectors) over a TimeGrid.
 
-    ``data`` has shape ``(n_nodes, ...)``: ``(n_nodes, d, d)`` for operators
-    and ``(n_nodes, 2, 2, 2)`` for the two 2x2 blocks of a block-diagonal
-    4x4 operator, block k acting on the levels whose second tensor factor
-    is k.
+    ``data`` has shape ``(n_nodes, ...)``: ``(n_nodes, 2, 2)`` for the metric M
+    and ``(n_nodes, 2, 4)`` for the real Pauli coefficients (I, x, y, z) of
+    the two 2x2 blocks of H_sa, block k acting on the ancilla level k.
     """
 
     grid: TimeGrid

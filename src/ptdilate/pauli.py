@@ -1,15 +1,13 @@
 """Single-qubit Pauli basis and the A/B coefficients of the dilated H_sa.
 
 Index order is (I, x, y, z).  H_sa = Lambda x I + Gamma x sigma_z
-arrives as its two ancilla sigma_z blocks Lambda +- Gamma, so its
-two-qubit coefficient of sigma_i x I is the sigma_i coefficient of
-Lambda and that of sigma_i x sigma_z the one of Gamma; no other
-coefficient can be nonzero.  Those eight are read entry by entry from
-Lambda = (B_0 + B_1)/2 and Gamma = (B_0 - B_1)/2: I = (h00 + h11)/2,
-x = (h01 + h10)/2, y = i (h01 - h10)/2 and z = (h00 - h11)/2.  For the
-dilated Hamiltonians produced from the PT family only four of these
-survive: A1 (x,I), A2 (I,z), A3 (y,z) and A4 (z,z); the complementary
-four are reported as B diagnostics.
+arrives as the Pauli coefficients of its two ancilla sigma_z blocks
+Lambda +- Gamma, so Lambda and Gamma are their half sum and half
+difference.  The two-qubit coefficient of sigma_i x I is the sigma_i
+coefficient of Lambda, that of sigma_i x sigma_z the one of Gamma, and no
+other can be nonzero.  For the dilated Hamiltonians produced from the PT
+family only four of these eight survive: A1 (x,I), A2 (I,z), A3 (y,z) and
+A4 (z,z); the complementary four are reported as B diagnostics.
 """
 
 from __future__ import annotations
@@ -58,41 +56,28 @@ class ASeries:
 def extract_a_series(hsa: OperatorSeries) -> ASeries:
     """A/B trajectories of an H_sa series held as its two ancilla blocks.
 
-    ``hsa.data`` has shape (n_nodes, 2, 2, 2), the blocks Lambda + Gamma
-    and Lambda - Gamma.  A1 = x(Lambda) and A2, A3, A4 = I, y, z of Gamma;
-    B1..B4 = I, y, z of Lambda and x(Gamma).  Raises NotHermitian when any
-    coefficient carries an imaginary part larger than ``_HERM_TOL``, and
-    warns (BNonVanishing) when max|B| exceeds 1e-6 max|A|, which signals
-    an H_s outside the family for which the four-term reduction holds.
+    ``hsa.data`` has shape (n_nodes, 2, 4): the Pauli coefficients
+    (I, x, y, z) of the blocks Lambda + Gamma and Lambda - Gamma.
+    A1 = x(Lambda) and A2, A3, A4 = I, y, z of Gamma; B1..B4 = I, y, z of
+    Lambda and x(Gamma).  Raises NotHermitian when any coefficient carries
+    an imaginary part larger than ``_HERM_TOL``, and warns (BNonVanishing)
+    when max|B| exceeds 1e-6 max|A|, which signals an H_s outside the
+    family for which the four-term reduction holds.
     """
-    blocks = np.asarray(hsa.data, dtype=complex)
-    if blocks.shape[-3:] != (2, 2, 2):
-        raise ValueError(f"expected H_sa blocks of shape (..., 2, 2, 2), got shape {blocks.shape}")
-    # c[..., 0, i] and c[..., 1, i]: the sigma_i coefficients of Lambda and
-    # Gamma, read entry by entry from h = 2 Lambda, then h = 2 Gamma.
-    c = np.empty((*blocks.shape[:-3], 2, 4), dtype=complex)
-    for k, op in enumerate((np.add, np.subtract)):
-        h = op(blocks[..., 0, :, :], blocks[..., 1, :, :])
-        np.add(h[..., 0, 0], h[..., 1, 1], out=c[..., k, 0])
-        np.add(h[..., 0, 1], h[..., 1, 0], out=c[..., k, 1])
-        np.subtract(h[..., 0, 1], h[..., 1, 0], out=c[..., k, 2])
-        np.subtract(h[..., 0, 0], h[..., 1, 1], out=c[..., k, 3])
-    c[..., 2] *= 1j
-    c /= 4.0
-    max_imag = float(np.max(np.abs(c.imag), initial=0.0))
+    blocks = np.asarray(hsa.data)
+    if blocks.shape[-2:] != (2, 4):
+        raise ValueError(f"expected H_sa block coefficients (..., 2, 4), got shape {blocks.shape}")
+    max_imag = float(np.max(np.abs(np.imag(blocks)), initial=0.0))
     if max_imag > _HERM_TOL:
-        raise NotHermitian(
-            f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={_HERM_TOL}"
-        )
-    a = c.real[..., [0, 1, 1, 1], [1, 0, 2, 3]]  # x(Lambda); I, y, z of Gamma
-    b = c.real[..., [0, 0, 0, 1], [0, 2, 3, 1]]  # I, y, z of Lambda; x(Gamma)
+        raise NotHermitian(f"imaginary coefficient magnitude {max_imag:.3e} exceeds tol={_HERM_TOL}")
+    # c[..., 0, i] and c[..., 1, i]: the sigma_i coefficients of Lambda and Gamma.
+    b0, b1 = np.real(blocks[..., 0, :]), np.real(blocks[..., 1, :])
+    c = np.stack([b0 + b1, b0 - b1], axis=-2) / 2.0
+    a = c[..., [0, 1, 1, 1], [1, 0, 2, 3]]  # x(Lambda); I, y, z of Gamma
+    b = c[..., [0, 0, 0, 1], [0, 2, 3, 1]]  # I, y, z of Lambda; x(Gamma)
     amax = float(np.max(np.abs(a)))
     bmax = float(np.max(np.abs(b)))
     if bmax > 1e-6 * max(amax, 1e-300):
-        warnings.warn(
-            f"B coefficients do not vanish (max|B| = {bmax:.3e}, "
-            f"max|A| = {amax:.3e})",
-            BNonVanishing,
-            stacklevel=2,
-        )
+        msg = f"B coefficients do not vanish (max|B| = {bmax:.3e}, max|A| = {amax:.3e})"
+        warnings.warn(msg, BNonVanishing, stacklevel=2)
     return ASeries(grid=hsa.grid, a=a, b=b)

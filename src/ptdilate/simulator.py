@@ -4,10 +4,11 @@ State ordering is system (x) ancilla with basis
 (|0>|0>, |0>|1>, |1>|0>, |1>|1>).  Projecting the ancilla onto |-> and
 renormalizing recovers the non-unitary system trajectory; ``p0`` is the
 population of the system |0> state of that conditional trajectory.  H_sa
-arrives as its two ancilla sigma_z blocks; block k chains the amplitudes
-``state.reshape(2, 2)[:, k]`` by SU(2) pairs (``numkit.chain_su2``) and
-takes its summed phase per node.  ``_evolve``, the one chunked evolution
-loop, also runs the lab audit ``pulse.simulate_lab_frame``.
+arrives as the Pauli coefficients of its two ancilla sigma_z blocks; block
+k chains the amplitudes ``state.reshape(2, 2)[:, k]`` by SU(2) pairs
+(``numkit.chain_su2``) and takes its summed phase per node.  ``_evolve``,
+the one chunked evolution loop, also runs the lab audit
+``pulse.simulate_lab_frame``.
 """
 
 from __future__ import annotations
@@ -122,18 +123,20 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
 def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     """Propagate by per-interval unitaries exp(-i dt H_sa(midpoint)).
 
-    ``hsa`` holds the two ancilla sigma_z blocks of H_sa, as ``dilate``
-    stores them, and ``initial`` is the (4,) amplitude vector of
-    ``prepare_initial``.  The midpoint Hamiltonian of each interval is the
-    mean of its two nodes (linear interpolation of H_sa), so the error is
-    O(dt^2) and only more grid nodes reduce it.  ``_evolve`` steps the mean
-    of the nodes' half trace, z and x parts, chunk by chunk.
+    ``hsa`` holds the real Pauli coefficients (I, x, y, z) of the two
+    ancilla sigma_z blocks of H_sa, as ``dilate`` stores them, and
+    ``initial`` is the (4,) amplitude vector of ``prepare_initial``.  The
+    midpoint Hamiltonian of each interval is the mean of its two nodes
+    (linear interpolation of H_sa), so the error is O(dt^2) and only more
+    grid nodes reduce it.  ``_evolve`` steps the mean of the nodes' parts
+    (a, z, x) = (I, z, x + i y), chunk by chunk.
     """
 
     def step_parts(i, j):
-        h = hsa.data[i : j + 1]
-        d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
-        return tuple((f[:-1] + f[1:]) / 2.0 for f in ((d0 + d1) / 2.0, (d0 - d1) / 2.0, h[..., 1, 0]))
+        c = hsa.data[i : j + 1]
+        x = np.empty(c.shape[:-1], dtype=complex)
+        x.real, x.imag = c[..., 1], c[..., 2]
+        return tuple((f[:-1] + f[1:]) / 2.0 for f in (c[..., 0], c[..., 3], x))
 
     return _evolve(hsa.grid, step_parts, initial)
 

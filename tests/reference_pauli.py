@@ -1,12 +1,16 @@
-"""Test-side reference oracle: the two-qubit Pauli product basis codec.
+"""Test-side reference oracle: the Pauli codecs of H_sa and of 4x4 operators.
 
-The package reads the A/B coefficients straight from the two ancilla
-blocks of H_sa (``ptdilate.pauli.extract_a_series``).  This module keeps
-the general codec over the 16 products sigma_i (x) sigma_j of whole 4x4
-stacks, for the tests to compare against.  Index order is (I, x, y, z)
-for both factors, system factor first, so a coefficient table
-``c[..., i, j]`` multiplies ``sigma_i (x) sigma_j``.  Imported by the
-tests; not itself a test module.
+``ptdilate.dilation.dilate`` stores H_sa as the real Pauli coefficients
+(I, x, y, z) of its two ancilla sigma_z blocks, shape (..., 2, 4), and the
+package reads the A/B coefficients straight from them
+(``ptdilate.pauli.extract_a_series``).  ``hsa_blocks`` and ``hsa_coeffs``
+convert between those coefficients and the two 2x2 blocks, shape
+(..., 2, 2, 2), for the tests that compare or build blocks.  This module
+also keeps the general codec over the 16 products sigma_i (x) sigma_j of
+whole 4x4 stacks, for the tests to compare against.  Index order is
+(I, x, y, z) for both factors, system factor first, so a coefficient
+table ``c[..., i, j]`` multiplies ``sigma_i (x) sigma_j``.  Imported by
+the tests; not itself a test module.
 """
 
 import numpy as np
@@ -30,6 +34,31 @@ _HERM_TOL = 1e-9
 def _check_shape(x: np.ndarray, what: str) -> None:
     if x.shape[-2:] != (4, 4):
         raise ValueError(f"expected {what} of shape (..., 4, 4), got shape {x.shape}")
+
+
+def hsa_blocks(coeffs: np.ndarray) -> np.ndarray:
+    """(..., 2, 2, 2) blocks sum_i c[..., k, i] sigma_i of (..., 2, 4) coefficients.
+
+    Real coefficients give [[I + z, x - i y], [x + i y, I - z]], Hermitian
+    bit for bit."""
+    c = np.asarray(coeffs)
+    if c.shape[-2:] != (2, 4):
+        raise ValueError(f"expected coefficients of shape (..., 2, 4), got shape {c.shape}")
+    out = np.empty(c.shape[:-1] + (2, 2), dtype=complex)
+    i, x, y, z = np.moveaxis(c, -1, 0)
+    out[..., 0, 0], out[..., 1, 1] = i + z, i - z
+    out[..., 0, 1], out[..., 1, 0] = x - 1j * y, x + 1j * y
+    return out
+
+
+def hsa_coeffs(blocks: np.ndarray) -> np.ndarray:
+    """(..., 2, 4) coefficients c_i = tr(sigma_i B) / 2 of (..., 2, 2, 2) blocks.
+
+    Complex: a non-Hermitian block gives coefficients with an imaginary part."""
+    b = np.asarray(blocks, dtype=complex)
+    if b.shape[-3:] != (2, 2, 2):
+        raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {b.shape}")
+    return np.einsum("iab,...ba->...i", PAULI_1Q, b) / 2.0
 
 
 def pauli_decompose(op: np.ndarray) -> np.ndarray:

@@ -650,6 +650,32 @@ class TestReadMatrix:
         assert stride == 2
         assert np.array_equal(rows, [analytic_p0(0.6, ts)[::2]])
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("r,0.0,nan,0.2,0.3\n0.6,1.0,0.99,0.96,0.9\n", "header column 3 holds the non-finite time 'nan'"),
+            ("r,0.0,inf,0.2,0.3\n0.6,1.0,0.99,0.96,0.9\n", "header column 3 holds the non-finite time 'inf'"),
+            ("r,0.0,0.1,0.2,0.3\n0.6,1.0,0.99,0.96,0.9\nnan,1.0,0.9,0.8,0.7\n", "column 1 of data row 2 holds nan"),
+            ("r,0.0,0.1,0.2,0.3\n0.6,1.0,inf,0.96,0.9\n", "column 3 of data row 1 holds inf"),
+            ("r,0.0,0.1,0.2,0.3\n0.6,1.0,0.99,-inf,0.9\n", "column 4 of data row 1 holds -inf"),
+        ],
+        ids=["nan_time", "inf_time", "nan_r", "inf_p0", "minus_inf_p0"],
+    )
+    def test_non_finite_input_rejected_up_front(self, tmp_path, capsys, text, column):
+        # Only nan marks a failed read, and only in a P0 cell: a non-finite
+        # time, strength or infinite P0 is a validation error naming the file
+        # and the column, before any fit, warning or output.
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert str(path) in err and column in err
+        assert not out.exists()
+
     def test_header_only_matrix_names_the_missing_rows(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_text("r,0.0,0.1,0.2\n")

@@ -18,6 +18,7 @@ from reference_dilation import (
     lambda_gamma,
 )
 from reference_expm import expm
+from reference_pauli import hsa_blocks
 from reference_steps import block_diag
 
 from ptdilate.dilation import (
@@ -30,7 +31,7 @@ from ptdilate.dilation import (
     dilate,
     verify_dilation,
 )
-from ptdilate.numkit import TimeGrid
+from ptdilate.numkit import OperatorSeries, TimeGrid
 from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
 from ptdilate.simulator import evolve_dilated, prepare_initial, simulate_pt
 
@@ -44,10 +45,11 @@ def cfg(grid=GRID, margin=0.1):
 def decode_lambda_gamma(hsa):
     """(Lambda, Gamma) of H_sa = Lambda x I + Gamma x sigma_z, system first.
 
-    ``hsa`` holds the ancilla sigma_z blocks B_0 = Lambda + Gamma and
-    B_1 = Lambda - Gamma.
+    ``hsa`` holds the Pauli coefficients of the ancilla sigma_z blocks
+    B_0 = Lambda + Gamma and B_1 = Lambda - Gamma.
     """
-    b0, b1 = hsa[:, 0], hsa[:, 1]
+    blocks = hsa_blocks(hsa)
+    b0, b1 = blocks[:, 0], blocks[:, 1]
     return (b0 + b1) / 2.0, (b0 - b1) / 2.0
 
 
@@ -188,26 +190,49 @@ class TestOperatorIdentities:
         assert report.min_eig_m_minus_i >= 0.99 * 0.1
         assert report.metric_ode <= 1e-5
 
+    def test_hsa_is_stored_as_real_pauli_coefficients(self):
+        # The (I, x, y, z) coefficients of the two ancilla blocks: Hermitian
+        # by format, 64 B per node.
+        result = dilate(pt_hamiltonian(0.6), cfg(TimeGrid(0.0, 2.0, 101)))
+        data = result.hsa_series.data
+        assert data.dtype == np.float64 and data.shape == (101, 2, 4)
+
+    def test_verify_measures_hermiticity_of_complex_coefficients(self):
+        # A hand-built complex series: the residual is 2 ||Im c|| / ||c||,
+        # the ||H - H^dag||_F / ||H||_F of the assembled 4x4 operator.
+        h = pt_hamiltonian(0.6)
+        result = dilate(h, cfg(TimeGrid(0.0, 2.0, 101)))
+        rng = np.random.default_rng(47)
+        c = result.hsa_series.data + 1e-3j * rng.normal(size=result.hsa_series.data.shape)
+        result.hsa_series = OperatorSeries(result.grid, c)
+        report = verify_dilation(result, h)
+        ratio = 2.0 * np.linalg.norm(c.imag, axis=(1, 2)) / np.linalg.norm(c, axis=(1, 2))
+        hsa = block_diag(hsa_blocks(c))
+        anti = np.linalg.norm(hsa - hsa.conj().swapaxes(-1, -2), axis=(1, 2))
+        assert report.hermiticity == pytest.approx(np.max(ratio), rel=1e-12)
+        assert report.hermiticity == pytest.approx(np.max(anti / np.linalg.norm(hsa, axis=(1, 2))), rel=1e-12)
+        assert report.hermiticity > 1e-4
+
     def test_hermitian_input_collapses_to_h_tensor_identity(self):
         # r = 0: eta is constant, Gamma = 0, H_sa = H_s x I.
         h = pt_hamiltonian(0.0)
         result = dilate(h, cfg())
         expected = np.kron(h, np.eye(2))
-        assert np.max(np.abs(block_diag(result.hsa_series.data) - expected[None])) < 1e-12
+        assert np.max(np.abs(block_diag(hsa_blocks(result.hsa_series.data)) - expected[None])) < 1e-12
 
     def test_subnormal_diagonal_hermitian_input_stays_finite(self):
         # W = e^{i t H_s} is unitary up to subnormal noise, so W^dag W is I
         # to rounding at every node: H_sa must still be H_s x I, not NaN.
         h = np.array([[5e-324, 1.0], [1.0, 5e-324]], dtype=complex)
         result = dilate(h, cfg(TimeGrid(0.0, 3.0, 1001)))
-        assert np.max(np.abs(block_diag(result.hsa_series.data) - np.kron(h, np.eye(2)))) < 1e-12
+        assert np.max(np.abs(block_diag(hsa_blocks(result.hsa_series.data)) - np.kron(h, np.eye(2)))) < 1e-12
 
     def test_block_structure_in_ancilla_basis(self):
         # sigma_z maps each sigma_y eigenstate to the other with matrix
         # elements <+-|sigma_z|-+> = +-i, so the diagonal blocks are both
         # Lambda and the off-diagonal blocks are +-i Gamma.
         result = dilate(pt_hamiltonian(0.6), cfg())
-        blocks = ancilla_blocks(result.hsa_series.data)
+        blocks = ancilla_blocks(hsa_blocks(result.hsa_series.data))
         lam, gam = decode_lambda_gamma(result.hsa_series.data)
         assert np.max(np.abs(blocks["--"] - lam)) < 1e-10
         assert np.max(np.abs(blocks["++"] - lam)) < 1e-10
@@ -229,7 +254,7 @@ class TestOperatorIdentities:
         result = dilate(h, cfg(grid))
         for k in nodes:
             ref = hsa_blocks_mp(h, grid.times()[k], result.m0)
-            err = np.linalg.norm(result.hsa_series.data[k] - ref) / np.linalg.norm(ref)
+            err = np.linalg.norm(hsa_blocks(result.hsa_series.data[k]) - ref) / np.linalg.norm(ref)
             assert err <= 5e-12, f"node {k}"
 
     def test_direct_route_agrees_with_svd_route(self):
@@ -346,7 +371,7 @@ class TestDilationProperties:
         assert np.all(traj.success_prob > 0.0) and np.all(traj.success_prob <= 1.0)
         assert np.all(traj.p0 >= -1e-12) and np.all(traj.p0 <= 1.0 + 1e-12)
         # Every H_sa block and M are Hermitian by construction, bit for bit.
-        for x in (result.hsa_series.data, result.m_series.data):
+        for x in (hsa_blocks(result.hsa_series.data), result.m_series.data):
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
     @settings(max_examples=30, deadline=None)
@@ -412,7 +437,7 @@ class TestPostselectionFidelity:
         psi0 = np.array([1.0, 0.0], dtype=complex)
         anc = (ANCILLA_MINUS + eta0 * ANCILLA_PLUS) / np.sqrt(1.0 + eta0**2)
         state = np.kron(psi0, anc)
-        hsa = block_diag(result.hsa_series.data)
+        hsa = block_diag(hsa_blocks(result.hsa_series.data))
         hmid = (hsa[:-1] + hsa[1:]) / 2.0
         steps = expm(-1j * grid.dt * hmid)
         for k in range(grid.n_nodes - 1):
@@ -427,9 +452,9 @@ class TestPostselectionFidelity:
 
 class TestMemory:
     def test_dilate_peak_memory_per_node(self):
-        # Each H_sa block and M are formed in one elementwise pass, with no
-        # symmetrization or residual pass: dilate peaks near 464 B per node
-        # (x86-64, numpy 2.4).
+        # Each H_sa block's coefficients and M are formed in one elementwise
+        # pass, with no symmetrization or residual pass: dilate peaks near
+        # 417 B per node (x86-64, numpy 2.4).
         grid = TimeGrid(0.0, 16.0, 100001)
         tracemalloc.start()
         try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_pauli import _A_SLOTS, _B_SLOTS, assemble, pauli_decompose
+from reference_pauli import _A_SLOTS, _B_SLOTS, assemble, hsa_blocks, hsa_coeffs, pauli_decompose
 from reference_steps import block_diag
 
 from ptdilate.cli import _write_csv
@@ -97,13 +97,13 @@ class TestASeriesExtraction:
         # A1..A4 sit in the (x,I), (I,z), (y,z), (z,z) slots.
         tables[:, [1, 0, 2, 3], [0, 3, 3, 3]] = aser.a
         rebuilt = assemble(tables)
-        assert np.max(np.abs(rebuilt - block_diag(result.hsa_series.data))) < 1e-9
+        assert np.max(np.abs(rebuilt - block_diag(hsa_blocks(result.hsa_series.data)))) < 1e-9
 
     def test_warns_outside_reduced_family(self):
         grid = TimeGrid(0.0, 1.0, 3)
         # sigma_z (x) I, a B slot: Lambda = sigma_z and Gamma = 0.
         off_family = np.stack([PAULI_1Q[3], PAULI_1Q[3]])
-        series = OperatorSeries(grid, np.repeat(off_family[None], 3, axis=0))
+        series = OperatorSeries(grid, hsa_coeffs(np.repeat(off_family[None], 3, axis=0)))
         with pytest.warns(BNonVanishing):
             extract_a_series(series)
 
@@ -112,7 +112,7 @@ class TestASeriesExtraction:
         blocks = np.zeros((3, 2, 2, 2), dtype=complex)
         blocks[1, 0] = np.triu(np.ones((2, 2))) * 1j  # one bad node
         with pytest.raises(NotHermitian):
-            extract_a_series(OperatorSeries(grid, blocks))
+            extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
 
     @pytest.mark.parametrize("part", [0, 1], ids=["lambda", "gamma"])
     @pytest.mark.parametrize("i", range(4), ids=["I", "x", "y", "z"])
@@ -123,13 +123,26 @@ class TestASeriesExtraction:
             ops = np.zeros((2, 2, 2), dtype=complex)
             ops[part] = (1.0 + 1j * eps) * PAULI_1Q[i]
             blocks = np.stack([ops[0] + ops[1], ops[0] - ops[1]])
-            return OperatorSeries(TimeGrid(0.0, 1.0, 3), np.repeat(blocks[None], 3, axis=0))
+            return OperatorSeries(TimeGrid(0.0, 1.0, 3), hsa_coeffs(np.repeat(blocks[None], 3, axis=0)))
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
             extract_a_series(series(0.5e-9))
             with pytest.raises(NotHermitian):
                 extract_a_series(series(2e-9))
+
+    def test_rejects_complex_coefficients_past_tolerance(self):
+        # The coefficients are read as given: an imaginary part of 2e-9 on
+        # one of them fails, 1e-10 passes and is dropped.
+        coeffs = np.zeros((3, 2, 4), dtype=complex)
+        coeffs[..., 1] = 1.0  # A1 = x(Lambda) = 1
+        grid = TimeGrid(0.0, 1.0, 3)
+        coeffs[1, 0, 3] = 1e-10j
+        aser = extract_a_series(OperatorSeries(grid, coeffs))
+        assert np.array_equal(aser.a, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+        coeffs[1, 0, 3] = 2e-9j
+        with pytest.raises(NotHermitian):
+            extract_a_series(OperatorSeries(grid, coeffs))
 
     def test_warns_for_dilated_hs_outside_family(self):
         # A general complex H_s dilates to an H_sa with non-zero B slots.
@@ -139,7 +152,7 @@ class TestASeriesExtraction:
             extract_a_series(result.hsa_series)
 
     def test_decode_matches_reference_codec_on_random_hermitian_blocks(self):
-        # Entry-by-entry decode against the 16-product 4x4 codec, on blocks
+        # The half-sum decode against the 16-product 4x4 codec, on blocks
         # drawn as Hermitian matrices rather than from Pauli coefficients.
         rng = np.random.default_rng(43)
         x = rng.normal(size=(256, 2, 2, 2)) + 1j * rng.normal(size=(256, 2, 2, 2))
@@ -147,14 +160,14 @@ class TestASeriesExtraction:
         grid = TimeGrid(0.0, 1.0, len(blocks))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
-            aser = extract_a_series(OperatorSeries(grid, blocks))
+            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
         ref = pauli_decompose(block_diag(blocks))
         assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-15
         assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-15
 
     def test_rejects_4x4_series(self):
         series = OperatorSeries(TimeGrid(0.0, 1.0, 3), np.zeros((3, 4, 4), dtype=complex))
-        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 4\)"):
             extract_a_series(series)
 
     @settings(max_examples=50, deadline=None)
@@ -178,7 +191,7 @@ class TestASeriesExtraction:
         grid = TimeGrid(0.0, 1.0, len(blocks))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
-            aser = extract_a_series(OperatorSeries(grid, blocks))
+            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
         ref = pauli_decompose(block_diag(blocks))
         assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-14
         assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-14

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference_dilation import eta_series
 from reference_expm import expm
+from reference_pauli import hsa_blocks
 from reference_steps import block_diag
 
 from ptdilate import simulator
@@ -45,7 +46,7 @@ class TestPrepareInitial:
 
 def postselect_static(amplitudes):
     """Trajectory of a state held still by a 2-node zero H_sa series."""
-    hsa = OperatorSeries(TimeGrid(0.0, 1.0, 2), np.zeros((2, 2, 2, 2)))
+    hsa = OperatorSeries(TimeGrid(0.0, 1.0, 2), np.zeros((2, 2, 4)))
     return evolve_dilated(hsa, amplitudes)
 
 
@@ -78,7 +79,7 @@ class TestEvolveDilated:
         # same midpoint H_sa, chained in the same order.
         grid = TimeGrid(0.0, 4.0, 2001)
         traj, result = simulate_pt(r, grid)
-        hsa = block_diag(result.hsa_series.data)
+        hsa = block_diag(hsa_blocks(result.hsa_series.data))
         steps = expm(-1j * grid.dt * (hsa[:-1] + hsa[1:]) / 2.0)
         state = traj.states[0]
         ref = [state]
@@ -137,7 +138,7 @@ class TestEvolveDilated:
 
     def test_chunked_run_raises_on_empty_branch(self, monkeypatch):
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 3)
-        hsa = OperatorSeries(TimeGrid(0.0, 1.0, 11), np.zeros((11, 2, 2, 2)))
+        hsa = OperatorSeries(TimeGrid(0.0, 1.0, 11), np.zeros((11, 2, 4)))
         with pytest.raises(ZeroBranch):
             evolve_dilated(hsa, np.kron([1.0, 0.0], ANCILLA_PLUS))
 
