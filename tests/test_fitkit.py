@@ -1,14 +1,21 @@
 """Strength-fitting tests: recovery, uncertainty, bifurcation curve."""
 
 import json
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from reference_expm import expm
 
+from ptdilate import fitkit
 from ptdilate.cli import _write_matrix, main
-from ptdilate.fitkit import fit_r, sse
+from ptdilate.fitkit import _table_blocks, fit_r, sse
+from ptdilate.numkit import TimeGrid
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
+from ptdilate.readout import PLRates, noisy_p0_curve
+from ptdilate.simulator import branch_populations, simulate_pt
 
 T_SAMPLES = np.arange(0.0, 8.0001, 0.1)
 
@@ -17,6 +24,27 @@ NOMINAL_R = [0.1 * k for k in range(10)] + [1.0 + 0.1 * k for k in range(6)]
 
 def clean_samples(r, t=T_SAMPLES):
     return np.column_stack([t, analytic_p0(r, t)])
+
+
+def fit_bits(res):
+    """(r_exp, stderr, sse) of a fit as raw bytes, for bit-for-bit checks."""
+    return np.array([res.r_exp, res.stderr, res.sse]).tobytes()
+
+
+def noisy_readouts(r, grid, stride, repetitions, seeds):
+    """(t, P0) samples of the noisy readout at every ``stride``-th node of a
+    simulated trajectory, one array per seed, failed reads dropped."""
+    pops = branch_populations(simulate_pt(r, grid)[0].states)[::stride]
+    ts = grid.times()[::stride]
+    for seed in seeds:
+        p0 = noisy_p0_curve(pops, PLRates(), repetitions, seed=seed)
+        keep = np.isfinite(p0)
+        yield np.column_stack([ts[keep], p0[keep]])
+
+
+# The criterion-9 noise chain: r = 0.6 read at 81 times on [0, 8] with
+# 5e5 shots per point.
+RECOVER = dict(r=0.6, grid=TimeGrid(0.0, 8.0, 1601), stride=20, repetitions=500_000)
 
 
 class TestRecovery:
@@ -153,6 +181,190 @@ class TestValidation:
         res = fit_r(clean_samples(0.0))
         assert not res.degenerate
         assert np.isfinite(res.stderr)
+
+
+class TestEdgeCurvature:
+    """The SSE curvature behind ``stderr`` when the fit sits at or near the
+    physical edge r = 0, checked against stencils at a smaller step."""
+
+    @staticmethod
+    def stderr_from(res, d2):
+        return math.sqrt(2.0 * res.sse / (res.n_samples - 2) / d2)
+
+    def test_fit_on_the_edge_uses_a_one_sided_curvature(self):
+        # Noisy r = 0 reads often fit to exactly r = 0, where the SSE has a
+        # nonzero slope: the symmetric formula with its lower point clipped
+        # to the edge measures that slope, not the curvature, and shrinks
+        # stderr several-fold.
+        grid = TimeGrid(0.0, 8.0, 201)
+        seeds = [[3, i] for i in range(40)]
+        on_edge = 0
+        for samples in noisy_readouts(0.0, grid, 1, 500_000, seeds):
+            res = fit_r(samples)
+            if res.r_exp != 0.0:
+                continue
+            on_edge += 1
+            t, p0 = samples[:, 0], samples[:, 1]
+            h = 2.5e-5
+            d2 = (sse(2 * h, t, p0) - 2 * sse(h, t, p0) + sse(0.0, t, p0)) / h**2
+            assert res.stderr == pytest.approx(self.stderr_from(res, d2), rel=0.05)
+        assert on_edge >= 10
+
+    @pytest.mark.parametrize("r", [2e-5, 5e-5])
+    def test_fit_near_the_edge_uses_the_cut_step(self, r):
+        # 0 < r_exp < the curvature step: the lower stencil point is cut to
+        # r = 0, so the two steps differ.
+        rng = np.random.default_rng(0)
+        p0 = analytic_p0(r, T_SAMPLES) + rng.normal(scale=1e-5, size=T_SAMPLES.shape)
+        samples = np.column_stack([T_SAMPLES, p0])
+        res = fit_r(samples)
+        assert 0.0 < res.r_exp < 1e-4
+        h = res.r_exp / 4
+        d2 = (sse(res.r_exp + h, T_SAMPLES, p0) - 2 * res.sse + sse(res.r_exp - h, T_SAMPLES, p0)) / h**2
+        assert res.stderr == pytest.approx(self.stderr_from(res, d2), rel=0.05)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Start ``fitkit`` with no times seen; record the times of every model
+    table it builds."""
+    monkeypatch.setattr(fitkit, "_last_t", None)
+    monkeypatch.setattr(fitkit, "_kept", None)
+    calls = []
+
+    def recording(t):
+        calls.append(np.array(t))
+        return _table_blocks(t)
+
+    monkeypatch.setattr(fitkit, "_table_blocks", recording)
+    return calls
+
+
+class TestKeptTable:
+    """``fit_r`` without ``_blocks`` keeps the model table of times it is
+    asked for twice, and serves it for those times and NaN-dropped subsets."""
+
+    def test_one_off_fit_keeps_nothing(self, builds):
+        fit_r(clean_samples(0.6))
+        assert len(builds) == 1
+        assert fitkit._kept is None
+
+    def test_second_fit_at_equal_times_keeps_the_table(self, builds):
+        fit_r(clean_samples(0.6))
+        fit_r(clean_samples(0.9, T_SAMPLES.copy()))
+        assert len(builds) == 2
+        times, blocks = fitkit._kept
+        assert np.array_equal(times, T_SAMPLES)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, _table_blocks(T_SAMPLES)))
+
+    def test_equal_times_and_dropped_subsets_build_nothing(self, builds):
+        fit_r(clean_samples(0.6))
+        fit_r(clean_samples(0.6))
+        for drop in ([], [0], [3, 40], list(range(70, 81))):
+            t = np.delete(T_SAMPLES, drop)
+            samples = clean_samples(1.2, t) + [0.0, 1e-3]
+            res = fit_r(samples)
+            assert fit_bits(res) == fit_bits(fit_r(samples, _blocks=list(_table_blocks(t))))
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.concatenate([T_SAMPLES[1::-1], T_SAMPLES[2:]]),  # reordered
+            np.insert(T_SAMPLES, 5, T_SAMPLES[5]),  # a time repeated
+            T_SAMPLES + 0.05,  # new times
+        ],
+        ids=["reordered", "duplicated", "new"],
+    )
+    def test_other_times_build_and_drop_the_table(self, builds, times):
+        fit_r(clean_samples(0.6))
+        fit_r(clean_samples(0.6))
+        res = fit_r(clean_samples(0.7, times))
+        assert len(builds) == 3
+        assert np.array_equal(builds[-1], times)
+        assert fitkit._kept is None
+        assert res.r_exp == pytest.approx(0.7, abs=1e-6)
+
+    def test_caller_mutating_its_times_cannot_stale_the_table(self, builds):
+        # fit_r reads the times as a view of the caller's samples array, so
+        # what it remembers must be a copy.
+        samples = clean_samples(0.6)
+        fit_r(samples)
+        samples[:, 0] += 0.05
+        samples[:, 1] = analytic_p0(0.6, samples[:, 0])
+        fit_r(samples)
+        assert len(builds) == 2
+        assert fitkit._kept is None
+        fit_r(samples)  # kept now, for the shifted times
+        samples[:, 0] -= 0.05
+        samples[:, 1] = analytic_p0(0.8, samples[:, 0])
+        res = fit_r(samples)
+        assert len(builds) == 4
+        assert res.r_exp == pytest.approx(0.8, abs=1e-6)
+
+    def test_threads_never_read_a_table_for_other_times(self, monkeypatch):
+        # Four threads fit at two sets of times and their subsets, replacing
+        # the remembered times and the kept table under each other: every
+        # fit must still equal a fit on a table built for its own times.
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept", None)
+        cases = []
+        for times in (T_SAMPLES, T_SAMPLES + 0.05):
+            for drop in ([], [7]):
+                samples = clean_samples(0.6, np.delete(times, drop)) + [0.0, 1e-3]
+                want = fit_bits(fit_r(samples, _blocks=list(_table_blocks(samples[:, 0]))))
+                cases.append((samples, want))
+        wrong = []
+
+        def worker(k):
+            for i in range(40):
+                samples, want = cases[(k + i) % len(cases)]
+                try:
+                    if fit_bits(fit_r(samples)) != want:
+                        wrong.append((k, i))
+                except (IndexError, ValueError) as exc:  # a table of another width
+                    wrong.append((k, i, exc))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not wrong
+
+    def test_recover_replicates_fit_as_with_a_fresh_table(self, monkeypatch):
+        # 200 replicates of the criterion-9 noise chain, some with failed
+        # reads dropped, read the kept table and fit bit for bit as with a
+        # table built for their own times.
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept", None)
+        n_full = RECOVER["grid"].times()[:: RECOVER["stride"]].size
+        dropped = 0
+        for samples in noisy_readouts(**RECOVER, seeds=[[1234, i] for i in range(200)]):
+            dropped += samples.shape[0] < n_full
+            fresh = fit_r(samples, _blocks=list(_table_blocks(samples[:, 0])))
+            assert fit_bits(fit_r(samples)) == fit_bits(fresh)
+        assert dropped > 0
+        assert fitkit._kept is not None
+
+
+@pytest.mark.slow
+def test_recover_estimator_bias():
+    # The criterion-9 estimator's own bias: the mean of 20,000 replicates
+    # (SE ~3.2e-5 at the replicate spread ~0.0045) lies within 1.5e-4 of
+    # the truth.
+    seeds = [[0, i] for i in range(20_000)]
+    fits = np.array([fit_r(s).r_exp for s in noisy_readouts(**RECOVER, seeds=seeds)])
+    bias = fits.mean() - RECOVER["r"]
+    se = fits.std(ddof=1) / math.sqrt(fits.size)
+    print(f"\nrecover bias {bias:+.1e} (SE {se:.1e}), spread {fits.std(ddof=1):.5f}")
+    assert abs(bias) <= 1.5e-4
 
 
 class TestSignConvention:
