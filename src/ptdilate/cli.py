@@ -8,7 +8,7 @@ suffices to re-run the job.  Floats are emitted in shortest round-trip
 decimal form and files are written atomically, so identical config +
 seed gives byte-identical outputs.
 
-Exit codes: 0 success, 1 validation error, 2 numeric failure.
+Exit codes: 0 success, 1 validation or usage error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .dilation import (
+    MARGIN,
     DilationConfig,
-    PositivityLost,
     SingularPropagator,
     check_horizon,
     dilate,
@@ -71,7 +71,6 @@ READOUT_POINTS = 201
 
 _NUMERIC_ERRORS = (
     SingularPropagator,
-    PositivityLost,
     NotHermitian,
     ZeroBranch,
     GridTooCoarse,
@@ -109,7 +108,6 @@ class RunConfig:
     r_list: list[float] = field(default_factory=lambda: [0.6])
     t1: float = 8.0
     n_nodes: int = 8001
-    margin: float = 0.1
     seed: int = 0
     repetitions: int = 0  # 0 = noise-free expectations
     pl_rates: list[float] = field(
@@ -137,8 +135,6 @@ class RunConfig:
             problems.append(f"t1 must be > 0 (runs cover [0, t1]), got {self.t1}")
         if not 2 <= self.n_nodes <= MAX_NODES:
             problems.append(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
-        if not self.margin > 0:
-            problems.append(f"margin must be > 0, got {self.margin}")
         if self.repetitions < 0:
             problems.append(f"repetitions must be >= 0, got {self.repetitions}")
         if self.seed < 0:
@@ -254,7 +250,7 @@ def _write_csv(path: str, meta: dict, columns, rows) -> None:
 
 def cmd_dilate(cfg: RunConfig, args: argparse.Namespace) -> int:
     for r in cfg.r_list:
-        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
+        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid))
         report = verify_dilation(result, pt_hamiltonian(r))
         aser = extract_a_series(result.hsa_series)
         _write_csv(
@@ -283,7 +279,7 @@ def cmd_dilate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     for r in cfg.r_list:
-        traj, _ = simulate_pt(r, cfg.grid, margin=cfg.margin)
+        traj, _ = simulate_pt(r, cfg.grid)
         ts = cfg.grid.times()
         oracle = analytic_p0(r, ts)
         err = np.abs(traj.p0 - oracle)
@@ -306,7 +302,7 @@ def _readout_stride(n: int, max_points: int = READOUT_POINTS) -> int:
 def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Noise-free P0 row of the idx-th r at every node and, with repetitions,
     its noisy row at the readout times only (every ``_readout_stride`` node)."""
-    traj, _ = simulate_pt(cfg.r_list[idx], cfg.grid, margin=cfg.margin)
+    traj, _ = simulate_pt(cfg.r_list[idx], cfg.grid)
     if cfg.repetitions == 0:
         return traj.p0, None
     rng = np.random.default_rng([cfg.seed, idx])
@@ -358,7 +354,7 @@ def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
                 f"more than {MAX_AUDIT_NODES}; audit earlier times"
             )
     for r in cfg.r_list:
-        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid, cfg.margin))
+        result = dilate(pt_hamiltonian(r), DilationConfig(cfg.grid))
         aser = extract_a_series(result.hsa_series)
         m0 = result.m0
         del result  # the audit reads only m0; H_sa and M would outlive their use
@@ -491,7 +487,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     worst_fail = 0
     for r in cfg.r_list:
         h_s = pt_hamiltonian(r)
-        result = dilate(h_s, DilationConfig(cfg.grid, cfg.margin))
+        result = dilate(h_s, DilationConfig(cfg.grid))
         report = verify_dilation(result, h_s)
         # The first three hold by construction.  The metric's central differences
         # measured <= 0.36 (dt |H_s|)^2 when resolved, plus ~1e-15 / (dt |H_s|).
@@ -499,7 +495,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         ok = (
             report.hermiticity <= 1e-10
             and report.block_antisym <= 1e-9
-            and report.min_eig_m_minus_i >= 0.99 * cfg.margin
+            and report.min_eig_m_minus_i >= 0.99 * MARGIN
             and report.metric_ode <= step**2 + 1e-13 / step
         )
         status = "ok" if ok else "FAIL"
@@ -518,22 +514,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, action="append", help="non-Hermiticity strength (repeatable)")
     p.add_argument("--t1", type=float)
     p.add_argument("--n-nodes", dest="n_nodes", type=int)
-    p.add_argument("--margin", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--outdir")
     p.add_argument("--workers", type=int)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 like a validation error; 2 is numeric failure
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptdilate",
         description="Hermitian dilation, dilated-evolution simulation, NV pulse "
         "synthesis, readout modeling and strength fitting for PT-symmetric "
         "two-level Hamiltonians",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     # ``main`` calls the subcommand's ``run(cfg, args)``.
     for name, run, help_text in (
         ("dilate", cmd_dilate, "emit drive-coefficient series and dilation diagnostics"),

@@ -46,8 +46,8 @@ import numpy as np
 from .numkit import OperatorSeries, TimeGrid, mul_2x2, right_singular_2x2
 
 __all__ = [
+    "MARGIN",
     "SingularPropagator",
-    "PositivityLost",
     "DilationConfig",
     "DilationResult",
     "DiagnosticsReport",
@@ -61,9 +61,11 @@ __all__ = [
 ANCILLA_MINUS = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 ANCILLA_PLUS = np.array([-1.0j, 1.0]) / np.sqrt(2.0)
 
+# min eig(M - I) = m0 mu' - 1, to an ulp; dt^2 must stay well below it (README).
+MARGIN = 0.1
 _COND_LIMIT = 1e14
-# Largest sigma_max^2 / sigma_min^2 of W over the nodes so far: m0 sigma_max^2
-# is (1 + margin) times it, so W, sigma, m0 and M stay finite and nonzero.
+# Largest sigma_max^2 / sigma_min^2 of W over the nodes so far.  As W = I at
+# t0, mu' <= 1 and m0 sigma^2 stays in [1 + MARGIN, (1 + MARGIN) 1e300].
 _SPREAD_LIMIT = 1e300
 
 
@@ -74,21 +76,11 @@ class SingularPropagator(RuntimeError):
     at_t0 = False
 
 
-class PositivityLost(RuntimeError):
-    """min eig(M - I) dropped to zero: m0 too small or grid too coarse."""
-
-
 @dataclass(frozen=True)
 class DilationConfig:
-    """m0 = (1 + margin) / mu'.  A margin below ~dt^2 costs accuracy with no
-    error (README, numeric limits); below ~1e-16 dilate raises PositivityLost."""
+    """The grid to dilate on; m0 = (1 + MARGIN) / mu' is fixed by it."""
 
     grid: TimeGrid
-    margin: float = 0.1  # safety factor in the M(0) selection
-
-    def __post_init__(self):
-        if not self.margin > 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
 
 
 @dataclass
@@ -105,7 +97,7 @@ class DiagnosticsReport:
     """Max-over-grid residuals of the dilation identities (all relative).
 
     ``hermiticity`` and ``block_antisym`` are exactly 0 (``dilate`` writes
-    H_sa as real Pauli coefficients) and ``min_eig_m_minus_i`` is ``margin``
+    H_sa as real Pauli coefficients) and ``min_eig_m_minus_i`` is ``MARGIN``
     by construction; ``metric_ode`` is the one that can move.
     """
 
@@ -196,16 +188,9 @@ def dilate(h_s, cfg: DilationConfig) -> DilationResult:
     sigma = np.stack([s_max, np.exp(-elapsed * np.trace(h_s).imag) / s_max], axis=1)
     del elapsed, cos_k, sin_k, s_max
     mu_prime = float(np.min(sigma[:, -1] ** 2))
-    m0 = (1.0 + cfg.margin) / mu_prime
-    # (1 + margin) / mu' overflows to inf for a huge margin.
-    if not 1.0 < m0 < np.inf:
-        raise ValueError(f"m0 must be finite and exceed 1, got {m0} (margin = {cfg.margin})")
-
+    m0 = (1.0 + MARGIN) / mu_prime
     s_eig = m0 * sigma**2  # eigenvalues of M(t), descending
-    d_eig2 = s_eig - 1.0  # eigenvalues of M - I
-    if float(np.min(d_eig2)) <= 0.0:
-        raise PositivityLost(f"min eig(M - I) = {np.min(d_eig2):.3e} <= 0")
-    d_eig = np.sqrt(d_eig2)
+    d_eig = np.sqrt(s_eig - 1.0)  # eigenvalues of eta = sqrt(M - I), all >= ~sqrt(MARGIN)
 
     # H_s in the metric eigenbasis, then the entries p, q, s of the closed
     # forms Lambda~ +- Gamma~, one per ancilla sigma_z block (axis 1).

@@ -154,7 +154,7 @@ def branch_populations(states: np.ndarray) -> np.ndarray:
     return pops.reshape(states.shape) / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
 
 
-def simulate_pt(r: float, grid: TimeGrid, margin: float = 0.1) -> tuple[Trajectory, DilationResult]:
+def simulate_pt(r: float, grid: TimeGrid) -> tuple[Trajectory, DilationResult]:
     """Dilate the PT Hamiltonian at strength r and evolve from |0>|-> ...
 
     Convenience wrapper: runs the dilation pipeline, prepares the initial
@@ -166,7 +166,7 @@ def simulate_pt(r: float, grid: TimeGrid, margin: float = 0.1) -> tuple[Trajecto
     Another initial state takes the same steps by hand: ``dilate``, then
     ``prepare_initial(psi0, sqrt(m0 - 1))``, then ``evolve_dilated``.
     """
-    result = dilate(pt_hamiltonian(r), DilationConfig(grid=grid, margin=margin))
+    result = dilate(pt_hamiltonian(r), DilationConfig(grid))
     initial = prepare_initial(np.array([1.0, 0.0], dtype=complex), np.sqrt(result.m0 - 1.0))
     traj = evolve_dilated(result.hsa_series, initial)
     return traj, result

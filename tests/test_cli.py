@@ -21,7 +21,7 @@ from ptdilate.pauli import extract_a_series
 from ptdilate.ptmodel import analytic_p0, pt_eigenvalues, pt_hamiltonian
 from ptdilate.pulse import NVParams, subspace_h0, synthesize
 from ptdilate.readout import noisy_p0_curve
-from ptdilate.simulator import branch_populations, simulate_pt
+from ptdilate.simulator import ZeroBranch, branch_populations, simulate_pt
 
 
 def run(*argv):
@@ -87,11 +87,11 @@ class TestConfig:
         RunConfig().validate()
 
     def test_aggregated_validation_report(self):
-        cfg = RunConfig(r_list=[], margin=-1.0, repetitions=-1)
+        cfg = RunConfig(r_list=[], t1=-1.0, repetitions=-1)
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         msg = str(err.value)
-        assert "r_list" in msg and "margin" in msg and "repetitions" in msg
+        assert "r_list" in msg and "t1" in msg and "repetitions" in msg
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -130,11 +130,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "command,flags",
         [
-            ("simulate", ("--margin", "inf")),
             ("simulate", ("--t1", "inf")),
-            ("dilate", ("--margin", "inf")),
+            ("dilate", ("--t1", "inf")),
         ],
-        ids=["simulate-margin-inf", "simulate-t1-inf", "dilate-margin-inf"],
+        ids=["simulate-t1-inf", "dilate-t1-inf"],
     )
     def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, command, flags):
         out = tmp_path / "out"
@@ -180,16 +179,6 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ValidationError")
         assert "r_list must be a list of finite numbers" in err
-        assert not out.exists()
-
-    def test_overflowing_m0_fails_before_output(self, tmp_path, capsys):
-        # margin = 1e308 is finite, but m0 = (1 + margin) / mu' overflows.
-        out = tmp_path / "out"
-        assert run(
-            "simulate", "--r", "0.6", "--n-nodes", "101", "--margin", "1e308",
-            "--outdir", str(out),
-        ) == 1
-        assert "m0 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_horizon_past_condition_limit_fails_before_output(self, tmp_path, capsys):
@@ -265,7 +254,7 @@ class TestConfig:
     def test_substeps_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             run("simulate", "--substeps", "2")
-        assert info.value.code == 2
+        assert info.value.code == 1
         assert "unrecognized arguments: --substeps" in capsys.readouterr().err
 
     def test_t0_key_is_unknown(self, tmp_path, capsys):
@@ -282,8 +271,28 @@ class TestConfig:
     def test_t0_flag_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run("simulate", "--t0", "1", "--n-nodes", "11", "--outdir", str(tmp_path))
-        assert info.value.code == 2
+        assert info.value.code == 1
         assert "unrecognized arguments: --t0" in capsys.readouterr().err
+
+    def test_margin_key_is_unknown(self, tmp_path, capsys):
+        # m0 = (1 + MARGIN) / mu' with the fixed dilation.MARGIN: any
+        # positive margin gives the same post-selected dynamics on a grid
+        # that resolves it, and a small one is silently less accurate.
+        assert "margin" not in RunConfig.__dataclass_fields__
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"margin": 0.1}))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg_file), "--outdir", str(out)) == 1
+        assert "unknown config keys: ['margin']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_margin_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--margin", "0.1", "--n-nodes", "11", "--outdir", str(out))
+        assert info.value.code == 1
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def traced_run(*argv):
@@ -353,10 +362,11 @@ class TestDilateCommand:
         assert diag["m0"] > 1.0
 
     def test_invalid_margin_no_partial_files(self, tmp_path):
+        # The margin is fixed (dilation.MARGIN): --margin is a usage error.
         out = tmp_path / "clean"
-        assert run(
-            "dilate", "--r", "0.6", "--margin", "-1", "--outdir", str(out)
-        ) == 1
+        with pytest.raises(SystemExit) as info:
+            run("dilate", "--r", "0.6", "--margin", "-1", "--outdir", str(out))
+        assert info.value.code == 1
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -824,11 +834,14 @@ class TestExitCodes:
         assert run("simulate", "--n-nodes", "2", "--outdir", str(tmp_path)) == 0
         assert (tmp_path / "trajectory_r0p6.csv").exists()
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # 1 + 1e-17 rounds to 1, so m0 = 1 / mu' leaves M - I no positive
-        # floor: a numeric (not config) failure found by the dilation.
-        assert run("simulate", "--margin", "1e-17", "--outdir", str(tmp_path)) == 2
-        assert "numeric failure: PositivityLost" in capsys.readouterr().err
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A numeric (not config) failure raised by a stage exits 2.
+        def no_branch(r, grid):
+            raise ZeroBranch("post-selected branch vanished")
+
+        monkeypatch.setattr(cli, "simulate_pt", no_branch)
+        assert run("simulate", "--n-nodes", "11", "--outdir", str(tmp_path)) == 2
+        assert "numeric failure: ZeroBranch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["dilate", "simulate", "sweep", "pulses", "fit", "verify"])
     def test_singular_pl_rates_fail_before_compute(self, tmp_path, capsys, monkeypatch, command):
@@ -850,7 +863,26 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path):
-        assert run("simulate", "--margin", "-1", "--outdir", str(tmp_path)) == 1
+        assert run("simulate", "--t1", "-1", "--outdir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--r", "abc"), ("fit",), ("nosuchcommand",), ()],
+        ids=["bad-float", "fit-without-input", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own usage-error code, 2, is the numeric-failure code here.
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ptdilate") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("simulate", "--help")])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 0
 
     def test_module_entry_point_prints_version(self):
         # The child imports the same package as this process.

@@ -24,8 +24,8 @@ from reference_steps import block_diag
 from ptdilate.dilation import (
     ANCILLA_MINUS,
     ANCILLA_PLUS,
+    MARGIN,
     DilationConfig,
-    PositivityLost,
     SingularPropagator,
     check_horizon,
     dilate,
@@ -38,8 +38,8 @@ from ptdilate.simulator import evolve_dilated, prepare_initial, simulate_pt
 GRID = TimeGrid(0.0, 4.0, 2001)
 
 
-def cfg(grid=GRID, margin=0.1):
-    return DilationConfig(grid=grid, margin=margin)
+def cfg(grid=GRID):
+    return DilationConfig(grid)
 
 
 def decode_lambda_gamma(hsa):
@@ -67,7 +67,7 @@ class TestAncillaBasis:
 
 class TestInitialMetric:
     def test_hermitian_case_gives_margin_only(self):
-        # For r = 0 the propagator is unitary, mu' = 1, m0 = 1 + margin.
+        # For r = 0 the propagator is unitary, mu' = 1, m0 = 1 + MARGIN.
         result = dilate(pt_hamiltonian(0.0), cfg())
         assert result.mu_prime == pytest.approx(1.0, abs=1e-12)
         assert result.m0 == pytest.approx(1.1, abs=1e-12)
@@ -82,7 +82,7 @@ class TestInitialMetric:
         [(1.0, 283.7957363700544738817), (1.4, 14444305.94658047072027)],
     )
     def test_m0_matches_high_precision_value(self, r, m0_exact):
-        # (1 + margin) / min_t sigma_min(W(t))^2 on the nodes of [0, 8],
+        # (1 + MARGIN) / min_t sigma_min(W(t))^2 on the nodes of [0, 8],
         # from a 40-digit mpmath evaluation of W = expm(i t H_s); the
         # minimum sits at t = 8 for both strengths.
         m0 = dilate(pt_hamiltonian(r), cfg(TimeGrid(0.0, 8.0, 801))).m0
@@ -96,13 +96,7 @@ class TestInitialMetric:
     def test_metric_floor_respects_margin(self):
         m = dilate(pt_hamiltonian(0.6), cfg()).m_series
         eigs = np.linalg.eigvalsh(m.data)
-        assert np.min(eigs) >= 1.0 + 0.1 - 1e-9
-
-    def test_positivity_lost_when_m0_too_small(self):
-        # 1 + 1e-17 rounds to 1, so m0 = 1 / mu' leaves no floor over I.
-        h = pt_hamiltonian(1.2)
-        with pytest.raises(PositivityLost):
-            dilate(h, cfg(margin=1e-17))
+        assert np.min(eigs) >= 1.0 + MARGIN - 1e-9
 
     def test_singular_propagator_guard(self):
         # Broken-regime growth e^{2 s T} beyond the condition cap.
@@ -357,22 +351,62 @@ def horizon_cases(draw):
     return h, TimeGrid(t0, t0 + span, draw(st.integers(min_value=11, max_value=2001)))
 
 
+@st.composite
+def metric_floor_cases(draw):
+    """(H_s, grid): ``pt_hamiltonian`` over ``dilation_cases``, or a
+    ``universality_cases`` H_s shifted by i gamma I (either sign of gamma,
+    which scales |det W| up or down) on a grid from t0 in [-5, 5]."""
+    if draw(st.booleans()):
+        r, t1, n_nodes = draw(dilation_cases())
+        return pt_hamiltonian(r), TimeGrid(0.0, t1, n_nodes)
+    h, _, span, n_nodes = draw(universality_cases())
+    h = h + 1j * draw(st.floats(min_value=-1.0, max_value=1.0)) * np.eye(2)
+    t0 = draw(st.floats(min_value=-5.0, max_value=5.0))
+    return h, TimeGrid(t0, t0 + span, n_nodes)
+
+
 class TestDilationProperties:
     @settings(max_examples=30, deadline=None)
     @given(dilation_cases())
     def test_invariants_over_random_strength_horizon_grid(self, case):
         r, t1, n_nodes = case
-        margin = 0.1
-        traj, result = simulate_pt(r, TimeGrid(0.0, t1, n_nodes), margin=margin)
+        traj, result = simulate_pt(r, TimeGrid(0.0, t1, n_nodes))
         report = verify_dilation(result, pt_hamiltonian(r))
         assert report.hermiticity <= 1e-10
         assert report.block_antisym <= 1e-9
-        assert report.min_eig_m_minus_i >= 0.99 * margin
+        assert report.min_eig_m_minus_i >= 0.99 * MARGIN
         assert np.all(traj.success_prob > 0.0) and np.all(traj.success_prob <= 1.0)
         assert np.all(traj.p0 >= -1e-12) and np.all(traj.p0 <= 1.0 + 1e-12)
         # Every H_sa block and M are Hermitian by construction, bit for bit.
         for x in (hsa_blocks(result.hsa_series.data), result.m_series.data):
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(metric_floor_cases())
+    def test_metric_floor_is_margin(self, case):
+        # m0 = (1 + MARGIN) / mu' puts min eig(M - I) at MARGIN, and W = I
+        # at t0 keeps m0 in (1, inf), with no runtime guard: the stored M
+        # keeps that floor at every node.  An eigenvalue of a stored M is
+        # exact only to a few eps ||M|| (3.6 eps at worst over 3,000 draws,
+        # where ||M|| reaches ~1e13), so each node allows 8 eps ||M||.
+        h, grid = case
+        result = dilate(h, cfg(grid))
+        assert 1.0 < result.m0 < math.inf
+        assert result.m0 * result.mu_prime - 1.0 == pytest.approx(MARGIN, rel=1e-14)
+        eigs = np.linalg.eigvalsh(result.m_series.data)
+        roundoff = 8.0 * np.finfo(float).eps * eigs[:, 1]
+        assert np.all(eigs[:, 0] - 1.0 >= 0.99 * MARGIN - roundoff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(horizon_cases())
+    def test_margin_holds_up_to_the_horizon(self, case):
+        # Every H_s the horizon check passes, out to cond W = 1e14 and
+        # |det W| = e^{+-50}, gets m0 in (1, inf) and the floor MARGIN.
+        h, grid = case
+        assume(horizon_first_bad(h, grid) is None)
+        result = dilate(h, cfg(grid))
+        assert 1.0 < result.m0 < math.inf
+        assert result.m0 * result.mu_prime - 1.0 == pytest.approx(MARGIN, rel=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(universality_cases())
@@ -464,19 +498,3 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 600 * grid.n_nodes
 
-
-class TestConfigValidation:
-    def test_rejects_nonpositive_margin(self):
-        with pytest.raises(ValueError):
-            DilationConfig(grid=GRID, margin=0.0)
-
-    def test_m0_must_exceed_one(self):
-        # H_s = 0 keeps W = I, so mu' = 1 and 1 + 1e-17 rounds m0 to 1.
-        with pytest.raises(ValueError, match="exceed 1, got 1.0"):
-            dilate(np.zeros((2, 2)), cfg(margin=1e-17))
-
-    @pytest.mark.parametrize("margin", [math.inf, 1e308])
-    def test_overflowing_m0_rejected(self, margin):
-        # m0 = (1 + margin) / mu' is inf for both margins.
-        with pytest.raises(ValueError, match="m0 must be finite"):
-            dilate(pt_hamiltonian(0.6), cfg(margin=margin))
