@@ -61,7 +61,7 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # 1,200,001; `dilate` and `verify` ~0.40 kB), so ~1.5 GB at MAX_NODES
 # (extrapolated).  The lab audit, run once the dilation is freed, adds ~0.1 kB per
 # fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 359 MB
-# at 100,001 nodes, 408 MB at 600,001; 243 MB to t = 16 at 300,001, 386 MB to
+# at 100,001 nodes, 408 MB at 600,001; 240 MB to t = 16 at 300,001, 386 MB to
 # 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
 # sweep holds one such peak per worker.
 MAX_NODES = 3_500_000

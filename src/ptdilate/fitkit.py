@@ -1,10 +1,11 @@
 """One-parameter least-squares estimation of the non-Hermiticity strength.
 
 Fits sampled P0(t) curves to the closed-form population model of the PT
-family by a coarse grid scan plus golden-section refinement (the model's
-r-derivative is singular at r = 1, so derivative-based optimizers are
-avoided); each fit also carries the eigenvalues E+- = +-sqrt(1 - r^2) of
-its strength, the points of the bifurcation curve.
+family by a coarse grid scan plus golden-section refinement (P0 is smooth
+in r, but the information sum (dP0/dr)^2 collapses at r >= 1, so
+derivative-based optimizers are avoided); each fit also carries the
+eigenvalues E+- = +-sqrt(1 - r^2) of its strength, the points of the
+bifurcation curve.
 
 The scan scores every r of the one grid ``_GRID`` (``GRID_STEP`` over
 [0, 2]) against the model table ``analytic_p0(_GRID[:, None], t)``, held as

@@ -8,11 +8,14 @@ arrives as the Pauli coefficients of its two ancilla sigma_z blocks; block
 k chains the amplitudes ``state.reshape(2, 2)[:, k]`` by SU(2) pairs
 (``numkit.chain_su2``) and takes its summed phase per node.  ``_evolve``,
 the one chunked evolution loop, also runs the lab audit
-``pulse.simulate_lab_frame``.
+``pulse.simulate_lab_frame``; past one chunk a helper thread builds the
+next chunk's steps and phase while the caller chains and post-selects.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,9 @@ __all__ = [
 ]
 
 
-# Steps per chunk of ``_evolve``; only the returned trajectory spans the grid.
-_STEPS_PER_CHUNK = 16384
+# Steps per chunk of ``_evolve``; only the returned trajectory spans the grid,
+# and two chunks are in flight at once.
+_STEPS_PER_CHUNK = 8192
 
 
 class ZeroBranch(RuntimeError):
@@ -88,35 +92,58 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
     ``step_parts(i, j)``: parts ``(a, z, x)`` of the blocks a I + z sz + Re(x) sx
     + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2), ``a`` None if
     traceless; ``frame(rows)``, optional: the real (len, 4) exponent to the
-    reported frame.  Each chunk chains on from the last one's un-rotated end
-    state and carries each block's angle -dt sum(a) on; a node takes its
-    exponent once, as cos + i sin.  ``ZeroBranch`` raises at the first empty branch.
+    reported frame.  A chunk's carry-free half builds its SU(2) steps and
+    each node's phase, the exponent plus each block's running angle -dt sum(a),
+    as cos + i sin; its carried half chains the steps on from the last chunk's
+    un-rotated end state, applies the phase and post-selects.  Past one chunk,
+    a helper thread builds chunk k + 1's carry-free half, under the caller's
+    floating-point error state, while chunk k's carried half runs, so one
+    extra chunk is in flight.  ``ZeroBranch`` raises at the first empty branch.
     """
     n = grid.n_nodes
     states = np.empty((n, 4), dtype=complex)
     p0, succ = np.empty(n), np.empty(n)
+    starts = range(0, n - 1, _STEPS_PER_CHUNK)
+    errstate = np.geterr()
+
+    def carry_free(start, turned):
+        """Rows, steps and phase of the chunk from node ``start``, and the sum
+        of a per block (``turned``, carried in chunk order) at its end."""
+        with np.errstate(**errstate):
+            stop = min(start + _STEPS_PER_CHUNK, n - 1)
+            rows = slice(start, stop + 1)  # node start repeats the last chunk's end
+            a, z, x = step_parts(start, stop)
+            pairs = su2_step(z, x, grid.dt)
+            del z, x
+            if a is None:
+                exponent = np.zeros((stop + 1 - start, 2)) if frame is None else frame(rows)
+            else:
+                # One sequential sum from the first step, so chunks keep it bitwise.
+                sums = np.cumsum(np.concatenate([turned, a]), axis=0)
+                turned = sums[-1:].copy()
+                angle = sums * -grid.dt  # block k's, for columns k and k + 2
+                exponent = angle if frame is None else frame(rows) + np.tile(angle, 2)
+            phase = np.empty(exponent.shape, dtype=complex)
+            np.cos(exponent, out=phase.real)
+            np.sin(exponent, out=phase.imag)
+            # Without a frame the phase is per block: cos and sin of 2 columns, not 4.
+            return rows, pairs, phase if frame is not None else np.tile(phase, 2), turned
+
     carry = np.reshape(initial, (2, 2)).T  # block k's state is column k
-    turned = np.zeros((1, 2))  # sum of a over the steps so far, per block
-    for start in range(0, n - 1, _STEPS_PER_CHUNK):
-        stop = min(start + _STEPS_PER_CHUNK, n - 1)
-        rows = slice(start, stop + 1)  # node start repeats the last chunk's end
-        a, z, x = step_parts(start, stop)
-        chain = chain_su2(su2_step(z, x, grid.dt), carry)
-        states[rows].reshape(-1, 2, 2).swapaxes(-1, -2)[...] = chain
-        carry = chain[-1].copy()
-        del z, x, chain
-        exponent = np.zeros((stop + 1 - start, 4)) if frame is None else frame(rows)
-        if a is not None:
-            # One sequential sum from the first step, so chunks keep it bitwise.
-            sums = np.cumsum(np.concatenate([turned, a]), axis=0)
-            turned = sums[-1:].copy()
-            exponent += np.tile(sums * -grid.dt, 2)  # columns k and k + 2: block k
-        phase = np.empty(exponent.shape, dtype=complex)
-        np.cos(exponent, out=phase.real)
-        np.sin(exponent, out=phase.imag)
-        np.multiply(phase, states[rows], out=states[rows])
-        del a, exponent, phase
-        p0[rows], succ[rows] = _postselect_batch(states[rows])
+    part = carry_free(starts[0], np.zeros((1, 2)))
+    # Leaving the block joins the helper, also when a chunk raises.
+    with ThreadPoolExecutor(max_workers=1) if len(starts) > 1 else nullcontext() as helper:
+        for nxt in [*starts[1:], None]:
+            rows, pairs, phase, turned = part
+            ahead = None if nxt is None else helper.submit(carry_free, nxt, turned)
+            chain = chain_su2(pairs, carry)
+            del part, pairs
+            states[rows].reshape(-1, 2, 2).swapaxes(-1, -2)[...] = chain
+            carry = chain[-1].copy()
+            np.multiply(phase, states[rows], out=states[rows])
+            del chain, phase
+            p0[rows], succ[rows] = _postselect_batch(states[rows])
+            part = None if ahead is None else ahead.result()
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
 
 

@@ -6,14 +6,16 @@ The package evolves each ancilla (or nuclear) block as its own chain of
 steps, O(log n) vectorised passes).  This module keeps the full-matrix
 forms: ``unitary_2x2`` and ``chain_2x2``, the same closed form and scan on
 all four entries of each step; ``su2_matrices``, the 2x2 step of a pair;
-the layout that places the two blocks into one 4x4 operator; and the
-left-to-right step loop, for the tests to compare against.  Imported by
-the tests; not itself a test module.
+the layout that places the two blocks into one 4x4 operator; the
+left-to-right step loop; and ``evolve_dilated_in_order``, the dilated
+evolution with its chunks chained in turn on one thread, for the tests
+to compare against.  Imported by the tests; not itself a test module.
 """
 
 import numpy as np
 
-from ptdilate.numkit import mul_2x2
+from ptdilate.numkit import chain_su2, mul_2x2, su2_step
+from ptdilate.simulator import _postselect_batch
 
 
 def su2_matrices(pairs: np.ndarray) -> np.ndarray:
@@ -133,3 +135,35 @@ def chain_2x2(steps: np.ndarray, init: np.ndarray) -> np.ndarray:
     np.multiply(buf[..., 0], v[..., None, 0], out=dst)
     dst += buf[..., 1]
     return out[: n + 1]
+
+
+def evolve_dilated_in_order(hsa, initial: np.ndarray, steps_per_chunk: int):
+    """(states, p0, success_prob) of ``simulator.evolve_dilated``, in one thread.
+
+    The package's step kernels over the whole grid at once, except the
+    chain: ``chain_su2`` runs chunk by chunk in order, each chunk from the
+    last state of the one before, because its association depends on the
+    chunk length.  The running angle is one cumulative sum over the grid
+    and the phase multiplies every node in a single pass, broadcast over
+    the system level.  Every step but the chain is elementwise per node.
+    """
+    c, dt = hsa.data, hsa.grid.dt
+    n = len(c)
+    x = np.empty(c.shape[:-1], dtype=complex)
+    x.real, x.imag = c[..., 1], c[..., 2]
+    a, z, x = ((f[:-1] + f[1:]) / 2.0 for f in (c[..., 0], c[..., 3], x))
+    blocks = np.empty((n, 2, 2), dtype=complex)  # blocks[node, s, k]
+    blocks[0] = np.reshape(initial, (2, 2))
+    for start in range(0, n - 1, steps_per_chunk):
+        stop = min(start + steps_per_chunk, n - 1)
+        chain = chain_su2(su2_step(z[start:stop], x[start:stop], dt), blocks[start].T)
+        blocks[start + 1 : stop + 1] = chain[1:].swapaxes(-1, -2)
+    angle = np.cumsum(np.concatenate([np.zeros((1, 2)), a]), axis=0) * -dt
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    # Phase first, as in the package: the vectorised complex product of two
+    # arrays need not equal the swapped one to the bit.
+    states = (phase[:, None, :] * blocks).reshape(n, 4)
+    p0, succ = _postselect_batch(states)
+    return states, p0, succ

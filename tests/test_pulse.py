@@ -202,7 +202,7 @@ class TestLabFrame:
         assert np.max(np.abs(norms - 1.0)) <= 1e-13
 
     def test_short_audit_matches_serial_chain(self, short_audit, monkeypatch):
-        # The 40000 steps run as three chunks, each chained from the last
+        # The 40000 steps run as five chunks, each chained from the last
         # state of the one before.  One serial loop over all the same 2x2
         # steps (the block axis matrix-multiplies column vectors) must agree.
         assert simulator._STEPS_PER_CHUNK < 40000
@@ -222,8 +222,8 @@ class TestLabFrame:
         "t1, n_fine",
         [
             (0.1, 8001),  # one chunk, shorter than _STEPS_PER_CHUNK
-            (0.4, 32769),  # two full chunks
-            (0.5, 40001),  # two full chunks and a ragged last one
+            (0.4, 32769),  # four full chunks
+            (0.5, 40001),  # four full chunks and a ragged last one
         ],
     )
     def test_matches_whole_grid_oracle_bitwise(self, t1, n_fine):

@@ -1,5 +1,6 @@
 """Dilated-evolution and post-selection tests against the closed-form oracle."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from reference_dilation import eta_series
 from reference_expm import expm
 from reference_pauli import hsa_blocks
-from reference_steps import block_diag
+from reference_steps import block_diag, evolve_dilated_in_order
 
 from ptdilate import simulator
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, DilationConfig, dilate
@@ -141,6 +142,91 @@ class TestEvolveDilated:
         hsa = OperatorSeries(TimeGrid(0.0, 1.0, 11), np.zeros((11, 2, 4)))
         with pytest.raises(ZeroBranch):
             evolve_dilated(hsa, np.kron([1.0, 0.0], ANCILLA_PLUS))
+
+
+# |0>|->: every state of a zero Hamiltonian post-selects with weight 1.
+STILL_START = np.kron([1.0, 0.0], ANCILLA_MINUS)
+
+
+def still_parts(i, j):
+    """Parts (a, z, x) of steps i .. j - 1 of a zero Hamiltonian."""
+    return np.zeros((j - i, 2)), np.zeros((j - i, 2)), np.zeros((j - i, 2), dtype=complex)
+
+
+def still_parts_but(step, part, value):
+    """``still_parts`` with ``value`` in part ``part`` (0: a, 1: z) of step ``step``."""
+
+    def parts(i, j):
+        out = still_parts(i, j)
+        if i <= step < j:
+            out[part][step - i] = value
+        return out
+
+    return parts
+
+
+class TestPipelinedChunks:
+    # Past one chunk a helper thread builds chunk k + 1's steps and phase
+    # while the calling thread chains chunk k and post-selects it.
+
+    @pytest.mark.parametrize("r", [0.6, 1.4])
+    def test_matches_in_order_loop_bitwise(self, r):
+        # 20,000 steps: two full chunks and a ragged third.
+        grid = TimeGrid(0.0, 8.0, 20001)
+        assert 2 * simulator._STEPS_PER_CHUNK < grid.n_nodes - 1 < 3 * simulator._STEPS_PER_CHUNK
+        result = dilate(pt_hamiltonian(r), DilationConfig(grid))
+        initial = prepare_initial(np.array([1.0, 0.0]), np.sqrt(result.m0 - 1.0))
+        traj = evolve_dilated(result.hsa_series, initial)
+        ref = evolve_dilated_in_order(result.hsa_series, initial, simulator._STEPS_PER_CHUNK)
+        for name, want in zip(("states", "p0", "success_prob"), ref):
+            assert np.array_equal(getattr(traj, name), want), name
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 4)
+        before = threading.active_count()
+        traj = simulator._evolve(TimeGrid(0.0, 1.0, 11), still_parts, STILL_START)
+        assert threading.active_count() == before
+        assert np.array_equal(traj.p0, np.ones(11))
+
+    def test_no_thread_outlives_a_later_empty_branch(self, monkeypatch):
+        # A NaN angle in step 5 (chunk 2 of 3) makes its branch weight NaN:
+        # ZeroBranch raises on the calling thread while chunk 3 is built.
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 4)
+        seen = []
+
+        def parts(i, j):
+            seen.append(i)
+            return still_parts_but(5, 0, np.nan)(i, j)
+
+        before = threading.active_count()
+        with pytest.raises(ZeroBranch):
+            simulator._evolve(TimeGrid(0.0, 1.0, 11), parts, STILL_START)
+        assert threading.active_count() == before
+        assert seen == [0, 4, 8]
+
+    def test_helper_error_reaches_the_caller_unchanged(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 4)
+        err = KeyError("chunk 2")
+
+        def parts(i, j):
+            if i == 4:
+                raise err
+            return still_parts(i, j)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError) as caught:
+            simulator._evolve(TimeGrid(0.0, 1.0, 11), parts, STILL_START)
+        assert caught.value is err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("steps_per_chunk", [16, 4])  # one chunk; step 5 on the helper
+    def test_callers_error_state_reaches_every_chunk(self, monkeypatch, steps_per_chunk):
+        # A fresh thread starts from numpy's default error state: the helper
+        # must run under the caller's, as the calling thread does.
+        monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", steps_per_chunk)
+        parts = still_parts_but(5, 1, np.inf)  # cos(dt hypot(inf, 0)) is invalid
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            simulator._evolve(TimeGrid(0.0, 1.0, 11), parts, STILL_START)
 
 
 class TestSimulatePT:
