@@ -56,9 +56,9 @@ __all__ = ["RunConfig", "ValidationError", "main"]
 OUTDIR_ENV = "PTDILATE_OUTDIR"
 
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
-# at most ~0.42 kB per grid node, the dilation's peak (`simulate`, `pulses`
-# and one-r `sweep` at r = 1.4, t1 = 16: 162 MB at 300,001 nodes, 540 MB at
-# 1,200,001; `dilate` and `verify` ~0.40 kB), so ~1.5 GB at MAX_NODES
+# ~0.35 kB per grid node, the dilation's peak (`simulate`, `pulses`, one-r
+# `sweep`, `dilate` and `verify` at r = 1.4, t1 = 16: 149-152 MB at 300,001
+# nodes, 467 MB at 1,200,001, by `ru_maxrss`), so ~1.3 GB at MAX_NODES
 # (extrapolated).  The lab audit, run once the dilation is freed, adds ~0.1 kB per
 # fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 359 MB
 # at 100,001 nodes, 408 MB at 600,001; 240 MB to t = 16 at 300,001, 386 MB to

@@ -31,10 +31,12 @@ inverse propagator, where the defining formulas
 the metric spans 13+ orders of magnitude (broken-symmetry regime at
 long times), where the direct products lose several digits to
 cancellation.  ``V`` comes from the closed-form eigenvectors of W^dag W
-and every product is written out elementwise: no LAPACK call is made.
+and every product is written out entry by entry: no LAPACK call is made.
 Both closed forms are Hermitian elementwise, so ``V (Lambda~ +- Gamma~)
-V^dag`` and ``M = V diag(m0 sigma^2) V^dag`` are fixed by their real
-diagonal and (0, 1) entry, which ``_sandwich`` forms in one pass.
+V^dag`` is fixed by its real diagonal and (0, 1) entry, which
+``_sandwich`` forms in one pass.  The metric solves i dM/dt = H_s^dag M -
+M H_s from M(t0) = m0 I, so it is m0 times the entries of W^dag W that V
+comes from: ``M = m0 W^dag W``, Hermitian by format.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import OperatorSeries, TimeGrid, mul_2x2, right_singular_2x2
+from .numkit import OperatorSeries, TimeGrid, gram_2x2, top_singular_2x2
 
 __all__ = [
     "MARGIN",
@@ -98,11 +100,12 @@ class DiagnosticsReport:
 
     ``hermiticity`` and ``block_antisym`` are exactly 0 (``dilate`` writes
     H_sa as real Pauli coefficients) and ``min_eig_m_minus_i`` is ``MARGIN``
-    by construction; ``metric_ode`` is the one that can move.
+    by construction; ``metric_ode`` is the one that can move.  It reads all
+    four entries of M, so a metric that is not Hermitian shows in it.
     """
 
     hermiticity: float  # ||H_sa - H_sa^dag||_F / ||H_sa||_F = 2 ||Im c|| / ||c||
-    metric_ode: float  # i dM/dt = H^dag M - M H (central differences)
+    metric_ode: float  # i dM/dt = H^dag M - M H (central differences, interior nodes)
     block_antisym: float  # H^(-+) = -H^(+-) in the |+->, |-> ancilla basis
     min_eig_m_minus_i: float  # min over grid, m0 mu' - 1 (mu' from singular values)
 
@@ -157,12 +160,11 @@ def check_horizon(h_s, grid: TimeGrid) -> None:
     _horizon_terms(_as_matrix(h_s), grid)
 
 
-def _sandwich(v: np.ndarray, p, q, s):
+def _sandwich(a, b, p, q, s):
     """Entries (0, 0), (1, 1) and (0, 1) of ``v x v^dag`` for ``x = [[p, q], [q*, s]]``
     (p, s real) and the right singular vectors ``v = [[a, -b*], [b, a*]]`` of
-    ``right_singular_2x2``, written out elementwise.  The diagonal is real; entry
+    ``top_singular_2x2``, written out elementwise.  The diagonal is real; entry
     (1, 0) of the Hermitian result is the conjugate of entry (0, 1)."""
-    a, b = v[..., 0, 0], v[..., 1, 0]
     aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
     re_abq = (a * b * q).real
     off = a * b.conj() * (p - s) + a * a * q - (b * b * q).conj()
@@ -181,33 +183,42 @@ def dilate(h_s, cfg: DilationConfig) -> DilationResult:
     grid = cfg.grid
     # W = eps1^{-1}; sigma_min = |det W| / sigma_max, |det W| = e^{-(t - t0) Im tr H_s}.
     elapsed, tau, a, cos_k, sin_k = _horizon_terms(h_s, grid)
-    s_max, v = right_singular_2x2(
-        np.exp(1j * tau * elapsed)[:, None, None]
-        * (cos_k[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a)
-    )
+    # W's entries e^{i tau s} (cos(k s) I + i sin(k s)/k A)_ij; the I_ij factors keep signed zeros.
+    e, isin = np.exp(1j * tau * elapsed), 1j * sin_k
+    w = [[e * (cos_k * float(i == j) + isin * a[i, j]) for j in (0, 1)] for i in (0, 1)]
+    gp, gu, gq = gram_2x2(*w[0], *w[1])
+    s_max, v0, v1 = top_singular_2x2(gp, gu, gq)
     sigma = np.stack([s_max, np.exp(-elapsed * np.trace(h_s).imag) / s_max], axis=1)
-    del elapsed, cos_k, sin_k, s_max
+    del elapsed, cos_k, sin_k, s_max, e, isin, w
     mu_prime = float(np.min(sigma[:, -1] ** 2))
     m0 = (1.0 + MARGIN) / mu_prime
-    s_eig = m0 * sigma**2  # eigenvalues of M(t), descending
-    d_eig = np.sqrt(s_eig - 1.0)  # eigenvalues of eta = sqrt(M - I), all >= ~sqrt(MARGIN)
+    d_eig = np.sqrt(m0 * sigma**2 - 1.0)  # eigenvalues of eta = sqrt(M - I), all >= ~sqrt(MARGIN)
 
-    # H_s in the metric eigenbasis, then the entries p, q, s of the closed
+    # H_s in the metric eigenbasis, ht = (V^dag H_s) V with the columns
+    # (v0, v1), (-v1*, v0*) of V, then the entries p, q, s of the closed
     # forms Lambda~ +- Gamma~, one per ancilla sigma_z block (axis 1).
-    ht = mul_2x2(mul_2x2(v.conj().swapaxes(-1, -2), h_s), v)[:, None]
+    (h00, h01), (h10, h11) = h_s
+    c0, c1 = v0.conj(), v1.conj()
+    x00, x01 = c0 * h00 + c1 * h10, c0 * h01 + c1 * h11
+    x10, x11 = -v1 * h00 + v0 * h10, -v1 * h01 + v0 * h11
+    ht00, ht01 = (x00 * v0 + x01 * v1)[:, None], (x00 * -c1 + x01 * c0)[:, None]
+    ht10, ht11 = (x10 * v0 + x11 * v1)[:, None], (x10 * -c1 + x11 * c0)[:, None]
+    del x00, x01, x10, x11, c0, c1, sigma
     sign = np.array([1.0, -1.0])
     d0, d1 = d_eig[:, :1], d_eig[:, 1:]
-    p = ht[..., 0, 0].real - sign * ht[..., 0, 0].imag / d0
-    s = ht[..., 1, 1].real - sign * ht[..., 1, 1].imag / d1
-    q = ((d0 + 1j * sign) * ht[..., 0, 1] + (d1 - 1j * sign) * ht[..., 1, 0].conj()) / (d0 + d1)
-    del ht
+    p = ht00.real - sign * ht00.imag / d0
+    s = ht11.real - sign * ht11.imag / d1
+    q = ((d0 + 1j * sign) * ht01 + (d1 - 1j * sign) * ht10.conj()) / (d0 + d1)
+    del ht00, ht01, ht10, ht11
     # H_sa = Lambda x I + Gamma x sigma_z as the Pauli coefficients of its
     # ancilla sigma_z blocks; y is -Im of entry (0, 1), +0.0 where that is 0.
-    d00, d11, off = _sandwich(v[:, None], p, q, s)
+    d00, d11, off = _sandwich(v0[:, None], v1[:, None], p, q, s)
     del p, q, s
     hsa = np.stack([(d00 + d11) / 2.0, off.real, 0.0 - off.imag, (d00 - d11) / 2.0], axis=-1)
-    m00, m11, m01 = _sandwich(v, s_eig[:, 0], 0.0, s_eig[:, 1])
-    m = np.stack([np.stack([m00, m01], -1), np.stack([m01.conj(), m11], -1)], -2)
+    # M = m0 W^dag W, Hermitian by format.
+    m = np.empty((len(gq), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 1] = m0 * gp, m0 * gq, m0 * gu
+    m[:, 1, 0] = m[:, 0, 1].conj()
 
     return DilationResult(
         m0=m0,
@@ -221,28 +232,36 @@ def dilate(h_s, cfg: DilationConfig) -> DilationResult:
 def verify_dilation(result: DilationResult, h_s) -> DiagnosticsReport:
     """Numeric residuals of the dilation identities for the constant H_s,
     read off the Pauli coefficients c of H_sa's two ancilla blocks (a 4x4
-    Frobenius norm is sqrt(2) ||c|| over both blocks)."""
+    Frobenius norm is sqrt(2) ||c|| over both blocks) and of all four
+    entries of M, entry by entry."""
     h_s = _as_matrix(h_s)
     dt = result.grid.dt
     hsa = result.hsa_series.data
     m = result.m_series.data
 
+    def sq(x):
+        """Squared Frobenius norm per node: one sum of squared moduli."""
+        x = x.reshape(len(x), -1)
+        return np.einsum("ij,ij->i", x.conj(), x).real
+
     # H - H^dag = 2i sum_i Im(c_i) sigma_i per block.
-    hsa_norm = np.maximum(np.linalg.norm(hsa, axis=(1, 2)), 1e-300)
-    herm = float(np.max(2.0 * np.linalg.norm(np.imag(hsa), axis=(1, 2)) / hsa_norm))
+    hsa_norm = np.maximum(np.sqrt(sq(hsa)), 1e-300)
+    herm = float(np.max(2.0 * np.sqrt(sq(np.imag(hsa))) / hsa_norm))
 
     # Metric ODE by central differences on interior nodes, relative to the
-    # commutator scale.
-    dm_fd = (m[2:] - m[:-2]) / (2.0 * dt)
-    comm = mul_2x2(h_s.conj().T, m) - mul_2x2(m, h_s)
-    resid = np.linalg.norm(1j * dm_fd - comm[1:-1], axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(m[1:-1], axis=(-2, -1)) * np.linalg.norm(h_s), 1.0)
-    metric_ode = float(np.max(resid / scale))
+    # commutator scale: entry (i, j) of i dM/dt - H^dag M + M H.
+    h, hd, mid, resid = h_s.tolist(), h_s.conj().T.tolist(), m[1:-1], 0.0
+    for i, j in np.ndindex(2, 2):
+        r = (m[2:, i, j] - m[:-2, i, j]) * (0.5j / dt)
+        r -= hd[i][0] * mid[:, 0, j] + hd[i][1] * mid[:, 1, j]
+        r += mid[:, i, 0] * h[0][j] + mid[:, i, 1] * h[1][j]
+        resid = resid + (r.real**2 + r.imag**2)
+    scale = np.maximum(np.sqrt(sq(mid)) * np.linalg.norm(h_s), 1.0)
+    metric_ode = float(np.max(np.sqrt(resid) / scale))
 
     # H^(-+) + H^(+-) in the {|+>, |->} ancilla basis: sum_k 2 Re(<-|k><k|+>) B_k.
     c = 2.0 * (ANCILLA_MINUS.conj() * ANCILLA_PLUS).real
-    anti = np.linalg.norm(c[0] * hsa[:, 0] + c[1] * hsa[:, 1], axis=1)
-    block_antisym = float(np.max(anti / hsa_norm))
+    block_antisym = float(np.max(np.sqrt(sq(c[0] * hsa[:, 0] + c[1] * hsa[:, 1])) / hsa_norm))
     return DiagnosticsReport(
         hermiticity=herm,
         metric_ode=metric_ode,

@@ -8,7 +8,7 @@ pair of entries (``su2_step``) and built from the parts (a, z, x) of its
 block a I + z sz + Re(x) sx + Im(x) sy.  ``chain_su2`` is the one ordered
 product of steps in the package: a blocked prefix scan, O(n) work in
 O(log n) Python iterations.
-``mul_2x2`` and ``right_singular_2x2`` are closed forms on 2x2 stacks.
+``gram_2x2`` and ``top_singular_2x2`` are closed forms on 2x2 stacks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ __all__ = [
     "TimeGrid",
     "OperatorSeries",
     "su2_step",
-    "mul_2x2",
-    "right_singular_2x2",
+    "gram_2x2",
+    "top_singular_2x2",
     "chain_su2",
 ]
 
@@ -95,61 +95,51 @@ def su2_step(z: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
     return pair
 
 
-def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for broadcastable 2x2 stacks, written out elementwise
-    (``@`` pays a per-matrix dispatch on long 2x2 stacks)."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
-    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
-    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
-    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
-    return out
+def gram_2x2(w00, w01, w10, w11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries p, u (real) and q of w^dag w = [[p, q], [q*, u]] from those of w."""
+    p = (w00.conj() * w00).real + (w10.conj() * w10).real
+    u = (w01.conj() * w01).real + (w11.conj() * w11).real
+    return p, u, w00.conj() * w01 + w10.conj() * w11
 
 
-def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_max and the right singular vectors ``v`` of a (..., 2, 2) stack.
+def top_singular_2x2(p, u, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_max and the top right singular vector (v0, v1) of a 2x2 stack w
+    from G = w^dag w = [[p, q], [q*, u]] (``gram_2x2``); (-v1*, v0*) is the other.
 
-    G = w^dag w = [[p, q], [q*, u]] has sigma_max^2 = (p + u)/2 + R with
-    R = hypot((p - u)/2, |q|), and top eigenvector (a, q*) for p >= u, else
-    (q, a), a = |p - u|/2 + R: neither form cancels.  G = c I to rounding
-    (a <= eps (p + u)) takes (1, 0): its top eigenvector is noise there, and
-    a subnormal (a, q) would not normalize.  The columns of ``v`` are
-    (v0, v1) and (-v1*, v0*).
+    sigma_max^2 = (p + u)/2 + R with R = hypot((p - u)/2, |q|), and G's top
+    eigenvector is (a, q*) for p >= u, else (q, a), a = |p - u|/2 + R:
+    neither form cancels.  G = c I to rounding (a <= eps (p + u)) takes
+    (1, 0): its top eigenvector is noise there, and a subnormal (a, q) would
+    not normalize.
     """
-    w = np.asarray(w)
-    g = (w.conj() * w).real
-    p, u = g[..., 0, 0] + g[..., 1, 0], g[..., 0, 1] + g[..., 1, 1]
-    q = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
     rad = np.hypot((p - u) / 2.0, np.abs(q))
     a = np.abs(p - u) / 2.0 + rad
     scalar = a <= np.finfo(float).eps * (p + u)
     top = np.where(scalar, 1.0, np.where(p >= u, a, q))
     low = np.where(scalar, 0.0, np.where(p >= u, q.conj(), a))
     norm = np.hypot(np.abs(top), np.abs(low))
-    v0, v1 = top / norm, low / norm
-    v = np.stack([np.stack([v0, -v1.conj()], -1), np.stack([v1, v0.conj()], -1)], -2)
-    return np.sqrt((p + u) / 2.0 + rad), v
+    return np.sqrt((p + u) / 2.0 + rad), top / norm, low / norm
 
 
 def _mul_su2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(a, b) applied to (c, d), pair-major on axis 0: (a c - b* d, b c + a* d),
     the pair of a product of SU(2) steps or a step applied to a state.  Its
-    four complex products are those ``mul_2x2`` forms, so the two agree bitwise."""
+    four complex products are a full 2x2 product's, so the two agree bitwise."""
     (a, b), (c, d) = p, q
     return np.stack([a * c - b.conj() * d, b * c + a.conj() * d])
 
 
-def chain_su2(pairs: np.ndarray, init: np.ndarray) -> np.ndarray:
+def chain_su2(pairs: np.ndarray, init: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Step chain: ``out[0] = init`` and ``out[k + 1] = U_k @ out[k]``.
 
     ``pairs`` is a ``(n, ..., 2)`` stack of SU(2) pairs (a, b), the steps
-    U_k = [[a, -b*], [b, a*]], and ``init`` a ``(..., 2)`` state.  A two-level
-    blocked scan: m chunks of L = n.bit_length() steps (the last padded by
-    identities) take L - 1 pair-product passes for their prefix products, a
-    doubling (Hillis-Steele) scan over the chunk totals gives the state
-    entering each chunk, and L passes apply the prefixes to it.  The states
-    agree with a left-to-right loop to rounding, not bitwise.
+    U_k = [[a, -b*], [b, a*]], ``init`` a ``(..., 2)`` state and ``out``, if
+    given, the (n + 1, ..., 2) array or view to fill.  A two-level blocked
+    scan: m chunks of L = n.bit_length() steps (the last padded by identities)
+    take L - 1 pair-product passes for their prefix products, a doubling
+    (Hillis-Steele) scan over the chunk totals gives the state entering each
+    chunk, and L passes apply the prefixes to it.  The states agree with a
+    left-to-right loop to rounding, not bitwise.
     """
     src = np.moveaxis(np.asarray(pairs), -1, 0)  # pair-major, as every pass
     init = np.moveaxis(np.asarray(init, dtype=complex), -1, 0)
@@ -174,13 +164,14 @@ def chain_su2(pairs: np.ndarray, init: np.ndarray) -> np.ndarray:
         shift *= 2
     # v[:, c]: the state entering chunk c.
     v = np.concatenate([init[:, None], _mul_su2(tot, init[:, None])], axis=1)
-    # Prefix j of every chunk applied to its entering state, as in _mul_su2.
-    out = np.empty((m * size + 1, *init.shape[1:], 2), dtype=complex)
+    # Prefix j of chunk c applied to its entering state, as in _mul_su2, is state c L + j + 1.
+    out = np.empty((n + 1, *init.shape[1:], 2), dtype=complex) if out is None else out
     out[0] = np.moveaxis(init, 0, -1)
-    dst = out[1:].reshape(m, size, *out.shape[1:])
     c, d = v
     for j in range(size):
         a, b = buf[:, j]
-        dst[:, j, ..., 0] = a * c - b.conj() * d
-        dst[:, j, ..., 1] = b * c + a.conj() * d
-    return out[: n + 1]
+        for k, state in enumerate((a * c - b.conj() * d, b * c + a.conj() * d)):
+            out[j + 1 : full * size + 1 : size, ..., k] = state[:full]
+            if j < tail:
+                out[full * size + j + 1, ..., k] = state[full]
+    return out

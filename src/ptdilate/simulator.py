@@ -136,9 +136,8 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
         for nxt in [*starts[1:], None]:
             rows, pairs, phase, turned = part
             ahead = None if nxt is None else helper.submit(carry_free, nxt, turned)
-            chain = chain_su2(pairs, carry)
+            chain = chain_su2(pairs, carry, states[rows].reshape(-1, 2, 2).swapaxes(-1, -2))
             del part, pairs
-            states[rows].reshape(-1, 2, 2).swapaxes(-1, -2)[...] = chain
             carry = chain[-1].copy()
             np.multiply(phase, states[rows], out=states[rows])
             del chain, phase

@@ -8,14 +8,20 @@ moderately conditioned, which is where the tests compare the two routes.
 ``ancilla_blocks`` rewrites H_sa in the {|+>, |->} ancilla basis, for the
 block-structure test.  ``horizon_first_bad`` is the propagator horizon
 check done with singular values, the oracle for the closed-form
-``check_horizon``.  Imported by the tests; not itself a test module.
+``check_horizon``.  ``right_singular_2x2`` stacks the package's top right
+singular vector into V, and ``dilate_stacked`` is ``dilate`` on those
+(n, 2, 2) stacks: two ``mul_2x2`` products for V^dag H_s V and
+M = V diag(m0 sigma^2) V^dag.  Imported by the tests; not itself a test
+module.
 """
 
 import mpmath as mp
 import numpy as np
 
-from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS
-from ptdilate.numkit import NotHermitian, OperatorSeries, right_singular_2x2
+from reference_steps import mul_2x2
+
+from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, MARGIN, _horizon_terms, _sandwich
+from ptdilate.numkit import NotHermitian, OperatorSeries, gram_2x2, top_singular_2x2
 
 
 class NotPositive(ValueError):
@@ -187,3 +193,45 @@ def horizon_first_bad(h_s: np.ndarray, grid, limit: float = 1e14) -> int | None:
         cond = s_max / np.maximum(s_min, 5e-324)  # sigma_min can underflow to 0
     bad = ~(cond <= limit)
     return int(np.argmax(bad)) if np.any(bad) else None
+
+
+def right_singular_2x2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max and the right singular vectors ``v`` of a (..., 2, 2) stack:
+    the package's ``gram_2x2`` and ``top_singular_2x2``, with the columns
+    (v0, v1) and (-v1*, v0*) stacked into ``v``."""
+    entries = (w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1])
+    s_max, v0, v1 = top_singular_2x2(*gram_2x2(*entries))
+    v = np.stack([np.stack([v0, -v1.conj()], -1), np.stack([v1, v0.conj()], -1)], -2)
+    return s_max, v
+
+
+def dilate_stacked(h_s: np.ndarray, grid) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(m0, mu', M, H_sa coefficients) of ``ptdilate.dilation.dilate`` on 2x2 stacks.
+
+    The same steps as the package, in the same order, but through the
+    stacked ``v``: ``ht = (V^dag H_s) V`` by two ``mul_2x2`` products, and
+    ``M = V diag(m0 sigma^2) V^dag`` by a second ``_sandwich`` pass.
+    """
+    h_s = np.asarray(h_s, dtype=complex)
+    elapsed, tau, a, cos_k, sin_k = _horizon_terms(h_s, grid)
+    s_max, v = right_singular_2x2(
+        np.exp(1j * tau * elapsed)[:, None, None]
+        * (cos_k[:, None, None] * np.eye(2) + (1j * sin_k)[:, None, None] * a)
+    )
+    sigma = np.stack([s_max, np.exp(-elapsed * np.trace(h_s).imag) / s_max], axis=1)
+    mu_prime = float(np.min(sigma[:, -1] ** 2))
+    m0 = (1.0 + MARGIN) / mu_prime
+    s_eig = m0 * sigma**2
+    d_eig = np.sqrt(s_eig - 1.0)
+    ht = mul_2x2(mul_2x2(v.conj().swapaxes(-1, -2), h_s), v)[:, None]
+    sign = np.array([1.0, -1.0])
+    d0, d1 = d_eig[:, :1], d_eig[:, 1:]
+    p = ht[..., 0, 0].real - sign * ht[..., 0, 0].imag / d0
+    s = ht[..., 1, 1].real - sign * ht[..., 1, 1].imag / d1
+    q = ((d0 + 1j * sign) * ht[..., 0, 1] + (d1 - 1j * sign) * ht[..., 1, 0].conj()) / (d0 + d1)
+    vb = v[:, None]
+    d00, d11, off = _sandwich(vb[..., 0, 0], vb[..., 1, 0], p, q, s)
+    hsa = np.stack([(d00 + d11) / 2.0, off.real, 0.0 - off.imag, (d00 - d11) / 2.0], axis=-1)
+    m00, m11, m01 = _sandwich(v[..., 0, 0], v[..., 1, 0], s_eig[:, 0], 0.0, s_eig[:, 1])
+    m = np.stack([np.stack([m00, m01], -1), np.stack([m01.conj(), m11], -1)], -2)
+    return m0, mu_prime, m, hsa

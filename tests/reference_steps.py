@@ -4,8 +4,9 @@ The package evolves each ancilla (or nuclear) block as its own chain of
 2x2 steps carried as SU(2) pairs (``ptdilate.numkit.su2_step`` and
 ``chain_su2``, a two-level blocked scan over chunks of ``n.bit_length()``
 steps, O(log n) vectorised passes).  This module keeps the full-matrix
-forms: ``unitary_2x2`` and ``chain_2x2``, the same closed form and scan on
-all four entries of each step; ``su2_matrices``, the 2x2 step of a pair;
+forms: ``mul_2x2``, the 2x2 stack product written out elementwise;
+``unitary_2x2`` and ``chain_2x2``, the same closed form and scan on all
+four entries of each step; ``su2_matrices``, the 2x2 step of a pair;
 the layout that places the two blocks into one 4x4 operator; the
 left-to-right step loop; and ``evolve_dilated_in_order``, the dilated
 evolution with its chunks chained in turn on one thread, for the tests
@@ -14,8 +15,20 @@ to compare against.  Imported by the tests; not itself a test module.
 
 import numpy as np
 
-from ptdilate.numkit import chain_su2, mul_2x2, su2_step
+from ptdilate.numkit import chain_su2, su2_step
 from ptdilate.simulator import _postselect_batch
+
+
+def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for broadcastable 2x2 stacks, written out elementwise
+    (``@`` pays a per-matrix dispatch on long 2x2 stacks)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
+    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
+    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+    return out
 
 
 def su2_matrices(pairs: np.ndarray) -> np.ndarray:

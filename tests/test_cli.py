@@ -222,14 +222,14 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["dilate", "simulate", "sweep", "pulses", "verify"])
     def test_one_singular_vector_pass_per_r(self, tmp_path, monkeypatch, command):
         # The horizon pre-flight needs no singular vectors, so each r takes
-        # one right_singular_2x2 pass: dilate's own.
-        calls, svd = [], dilation.right_singular_2x2
+        # one top_singular_2x2 pass: dilate's own.
+        calls, svd = [], dilation.top_singular_2x2
 
-        def counting(w):
-            calls.append(len(w))
-            return svd(w)
+        def counting(p, u, q):
+            calls.append(len(p))
+            return svd(p, u, q)
 
-        monkeypatch.setattr(dilation, "right_singular_2x2", counting)
+        monkeypatch.setattr(dilation, "top_singular_2x2", counting)
         assert run(
             command, "--r", "0", "--r", "0.6", "--r", "1.4", "--n-nodes", "101",
             "--t1", "2", "--workers", "1", "--outdir", str(tmp_path),
@@ -777,6 +777,19 @@ class TestPulsesAndVerify:
             result = dilate(h_s, cfg)
             result.m_series.data[100] *= 1.5
             result.hsa_series.data[100] *= 3
+            return result
+
+        monkeypatch.setattr(cli, "dilate", corrupted_dilate)
+        assert run("verify", "--r", "0.6", "--n-nodes", "401", "--outdir", str(tmp_path)) == 2
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_fails_on_a_non_hermitian_metric(self, tmp_path, capsys, monkeypatch):
+        # Only entry (1, 0) of M moves at one node: a metric-ODE residual
+        # that took M as Hermitian, reading three entries, would not see it.
+        def corrupted_dilate(h_s, cfg):
+            result = dilate(h_s, cfg)
+            m = result.m_series.data
+            m[100, 1, 0] += 0.1 * np.linalg.norm(m[100])
             return result
 
         monkeypatch.setattr(cli, "dilate", corrupted_dilate)

@@ -1,11 +1,13 @@
 """Kernel-level tests: grids, eigensolvers, exponentials, 2x2 products and
 singular pairs, block layout, step chains, Sylvester solves.
 
-The eigensolver, square-root and Sylvester kernels belong to the
-test-side reference oracle in ``reference_dilation``; the Pade ``expm``
-is the test-side oracle in ``reference_expm``; the full-matrix step and
-chain kernels, the 4x4 block layout and the serial step loop are the
-test-side oracle in ``reference_steps``.
+The eigensolver, square-root and Sylvester kernels, and the stacked
+singular vectors of ``right_singular_2x2`` (the package's
+``top_singular_2x2`` on ``gram_2x2``), belong to the test-side reference
+oracle in ``reference_dilation``; the Pade ``expm`` is the test-side
+oracle in ``reference_expm``; the 2x2 product ``mul_2x2``, the
+full-matrix step and chain kernels, the 4x4 block layout and the serial
+step loop are the test-side oracle in ``reference_steps``.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ from reference_dilation import (
     SingularPair,
     herm_eig,
     is_hermitian,
+    right_singular_2x2,
     sqrtm_psd,
     sylvester_hermitian,
 )
@@ -26,6 +29,7 @@ from reference_expm import expm
 from reference_steps import (
     block_diag,
     chain_2x2,
+    mul_2x2,
     ordered_product,
     su2_matrices,
     unitary_2x2,
@@ -38,8 +42,6 @@ from ptdilate.numkit import (
     OperatorSeries,
     TimeGrid,
     chain_su2,
-    mul_2x2,
-    right_singular_2x2,
     su2_step,
 )
 from ptdilate.ptmodel import pt_hamiltonian
@@ -476,6 +478,20 @@ class TestChain2x2:
         pairs = random_pairs(rng, (n, 2))
         init = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.array_equal(chain_su2(pairs, init), chain_2x2(su2_matrices(pairs), init))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 17, 257, 13656, 16384])
+    def test_writes_into_a_transposed_trajectory_view(self, n):
+        # The evolution hands over its (n + 1, 4) rows viewed as [node,
+        # block, level]: every state, the padded last chunk's too, lands
+        # there bit for bit as in a new array, and nothing else is written.
+        rng = np.random.default_rng(n + 4)
+        pairs = random_pairs(rng, (n, 2))
+        init = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rows = np.full((n + 3, 4), np.nan, dtype=complex)
+        view = rows[1:-1].reshape(-1, 2, 2).swapaxes(-1, -2)
+        assert chain_su2(pairs, init, view) is view
+        assert np.array_equal(view, chain_su2(pairs, init))
+        assert np.all(np.isnan(rows[[0, -1]]))
 
     def test_work_is_linear_in_steps(self, monkeypatch):
         # A doubling scan forms ~n log2(n) products (~13n here); the

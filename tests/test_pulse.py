@@ -209,9 +209,10 @@ class TestLabFrame:
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 40000)
         calls = []
 
-        def serial_chain(pairs, init):
+        def serial_chain(pairs, init, out):
             calls.append(len(pairs))
-            return ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
+            out[...] = ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
+            return out
 
         monkeypatch.setattr(simulator, "chain_su2", serial_chain)
         serial = run_short_audit()
