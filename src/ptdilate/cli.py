@@ -60,8 +60,8 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # `sweep`, `dilate` and `verify` at r = 1.4, t1 = 16: 149-152 MB at 300,001
 # nodes, 467 MB at 1,200,001, by `ru_maxrss`), so ~1.3 GB at MAX_NODES
 # (extrapolated).  The lab audit, run once the dilation is freed, adds ~0.1 kB per
-# fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 359 MB
-# at 100,001 nodes, 408 MB at 600,001; 240 MB to t = 16 at 300,001, 386 MB to
+# fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 316 MB
+# at 100,001 nodes, 374 MB at 600,001; 203 MB to t = 16 at 300,001, 347 MB to
 # 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
 # sweep holds one such peak per worker.
 MAX_NODES = 3_500_000

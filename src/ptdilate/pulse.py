@@ -5,7 +5,8 @@ Maps the A-coefficient form of H_sa onto the two-qubit subspace
 14N nuclear spin system: static subspace Hamiltonian, carrier
 frequencies of the two selective MW transitions, Rabi/phase/frequency
 trajectories of the drives, and a lab-frame integrator (SU(2) steps and a
-real back-rotation exponent) that audits the rotating-wave approximation.
+back-rotation phase multiplied from tabled unit numbers) that audits the
+rotating-wave approximation.
 
 Units: frequencies in NVParams are MHz (cycles/us); Hamiltonians and
 carrier/drive angular frequencies are rad/us; time is us (matching the
@@ -35,6 +36,7 @@ __all__ = [
 
 # Max fraction of a carrier cycle a lab-frame step may span.
 _MAX_CYCLES_PER_STEP = 0.02
+_ANCHOR_NODES = 1024  # fine nodes per anchor of the lab audit's phase table
 
 
 class GridTooCoarse(ValueError):
@@ -171,11 +173,11 @@ def simulate_lab_frame(
     integrals that define the frame.  ``grid_fine`` must lie inside the
     program's grid; the drives are not extrapolated past it.
 
-    The traceless blocks' (z, drive) parts and the real back-rotation
-    exponent run chunk by chunk through ``simulator._evolve``, the loop of
-    ``evolve_dilated``: only the fine times, the two A-integrals and the
-    returned trajectory span the fine grid, and ``ZeroBranch`` raises at the
-    first chunk holding an empty branch.
+    The traceless blocks' (z, drive) parts and the back-rotation phase run
+    chunk by chunk through ``simulator._evolve``, the loop of
+    ``evolve_dilated``, with the two A-integrals carried in its chunk order:
+    only the fine times and the returned trajectory span the fine grid, and
+    ``ZeroBranch`` raises at the first chunk holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
         raise ValueError(
@@ -192,14 +194,6 @@ def simulate_lab_frame(
     t_nodes = prog.grid.times()
     ts = grid_fine.times()
     h = grid_fine.dt
-
-    def running_integral(col: int) -> np.ndarray:
-        """Trapezoid integral of A-series column ``col`` on the fine grid."""
-        f = np.interp(ts, t_nodes, a.a[:, col])
-        return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2.0 * h)])
-
-    int_a2, int_a4 = running_integral(1), running_integral(3)
-
     # H0 is diagonal and drive k flips the electron with the nuclear spin on
     # level k (|1>_n, then |0>_n): one 2x2 block per nuclear level.  Block k
     # drops its trace a_k, leaving z_k sz + drive sx, so its exponential has
@@ -207,16 +201,25 @@ def simulate_lab_frame(
     # e^{-i a_k t} is folded into the back-rotation below.
     h0_diag = np.real(np.diag(h0))
     z = (h0_diag[:2] - h0_diag[2:]) / 2.0  # (h0[k, k] - h0[k + 2, k + 2]) / 2
-    # Back to the rotating frame: the exponent of U_rot is diagonal and real;
-    # H0 enters it less the dropped traces, as (z, -z).
+    # Back to the rotating frame: the exponent of U_rot is diagonal and real,
+    # z_rot t - int_a2 (I x sz) - int_a4 (sz x sz), H0 entering less the dropped
+    # traces.  e^{i z_rot t} at node qB + m is the anchor e^{i z_rot t_qB} times
+    # table[m] = e^{i z_rot m h}: only anchors take cos/sin of |z t| (~1e4 rad),
+    # and they sit at fixed nodes, so no phase depends on where a chunk starts.
     z_rot = np.concatenate([z, -z])
-    sz_n = np.array([1.0, -1.0, 1.0, -1.0])  # I x sz diagonal
-    sz_sz = np.array([1.0, -1.0, -1.0, 1.0])  # sz x sz diagonal
+    table = np.exp(1j * np.outer(z_rot, np.arange(_ANCHOR_NODES) * h))
     w1, w2 = prog.carriers
+    ints = np.zeros((2, 1))  # int_a2, int_a4 at the chunk's nodes; starts at 0
 
-    def lab_blocks(mids: np.ndarray) -> tuple[None, np.ndarray, np.ndarray]:
-        """Parts (a, z, x) of the two traceless lab blocks at ``mids``."""
-        int_a4_mid = np.interp(mids, ts, int_a4)
+    def lab_blocks(i: int, j: int) -> tuple[None, np.ndarray, np.ndarray]:
+        """Parts (a, z, x) of the two traceless lab blocks of steps i .. j - 1, after
+        the A2/A4 trapezoid integrals at nodes i .. j, summed on from the last chunk's."""
+        nonlocal ints
+        t = ts[i : j + 1]
+        f = np.stack([np.interp(t, t_nodes, a.a[:, 1]), np.interp(t, t_nodes, a.a[:, 3])])
+        ints = np.cumsum(np.concatenate([ints[:, -1:], (f[:, 1:] + f[:, :-1]) / 2.0 * h], 1), 1)
+        mids = t[:-1] + h / 2.0
+        int_a4_mid = np.interp(mids, t, ints[1])
         ph_mid = np.interp(mids, t_nodes, prog.phase)
         # Cosine arguments of the two drives, drive 1 at -phi and drive 2 at +phi.
         angles = np.stack(
@@ -227,6 +230,14 @@ def simulate_lab_frame(
         return None, z, 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
 
     def back_rotation(rows: slice) -> np.ndarray:
-        return z_rot * ts[rows, None] - int_a2[rows, None] * sz_n - int_a4[rows, None] * sz_sz
+        """e^{i exponent} at the last ``lab_blocks``' nodes ``rows``: e^{i z_rot t} times
+        (p, p*, q, q*), p = e^{-i (int_a2 + int_a4)} and q = e^{-i (int_a2 - int_a4)}."""
+        skip = rows.start % _ANCHOR_NODES
+        anchors = np.exp(1j * np.outer(z_rot, ts[rows.start - skip : rows.stop : _ANCHOR_NODES]))
+        phase = (anchors[:, :, None] * table[:, None]).reshape(4, -1)[:, skip : skip + len(ts[rows])]
+        pq = np.exp(-1j * (ints[0] + ints[1] * np.array([[1.0], [-1.0]])))
+        phase[::2] *= pq
+        phase[1::2] *= pq.conj()
+        return phase.T
 
-    return _evolve(grid_fine, lambda i, j: lab_blocks(ts[i:j] + h / 2.0), initial, back_rotation)
+    return _evolve(grid_fine, lab_blocks, initial, back_rotation)

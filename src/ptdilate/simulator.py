@@ -90,13 +90,14 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
     """Chain the 2x2 steps on ``grid`` from ``initial`` and post-select, per chunk.
 
     ``step_parts(i, j)``: parts ``(a, z, x)`` of the blocks a I + z sz + Re(x) sx
-    + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2), ``a`` None if
-    traceless; ``frame(rows)``, optional: the real (len, 4) exponent to the
-    reported frame.  A chunk's carry-free half builds its SU(2) steps and
-    each node's phase, the exponent plus each block's running angle -dt sum(a),
-    as cos + i sin; its carried half chains the steps on from the last chunk's
-    un-rotated end state, applies the phase and post-selects.  Past one chunk,
-    a helper thread builds chunk k + 1's carry-free half, under the caller's
+    + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2).  A chunk's
+    carry-free half builds their SU(2) steps and each node's phase: each
+    block's running angle -dt sum(a) as cos + i sin or, if ``a`` is None
+    (traceless), the complex (len, 4) ``frame(rows)`` called next for the
+    chunk's nodes; both run chunk by chunk in order, so they may carry sums.
+    Its carried half chains the steps on from the last chunk's un-rotated end
+    state, applies the phase and post-selects.  Past one chunk, a helper
+    thread builds chunk k + 1's carry-free half, under the caller's
     floating-point error state, while chunk k's carried half runs, so one
     extra chunk is in flight.  ``ZeroBranch`` raises at the first empty branch.
     """
@@ -116,18 +117,17 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
             pairs = su2_step(z, x, grid.dt)
             del z, x
             if a is None:
-                exponent = np.zeros((stop + 1 - start, 2)) if frame is None else frame(rows)
+                phase = frame(rows)
             else:
                 # One sequential sum from the first step, so chunks keep it bitwise.
                 sums = np.cumsum(np.concatenate([turned, a]), axis=0)
                 turned = sums[-1:].copy()
                 angle = sums * -grid.dt  # block k's, for columns k and k + 2
-                exponent = angle if frame is None else frame(rows) + np.tile(angle, 2)
-            phase = np.empty(exponent.shape, dtype=complex)
-            np.cos(exponent, out=phase.real)
-            np.sin(exponent, out=phase.imag)
-            # Without a frame the phase is per block: cos and sin of 2 columns, not 4.
-            return rows, pairs, phase if frame is not None else np.tile(phase, 2), turned
+                phase = np.empty(angle.shape, dtype=complex)
+                np.cos(angle, out=phase.real)
+                np.sin(angle, out=phase.imag)
+                phase = np.tile(phase, 2)
+            return rows, pairs, phase, turned
 
     carry = np.reshape(initial, (2, 2)).T  # block k's state is column k
     part = carry_free(starts[0], np.zeros((1, 2)))

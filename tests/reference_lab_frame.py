@@ -2,13 +2,15 @@
 
 The package streams the lab-frame audit (``ptdilate.pulse.simulate_lab_frame``)
 chunk by chunk through ``ptdilate.simulator._evolve``, so only the returned
-trajectory spans the fine grid.  This module keeps the version that builds every drive angle, the back-rotation
-(``np.exp``) and the post-selection (from all four ``branch_populations``)
-over the whole fine grid at once, and steps full 2x2 matrices with the
-full-matrix kernels of ``reference_steps``, for the tests to require
-bitwise-equal trajectories against.  It chains the same
-``_STEPS_PER_CHUNK`` chunks, so the association of the step products is
-the same.  Imported by the tests; not itself a test module.
+trajectory spans the fine grid, and builds its back-rotation phase from a
+table of unit numbers.  This module keeps the version that builds every
+drive angle, the A-integrals, the back-rotation (``np.exp`` of the real
+exponent) and the post-selection (from all four ``branch_populations``) over
+the whole fine grid at once, and steps full 2x2 matrices with the
+full-matrix kernels of ``reference_steps``, for the tests to compare
+trajectories against.  It chains the same ``_STEPS_PER_CHUNK`` chunks, so
+the association of the step products is the same.  Imported by the tests;
+not itself a test module.
 """
 
 import math
@@ -26,6 +28,17 @@ from ptdilate.pulse import (
     subspace_h0,
 )
 from ptdilate.simulator import _STEPS_PER_CHUNK, Trajectory, branch_populations
+
+
+def a_integrals(prog: PulseProgram, a: ASeries, grid_fine: TimeGrid):
+    """Cumulative trapezoid integrals of A2 and A4 at every node of ``grid_fine``."""
+    ts, h = grid_fine.times(), grid_fine.dt
+
+    def running_integral(col: int) -> np.ndarray:
+        f = np.interp(ts, prog.grid.times(), a.a[:, col])
+        return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2.0 * h)])
+
+    return running_integral(1), running_integral(3)
 
 
 def simulate_lab_frame(
@@ -63,13 +76,7 @@ def simulate_lab_frame(
     n = grid_fine.n_nodes
     mids = ts[:-1] + h / 2.0
 
-    a2 = a.a[:, 1]
-    a4 = a.a[:, 3]
-    # Cumulative integrals of A4 and A2 on the fine grid (trapezoid).
-    a4_f = np.interp(ts, t_nodes, a4)
-    a2_f = np.interp(ts, t_nodes, a2)
-    int_a4 = np.concatenate([[0.0], np.cumsum((a4_f[1:] + a4_f[:-1]) / 2.0 * h)])
-    int_a2 = np.concatenate([[0.0], np.cumsum((a2_f[1:] + a2_f[:-1]) / 2.0 * h)])
+    int_a2, int_a4 = a_integrals(prog, a, grid_fine)
 
     w1, w2 = prog.carriers
     int_a4_mid = np.interp(mids, ts, int_a4)

@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from reference_lab_frame import a_integrals
 from reference_lab_frame import simulate_lab_frame as whole_grid_lab_frame
 from reference_steps import ordered_product, su2_matrices
 
-from ptdilate import simulator
+from ptdilate import pulse, simulator
 from ptdilate.cli import main
 from ptdilate.dilation import ANCILLA_PLUS, DilationConfig, dilate
 from ptdilate.numkit import TimeGrid
@@ -145,6 +147,19 @@ def run_short_audit():
     return simulate_lab_frame(*audit_inputs(0.5, 40001))
 
 
+def block_z():
+    """z_k of the two traceless lab blocks, (h0[k, k] - h0[k + 2, k + 2]) / 2 (rad/us)."""
+    h0_diag = np.real(np.diag(subspace_h0(NVParams())[0]))
+    return (h0_diag[:2] - h0_diag[2:]) / 2.0
+
+
+def serial_chain(pairs, init, out):
+    """``chain_su2`` as one serial loop over the same 2x2 steps (the block
+    axis matrix-multiplies column vectors)."""
+    out[...] = ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
+    return out
+
+
 def audit_peak(t1, n_fine):
     """tracemalloc peak of one lab-frame run, its inputs built beforehand."""
     inputs = audit_inputs(t1, n_fine)
@@ -204,20 +219,32 @@ class TestLabFrame:
     def test_short_audit_matches_serial_chain(self, short_audit, monkeypatch):
         # The 40000 steps run as five chunks, each chained from the last
         # state of the one before.  One serial loop over all the same 2x2
-        # steps (the block axis matrix-multiplies column vectors) must agree.
+        # steps must agree.
         assert simulator._STEPS_PER_CHUNK < 40000
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 40000)
         calls = []
 
-        def serial_chain(pairs, init, out):
+        def counted_chain(pairs, init, out):
             calls.append(len(pairs))
-            out[...] = ordered_product(su2_matrices(pairs), init[..., None])[..., 0]
-            return out
+            return serial_chain(pairs, init, out)
 
-        monkeypatch.setattr(simulator, "chain_su2", serial_chain)
+        monkeypatch.setattr(simulator, "chain_su2", counted_chain)
         serial = run_short_audit()
         assert calls == [40000]
         assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13
+
+    def test_short_audit_does_not_depend_on_chunk_size(self, monkeypatch):
+        # Chained serially, the 40000 steps give bitwise the same trajectory
+        # as one chunk, as 8192-step chunks and as 1000-step ones: no phase,
+        # drive or A-integral depends on where its chunk starts.
+        monkeypatch.setattr(simulator, "chain_su2", serial_chain)
+        runs = []
+        for size in (40000, 8192, 1000):
+            monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", size)
+            runs.append(run_short_audit())
+        for run in runs[1:]:
+            for name in ("states", "p0", "success_prob"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
 
     @pytest.mark.parametrize(
         "t1, n_fine",
@@ -227,19 +254,69 @@ class TestLabFrame:
             (0.5, 40001),  # four full chunks and a ragged last one
         ],
     )
-    def test_matches_whole_grid_oracle_bitwise(self, t1, n_fine):
-        # Streaming changes where each node is computed, not how: every
-        # operation is elementwise per node with the same association.
+    def test_matches_whole_grid_oracle_to_phase_rounding(self, t1, n_fine):
+        # Streaming changes where each node is computed, not how, but for the
+        # back-rotation phase: the oracle takes e^{i x} of the float exponent
+        # x, the package multiplies unit numbers from a table.  Each rounds
+        # phases of up to max|z| t1 rad at ~eps of their size.
         inputs = audit_inputs(t1, n_fine)
         lab, ref = simulate_lab_frame(*inputs), whole_grid_lab_frame(*inputs)
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(block_z())) * t1
         for name in ("states", "p0", "success_prob"):
-            assert np.array_equal(getattr(lab, name), getattr(ref, name)), name
+            assert np.max(np.abs(getattr(lab, name) - getattr(ref, name))) <= tol, name
+
+    def test_back_rotation_phase_accuracy(self, monkeypatch):
+        # The phase the audit applies, e^{i x} of x = z_rot t - int_a2 (I x sz)
+        # - int_a4 (sz x sz), against mpmath's e^{i x} of the same float
+        # inputs, on both sides of every anchor block and chunk boundary to
+        # t = 16 (|x| up to 7.3e4 rad): within 4 eps |x| at every node, and at
+        # its worst node no further off than cos/sin of the float exponent at
+        # its worst.
+        inputs = audit_inputs(16.0, 1_200_001)
+        grid = inputs[3]
+        captured = {}
+        monkeypatch.setattr(
+            pulse, "_evolve", lambda g, parts, i, frame: captured.update(parts=parts, frame=frame)
+        )
+        simulate_lab_frame(*inputs)
+        n, size = grid.n_nodes, simulator._STEPS_PER_CHUNK
+        starts = np.arange(0, n - 1, size)
+        edges = np.union1d(np.arange(pulse._ANCHOR_NODES, n, pulse._ANCHOR_NODES), starts[1:])
+        nodes = np.union1d(edges - 1, edges)
+        got = {}
+        for start in starts:  # in chunk order: the integrals are carried
+            stop = min(start + size, n - 1)
+            captured["parts"](start, stop)
+            phase = captured["frame"](slice(start, stop + 1))
+            for node in nodes[(nodes >= start) & (nodes <= stop)]:
+                got.setdefault(node, []).append(phase[node - start])
+        for node in starts[1:]:  # the end node of one chunk starts the next
+            assert np.array_equal(got[node][0], got[node][1])
+        phase = np.array([got[node][0] for node in nodes])
+
+        int_a2, int_a4 = (v[nodes] for v in a_integrals(*inputs[:2], grid))
+        ts = grid.times()[nodes]
+        z_rot = np.concatenate([block_z(), -block_z()])
+        sz_n, sz_sz = np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, -1.0, -1.0, 1.0])
+        x = z_rot * ts[:, None] - int_a2[:, None] * sz_n - int_a4[:, None] * sz_sz
+
+        def exact_phase(t, i2, i4):
+            t, i2, i4 = mpmath.mpf(t), mpmath.mpf(i2), mpmath.mpf(i4)
+            cols = zip(z_rot.tolist(), sz_n.tolist(), sz_sz.tolist())
+            return [complex(mpmath.expj(zk * t - sn * i2 - ss * i4)) for zk, sn, ss in cols]
+
+        with mpmath.workprec(160):  # each product and sum of the float inputs is exact
+            exact = np.array([exact_phase(*node) for node in zip(ts, int_a2, int_a4)])
+        err = np.abs(phase - exact)
+        assert np.all(err <= 4 * np.finfo(float).eps * np.abs(x))
+        assert np.max(err) <= np.max(np.abs(np.exp(1j * x) - exact))
 
     def test_peak_memory_per_fine_node(self):
-        # Only the fine times, the two A-integrals and the returned
-        # trajectory (~104 B per node) span the fine grid; the chunk's own
-        # working set is fixed.  So doubling the short audit's grid may add
-        # at most 200 B per added node (~104 streamed; ~325 with the drive
-        # angles, back-rotation and post-selection over the whole grid).
+        # Only the fine times and the returned trajectory (88 B per node)
+        # span the fine grid; the chunk's own working set, the A-integrals'
+        # included, is fixed.  So doubling the short audit's grid may add at
+        # most 96 B per added node (104 with the two A-integrals over the
+        # whole grid; ~325 with the drive angles, back-rotation and
+        # post-selection over it too).
         grown = audit_peak(1.0, 80001) - audit_peak(0.5, 40001)
-        assert grown <= 200 * 40000
+        assert grown <= 96 * 40000
