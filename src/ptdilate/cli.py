@@ -63,7 +63,7 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 316 MB
 # at 100,001 nodes, 374 MB at 600,001; 203 MB to t = 16 at 300,001, 347 MB to
 # 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
-# sweep holds one such peak per worker.
+# sweep holds one such peak per worker, so it runs at most MAX_NODES // n_nodes.
 MAX_NODES = 3_500_000
 MAX_AUDIT_NODES = 10_000_000
 # At most this many readout times per curve: one prepare-evolve-readout run each.
@@ -314,7 +314,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Write ``sweep_p0.csv`` at every node and, with repetitions,
     ``sweep_p0_noisy.csv`` at the at most ``READOUT_POINTS`` readout times."""
     n = len(cfg.r_list)
-    workers = min(cfg.workers or os.cpu_count() or 1, n)
+    cap = MAX_NODES // cfg.n_nodes  # one dilation peak per worker; n_nodes <= MAX_NODES
+    if cfg.workers > cap:
+        raise ValidationError(
+            f"workers must be <= {cap} at n_nodes = {cfg.n_nodes} (one peak of "
+            f"n_nodes per worker, at most {MAX_NODES} in all), got {cfg.workers}"
+        )
+    workers = min(cfg.workers or os.cpu_count() or 1, n, cap)
     worker = partial(_sweep_worker, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -74,7 +74,7 @@ class FitResult:
 
 def sse(r: float, t: np.ndarray, p0: np.ndarray) -> float:
     """Sum of squared residuals of the population model at strength r."""
-    return float(np.sum((analytic_p0(r, t) - p0) ** 2))
+    return float(((analytic_p0(r, t) - p0) ** 2).sum())
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -113,12 +113,12 @@ def _table(t: np.ndarray):
     global _last_t, _kept
     last = _last_t
     if last is not None:
-        keep = np.isin(last, t)
-        if np.array_equal(last[keep], t):
+        keep = None if np.array_equal(last, t) else np.isin(last, t)  # None: every column
+        if keep is None or np.array_equal(last[keep], t):
             kept = _kept
             if kept is None or kept[0] is not last:
                 kept = _kept = (last, list(_table_blocks(last)))
-            return _columns(kept[1], keep)
+            return kept[1] if keep is None else _columns(kept[1], keep)
     _last_t, _kept = t.copy(), None
     return _table_blocks(t)
 
@@ -150,10 +150,11 @@ def fit_r(
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (0.0 <= lo < hi <= 2.0):
         raise ValueError(f"r_range must satisfy 0 <= lo < hi <= 2, got {r_range}")
-    window = np.flatnonzero((_GRID >= lo) & (_GRID <= hi))
-    if not window.size:
+    # The window of _GRID points in [lo, hi]: the first >= lo to the last <= hi.
+    first = int(np.searchsorted(_GRID, lo, side="left"))
+    last = int(np.searchsorted(_GRID, hi, side="right")) - 1
+    if first > last:
         raise ValueError(f"r_range {r_range} holds no point of the {GRID_STEP:g} scan grid")
-    first, last = int(window[0]), int(window[-1])
     if _blocks is None:
         _blocks = _table(t)
     scores = np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in _blocks])

@@ -4,8 +4,9 @@ The family is ``H(r) = [[i r, 1], [1, -i r]]`` with one real strength
 ``r >= 0`` and unit off-diagonal coupling; time is dimensionless (hbar = 1,
 one unit of time corresponds to 1 us at a 1 rad/us coupling).  The
 unbroken (r < 1), exceptional-point (r = 1) and broken (r > 1) regimes
-are picked per element inside ``analytic_p0``, the closed-form population
-the dilated simulation is checked against.
+are picked inside ``analytic_p0``, the closed-form population the dilated
+simulation is checked against: once for a single strength, per element
+for an array of them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ EP_WINDOW = 1e-9
 
 
 def _strength(r):
-    """``r`` as a float array; any negative or NaN strength raises ValueError."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr >= 0.0):
+    """``r`` as a float when 0-d, else as a float array; any negative or NaN
+    strength raises ValueError."""
+    s = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    if not (s >= 0.0 if isinstance(s, float) else np.all(s >= 0.0)):
         raise ValueError(f"r must be >= 0 (use symmetry for r < 0), got {r}")
-    return arr
+    return s
 
 
 def pt_hamiltonian(r: float) -> np.ndarray:
@@ -55,8 +57,9 @@ def _nilpotent(r, t):
 
 def _oscillating(r, t):
     k = np.sqrt(1.0 - r * r)
-    sin_kt = np.sin(k * t)
-    return np.cos(k * t) + (r / k) * sin_kt, sin_kt / k
+    kt = k * t
+    sin_kt = np.sin(kt)
+    return np.cos(kt) + (r / k) * sin_kt, sin_kt / k
 
 
 def _growing(r, t):
@@ -69,15 +72,18 @@ def _growing(r, t):
 def _state_components(r, t):
     """Overflow-safe components of the evolved state from |0>.
 
-    ``r`` (a float array) and ``t`` broadcast against each other; each
-    element takes the formula of its regime, picked by mask: the
+    ``r`` (a float, or a float array) and ``t`` broadcast against each
+    other.  A float takes the formula of its regime, picked once: the
     exceptional-point limit within ``EP_WINDOW`` of r = 1, unbroken below
-    it, broken above it.
+    it, broken above it; an array picks it per element, by mask.
     Returns ``(a, b)`` with the physical (unnormalized) state proportional
     to ``(a, -i b)``; the common dominant exponential has been divided
     out, so only ratios of a and b are meaningful.
     """
     t = np.asarray(t, dtype=float)
+    if isinstance(r, float):
+        formula = _nilpotent if abs(r - 1.0) < EP_WINDOW else _oscillating if r < 1.0 else _growing
+        return formula(r, t)
     ep = np.abs(r - 1.0) < EP_WINDOW
     unbroken = (r < 1.0) & ~ep
     regimes = [(ep, _nilpotent), (unbroken, _oscillating), (~(ep | unbroken), _growing)]
@@ -100,13 +106,15 @@ def analytic_p0(r, t):
     grid that starts at t0 != 0 compares at ``grid.times() - grid.t0``.
 
     Overflow-safe (the dominant exponential cancels) and continuous in r
-    across the exceptional point.  Vectorized over ``t``, and over ``r``
-    when it is an array of strengths broadcasting against ``t``: a model
-    table over (r, t) is ``analytic_p0(r_grid[:, None], t)``, each row
-    equal to the scalar-r call.  Any negative or NaN strength raises
-    ``ValueError``.
+    across the exceptional point.  Vectorized over ``t``.  A 0-d strength
+    (a Python or numpy number, or a 0-d array) picks its regime once, with
+    Python comparisons; an array of strengths broadcasting against ``t``
+    picks it per element, so a model table over (r, t) is
+    ``analytic_p0(r_grid[:, None], t)``.  Both paths apply the same
+    formulas, so each table row equals the scalar-r call bit for bit.  Any
+    negative or NaN strength raises ``ValueError``.
     """
     a, b = _state_components(_strength(r), t)
-    a2 = np.abs(a) ** 2
-    b2 = np.abs(b) ** 2
+    a2 = a * a  # a and b are real
+    b2 = b * b
     return a2 / (a2 + b2)

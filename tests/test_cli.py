@@ -451,6 +451,47 @@ class TestSweepAndFit:
             assert pooled[1] == serial[1]
             assert json.loads(pooled[0][2:])["config"]["workers"] == 2
 
+    # Four strengths at 101 nodes under a node bound of 303: the pool may
+    # hold 303 // 101 = 3 dilation peaks.
+    CAPPED_SWEEP = (
+        "sweep", "--r", "0", "--r", "0.3", "--r", "0.6", "--r", "1.4",
+        "--n-nodes", "101", "--t1", "2",
+    )
+
+    def test_auto_workers_capped_by_memory(self, tmp_path, monkeypatch):
+        pools = []
+
+        class Pool:  # records its size and maps in-process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "MAX_NODES", 303)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert run(*self.CAPPED_SWEEP, "--outdir", str(tmp_path)) == 0
+        assert pools == [3]
+        assert read_meta(tmp_path / "sweep_p0.csv")["config"]["workers"] == 0
+
+    def test_explicit_workers_past_memory_cap_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_NODES", 303)
+        monkeypatch.setattr(cli, "simulate_pt", None)  # any compute would raise TypeError
+        out = tmp_path / "out"
+        assert run(*self.CAPPED_SWEEP, "--workers", "4", "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ValidationError")
+        assert "workers must be <= 3 at n_nodes = 101" in err
+        assert "got 4" in err
+        assert not out.exists()
+
     def test_each_r_simulated_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -1,5 +1,6 @@
 """Strength-fitting tests: recovery, uncertainty, bifurcation curve."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -352,6 +353,51 @@ class TestKeptTable:
             assert fit_bits(fit_r(samples)) == fit_bits(fresh)
         assert dropped > 0
         assert fitkit._kept is not None
+
+
+def _array_path_p0(r, t):
+    """``analytic_p0`` with a 0-d strength sent through the per-element masks
+    of the array path, as a one-element array."""
+    return analytic_p0(np.reshape(r, np.shape(r) or (1,)), t)
+
+
+class TestScalarStrengthPath:
+    """``sse`` calls ``analytic_p0`` with one strength at a time, which picks
+    its regime once; every fit equals the fit made through the array path."""
+
+    # Search ranges with bounds on scan grid points and between them.
+    RANGES = [
+        (0.0, 2.0),
+        (float(fitkit._GRID[200]), float(fitkit._GRID[1700])),
+        (float(fitkit._GRID[234]) + 5e-4, float(fitkit._GRID[1400]) + 2.5e-4),
+        (0.5, 1.25),
+    ]
+
+    @staticmethod
+    def fit_fields(samples_list):
+        """Every field of every fit, by repr (exact for floats, and it tells
+        a numpy bool from a Python one), from a fresh kept-table state."""
+        fitkit._last_t = fitkit._kept = None
+        return [
+            [repr(dataclasses.astuple(fit_r(s, r_range))) for r_range in TestScalarStrengthPath.RANGES]
+            for s in samples_list
+        ]
+
+    def test_fits_equal_the_array_path_fits(self, builds, monkeypatch):
+        grid = TimeGrid(0.0, 8.0, 161)  # read at 81 times
+        # Clean samples at all 81 times keep the table; the noisy replicates
+        # (5e5 shots, with failed reads dropped at the larger strengths) and
+        # further cut copies of them read it, all but the full ones by
+        # column subset.
+        samples_list = [clean_samples(0.6, grid.times()[::2])]
+        for k, r in enumerate((0.3, 0.6, 0.99, 1.0, 1.2, 1.5)):
+            for samples in noisy_readouts(r, grid, 2, 500_000, seeds=[[k, 0], [k, 1]]):
+                samples_list += [np.delete(samples, drop, axis=0) for drop in ([], [0], [3, 40])]
+        assert {s.shape[0] for s in samples_list[1:]} - {81, 80, 79}  # some reads failed
+        scalar = self.fit_fields(samples_list)
+        assert len(builds) == 2  # streamed, then kept: every other fit read the kept table
+        monkeypatch.setattr(fitkit, "analytic_p0", _array_path_p0)
+        assert self.fit_fields(samples_list) == scalar
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_expm import expm
 
 from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_eigenvalues, pt_hamiltonian
@@ -118,7 +120,49 @@ class TestModelTable:
         for row, r in zip(table, strengths):
             assert np.array_equal(row, analytic_p0(float(r), t)), r
 
+    # Both edges of the exceptional-point window, an ulp either side, and r = 1.
+    EP_EDGES = [
+        x for edge in (1.0 - EP_WINDOW, 1.0 + EP_WINDOW)
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
+    ] + [1.0]
+
+    # Every accepted 0-d strength type; an int strength takes a whole r.
+    ZERO_D = {
+        "float": float,
+        "int": lambda r: int(round(r)),
+        "np.float64": np.float64,
+        "np.float32": np.float32,
+        "0-d array": np.array,
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 3.0), st.sampled_from(EP_EDGES)), min_size=1, max_size=8
+        ),
+        st.sampled_from(sorted(ZERO_D)),
+        st.one_of(
+            st.floats(0.0, 16.0),
+            st.lists(st.floats(0.0, 16.0), min_size=1, max_size=12).map(np.array),
+        ),
+    )
+    def test_scalar_calls_equal_table_rows_bitwise(self, strengths, kind, t):
+        scalars = [self.ZERO_D[kind](r) for r in strengths]
+        rs = np.array([float(r) for r in scalars])
+        table = analytic_p0(rs[:, None], t).reshape(rs.size, *np.shape(t))
+        for row, r in zip(table, scalars):
+            assert np.asarray(analytic_p0(r, t)).tobytes() == row.tobytes(), (kind, r)
+
     @pytest.mark.parametrize("bad", [-0.1, -1e-300, np.nan])
     def test_rejects_negative_or_nan_strength(self, bad):
+        t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
-            analytic_p0(np.array([0.5, bad, 1.2])[:, None], np.linspace(0.0, 1.0, 5))
+            analytic_p0(np.array([0.5, bad, 1.2])[:, None], t)
+        for scalar in (bad, np.float64(bad), np.array(bad)):
+            with pytest.raises(ValueError, match="r must be >= 0"):
+                analytic_p0(scalar, t)
+
+    def test_negative_zero_strength_accepted(self):
+        t = np.linspace(0.0, 1.0, 5)
+        for r in (-0.0, np.float64(-0.0), np.array(-0.0), np.array([-0.0])):
+            assert np.array_equal(analytic_p0(r, t), analytic_p0(0.0, t))
