@@ -8,13 +8,14 @@ eigenvalues E+- = +-sqrt(1 - r^2) of its strength, the points of the
 bifurcation curve.
 
 The scan scores every r of the one grid ``_GRID`` (``GRID_STEP`` over
-[0, 2]) against the model table ``analytic_p0(_GRID[:, None], t)``, held as
-blocks of ``_SCAN_CHUNK`` grid rows so the transients stay small; a narrowed
-search range is the window of ``_GRID`` points inside it.  The table does
-not depend on the data: ``fit_rows`` builds it once for the shared times of
-a sweep matrix, and each row's fit scores the columns of its finite samples.
-A lone ``fit_r`` keeps the table once the same times come back (2,001 x n
-x 8 B: 1.3 MB at 81 samples, 3.2 MB at 201); a one-off call streams it.
+[0, 2]) as SSE = sum_j T_gj^2 - 2 (T p)_g + p.p against the model table
+T = ``analytic_p0(_GRID[:, None], t)`` and its row sums: one matrix product
+per fit or block of sweep rows, a failed read being a zero in p whose T^2
+leaves the row sums.  A score's ~1e-14 of rounding only picks the grid
+point; every SSE in a result is the exact ``sse``.  A narrowed search range
+is the window of ``_GRID`` points inside it.  ``fit_rows`` builds the table
+once per matrix; a lone ``fit_r`` keeps it once the same times come back
+(2,001 x n x 8 B: 1.3 MB at 81 samples, 3.2 MB at 201), else drops it.
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ __all__ = [
 
 GRID_STEP = 1e-3
 REFINE_TOL = 1e-6
-# Grid rows per block of the model table: enough to amortise the per-call
-# overhead, few enough that each block's transients stay near 200 kB at
-# 201 samples.
-_SCAN_CHUNK = 128
+# Grid rows per block filling the model table (its transients stay under a
+# quarter of the table) and data rows per block of scores in fit_rows (1 MB):
+# enough to amortise the per-call overhead.
+_SCAN_CHUNK = 64
 # The one scan grid; a narrowed r_range is a window on it.
 _GRID = np.arange(0.0, 2.0 + GRID_STEP / 2.0, GRID_STEP)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the SSE curvature stencil at the minimum (central away from r = 0).
 _CURVATURE_STEP = 1e-4
-_last_t = None  # a copy of the last new times ``fit_r`` streamed a table for
-_kept = None  # (that very copy, its table) once they come back, paired so no other times read it
+_last_t = None  # a copy of the last new times ``fit_r`` built a table for
+_kept_table = None  # (that very copy, its table, its row sums) once they come back, in one tuple
 
 
 @dataclass
@@ -95,47 +96,56 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _table_blocks(t: np.ndarray):
-    """The model table over ``_GRID`` x ``t``, ``_SCAN_CHUNK`` rows per block."""
+def _model_table(t: np.ndarray):
+    """The model table over ``_GRID`` x ``t``, filled by blocks, and its row sums of squares."""
+    table = np.empty((_GRID.size, t.size))
     for i in range(0, _GRID.size, _SCAN_CHUNK):
-        yield analytic_p0(_GRID[i : i + _SCAN_CHUNK, None], t)
+        table[i : i + _SCAN_CHUNK] = analytic_p0(_GRID[i : i + _SCAN_CHUNK, None], t)
+    return table, np.einsum("ij,ij->i", table, table)
 
 
-def _columns(blocks, keep: np.ndarray):
-    """``blocks`` at the ``keep`` columns, C-ordered by compress (``blk[:, keep]``
-    is not), so every SSE sums in the order ``sse`` sums it."""
-    return blocks if keep.all() else (blk.compress(keep, axis=1) for blk in blocks)
+def _scan(table: np.ndarray, sq: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (b, 2,001) scan scores sum T^2 - 2 T.p + p.p of the P0 rows ``p`` (b, n)
+    at the table's times, the columns of each row's non-finite reads dropped."""
+    miss = ~np.isfinite(p)
+    p = np.where(miss, 0.0, p)
+    scores = sq - 2.0 * (p @ table.T) + np.einsum("ij,ij->i", p, p)[:, None]
+    for i in np.flatnonzero(miss.any(axis=1)):
+        scores[i] -= np.square(table[:, miss[i]]).sum(axis=1)
+    return scores
 
 
-def _table(t: np.ndarray):
-    """The model table at ``t``, kept from the second call at the same times
-    and read for them or a subset in order (failed reads dropped)."""
-    global _last_t, _kept
+def _row_scores(t: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Scan scores of one row, on the table kept from the second call at the
+    same times and read for them or a subset in order (failed reads dropped)."""
+    global _last_t, _kept_table
     last = _last_t
     if last is not None:
-        keep = None if np.array_equal(last, t) else np.isin(last, t)  # None: every column
-        if keep is None or np.array_equal(last[keep], t):
-            kept = _kept
+        keep = slice(None) if np.array_equal(last, t) else np.isin(last, t)
+        if np.array_equal(last[keep], t):
+            kept = _kept_table
             if kept is None or kept[0] is not last:
-                kept = _kept = (last, list(_table_blocks(last)))
-            return kept[1] if keep is None else _columns(kept[1], keep)
-    _last_t, _kept = t.copy(), None
-    return _table_blocks(t)
+                kept = _kept_table = (last, *_model_table(last))
+            row = np.full(last.size, np.nan)  # NaN at the columns of dropped reads
+            row[keep] = p0
+            return _scan(*kept[1:], row[None])[0]
+    _last_t, _kept_table = t.copy(), None
+    return _scan(*_model_table(t), p0[None])[0]
 
 
 def fit_r(
-    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _blocks=None
+    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _scores=None
 ) -> FitResult:
     """Least-squares strength estimate from (t, P0) samples.
 
-    Scores every r of the 1e-3 grid over [0, 2] against the model table,
-    takes the best r among the grid points inside ``r_range`` (a range
-    holding none raises ValueError), refines its bracket within them by
-    golden section to 1e-6, and reports the curvature-based standard
-    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2) array.
-    ``_blocks`` is the model table at exactly these sample times, as
-    ``fit_rows`` passes it.  Without it the table streams, or is kept from a
-    second call at the same times (2,001 x n x 8 B) for them and NaN-dropped subsets.
+    Scores every r of the 1e-3 grid over [0, 2] by one matrix product with
+    the model table, takes the best r among the grid points inside
+    ``r_range`` (a range holding none raises ValueError), refines its bracket
+    within them by golden section to 1e-6 on the exact ``sse``, and reports
+    the curvature-based standard error.  ``samples`` is a sequence of (t, P0)
+    pairs or a (n, 2) array.  ``_scores`` are their scan scores, as ``fit_rows``
+    passes them.  Without them the table is built for the call, or kept from
+    a second call at the same times (2,001 x n x 8 B) for them and NaN-dropped subsets.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -155,18 +165,16 @@ def fit_r(
     last = int(np.searchsorted(_GRID, hi, side="right")) - 1
     if first > last:
         raise ValueError(f"r_range {r_range} holds no point of the {GRID_STEP:g} scan grid")
-    if _blocks is None:
-        _blocks = _table(t)
-    scores = np.concatenate([np.sum((blk - p0) ** 2, axis=-1) for blk in _blocks])
+    scores = _row_scores(t, p0) if _scores is None else _scores
     k = first + int(np.argmin(scores[first : last + 1]))
     blo = _GRID[max(k - 1, first)]
     bhi = _GRID[min(k + 1, last)]
     r_best = _golden_section(lambda r: sse(r, t, p0), blo, bhi, REFINE_TOL)
     best = sse(r_best, t, p0)
-    # Golden section assumes unimodality within the bracket; keep the
-    # grid minimum if refinement somehow did worse.
-    if scores[k] < best:
-        r_best, best = float(_GRID[k]), float(scores[k])
+    # Golden section assumes unimodality within the bracket; keep the grid
+    # minimum if its exact SSE (not its score, ~1e-14 off) beats refinement.
+    if (at_k := sse(_GRID[k], t, p0)) < best:
+        r_best, best = float(_GRID[k]), at_k
 
     h = _CURVATURE_STEP
     if r_best >= h:
@@ -200,16 +208,18 @@ def fit_rows(t, rows) -> list[FitResult]:
     """``fit_r`` of every row of P0 samples taken at the shared times ``t``.
 
     ``rows`` is (n_rows, len(t)); non-finite entries (failed noisy reads)
-    are dropped per row.  The model table is built once, and each row's
-    fit scores the table columns of its finite samples.
+    are dropped per row.  The model table is built once, and each block of
+    ``_SCAN_CHUNK`` rows scored by one matrix product with it.
     """
     t = np.asarray(t, dtype=float)
     rows = np.asarray(rows, dtype=float)
     if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
         raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
-    blocks = list(_table_blocks(t))
+    table, sq = _model_table(t)
     fits = []
-    for row in rows:
-        keep = np.isfinite(row)
-        fits.append(fit_r(np.column_stack([t[keep], row[keep]]), _blocks=_columns(blocks, keep)))
+    for i in range(0, rows.shape[0], _SCAN_CHUNK):
+        block = rows[i : i + _SCAN_CHUNK]
+        for row, scores in zip(block, _scan(table, sq, block)):
+            keep = np.isfinite(row)
+            fits.append(fit_r(np.column_stack([t[keep], row[keep]]), _scores=scores))
     return fits

@@ -5,14 +5,16 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import reference_fit
 from reference_expm import expm
 
 from ptdilate import fitkit
 from ptdilate.cli import _write_matrix, main
-from ptdilate.fitkit import _table_blocks, fit_r, sse
+from ptdilate.fitkit import _model_table, _scan, fit_r, fit_rows, sse
 from ptdilate.numkit import TimeGrid
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 from ptdilate.readout import PLRates, noisy_p0_curve
@@ -30,6 +32,18 @@ def clean_samples(r, t=T_SAMPLES):
 def fit_bits(res):
     """(r_exp, stderr, sse) of a fit as raw bytes, for bit-for-bit checks."""
     return np.array([res.r_exp, res.stderr, res.sse]).tobytes()
+
+
+def fields(res):
+    """Every field of a fit, by repr (exact for floats, and it tells a numpy
+    bool from a Python one)."""
+    return repr(dataclasses.astuple(res))
+
+
+def fresh_fit(samples):
+    """``fit_r`` scored on a model table built for these samples' own times."""
+    scores = _scan(*_model_table(samples[:, 0]), samples[None, :, 1])[0]
+    return fit_r(samples, _scores=scores)
 
 
 def noisy_readouts(r, grid, stride, repetitions, seeds):
@@ -230,33 +244,34 @@ def builds(monkeypatch):
     """Start ``fitkit`` with no times seen; record the times of every model
     table it builds."""
     monkeypatch.setattr(fitkit, "_last_t", None)
-    monkeypatch.setattr(fitkit, "_kept", None)
+    monkeypatch.setattr(fitkit, "_kept_table", None)
     calls = []
 
     def recording(t):
         calls.append(np.array(t))
-        return _table_blocks(t)
+        return _model_table(t)
 
-    monkeypatch.setattr(fitkit, "_table_blocks", recording)
+    monkeypatch.setattr(fitkit, "_model_table", recording)
     return calls
 
 
 class TestKeptTable:
-    """``fit_r`` without ``_blocks`` keeps the model table of times it is
+    """``fit_r`` without ``_scores`` keeps the model table of times it is
     asked for twice, and serves it for those times and NaN-dropped subsets."""
 
     def test_one_off_fit_keeps_nothing(self, builds):
         fit_r(clean_samples(0.6))
         assert len(builds) == 1
-        assert fitkit._kept is None
+        assert fitkit._kept_table is None
 
     def test_second_fit_at_equal_times_keeps_the_table(self, builds):
         fit_r(clean_samples(0.6))
         fit_r(clean_samples(0.9, T_SAMPLES.copy()))
         assert len(builds) == 2
-        times, blocks = fitkit._kept
+        times, table, sq = fitkit._kept_table
         assert np.array_equal(times, T_SAMPLES)
-        assert all(np.array_equal(a, b) for a, b in zip(blocks, _table_blocks(T_SAMPLES)))
+        want_table, want_sq = _model_table(T_SAMPLES)
+        assert np.array_equal(table, want_table) and np.array_equal(sq, want_sq)
 
     def test_equal_times_and_dropped_subsets_build_nothing(self, builds):
         fit_r(clean_samples(0.6))
@@ -265,7 +280,7 @@ class TestKeptTable:
             t = np.delete(T_SAMPLES, drop)
             samples = clean_samples(1.2, t) + [0.0, 1e-3]
             res = fit_r(samples)
-            assert fit_bits(res) == fit_bits(fit_r(samples, _blocks=list(_table_blocks(t))))
+            assert fit_bits(res) == fit_bits(fresh_fit(samples))
         assert len(builds) == 2
 
     @pytest.mark.parametrize(
@@ -283,7 +298,7 @@ class TestKeptTable:
         res = fit_r(clean_samples(0.7, times))
         assert len(builds) == 3
         assert np.array_equal(builds[-1], times)
-        assert fitkit._kept is None
+        assert fitkit._kept_table is None
         assert res.r_exp == pytest.approx(0.7, abs=1e-6)
 
     def test_caller_mutating_its_times_cannot_stale_the_table(self, builds):
@@ -295,7 +310,7 @@ class TestKeptTable:
         samples[:, 1] = analytic_p0(0.6, samples[:, 0])
         fit_r(samples)
         assert len(builds) == 2
-        assert fitkit._kept is None
+        assert fitkit._kept_table is None
         fit_r(samples)  # kept now, for the shifted times
         samples[:, 0] -= 0.05
         samples[:, 1] = analytic_p0(0.8, samples[:, 0])
@@ -308,12 +323,12 @@ class TestKeptTable:
         # the remembered times and the kept table under each other: every
         # fit must still equal a fit on a table built for its own times.
         monkeypatch.setattr(fitkit, "_last_t", None)
-        monkeypatch.setattr(fitkit, "_kept", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
         cases = []
         for times in (T_SAMPLES, T_SAMPLES + 0.05):
             for drop in ([], [7]):
                 samples = clean_samples(0.6, np.delete(times, drop)) + [0.0, 1e-3]
-                want = fit_bits(fit_r(samples, _blocks=list(_table_blocks(samples[:, 0]))))
+                want = fit_bits(fresh_fit(samples))
                 cases.append((samples, want))
         wrong = []
 
@@ -344,15 +359,14 @@ class TestKeptTable:
         # reads dropped, read the kept table and fit bit for bit as with a
         # table built for their own times.
         monkeypatch.setattr(fitkit, "_last_t", None)
-        monkeypatch.setattr(fitkit, "_kept", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
         n_full = RECOVER["grid"].times()[:: RECOVER["stride"]].size
         dropped = 0
         for samples in noisy_readouts(**RECOVER, seeds=[[1234, i] for i in range(200)]):
             dropped += samples.shape[0] < n_full
-            fresh = fit_r(samples, _blocks=list(_table_blocks(samples[:, 0])))
-            assert fit_bits(fit_r(samples)) == fit_bits(fresh)
+            assert fit_bits(fit_r(samples)) == fit_bits(fresh_fit(samples))
         assert dropped > 0
-        assert fitkit._kept is not None
+        assert fitkit._kept_table is not None
 
 
 def _array_path_p0(r, t):
@@ -375,13 +389,10 @@ class TestScalarStrengthPath:
 
     @staticmethod
     def fit_fields(samples_list):
-        """Every field of every fit, by repr (exact for floats, and it tells
-        a numpy bool from a Python one), from a fresh kept-table state."""
-        fitkit._last_t = fitkit._kept = None
-        return [
-            [repr(dataclasses.astuple(fit_r(s, r_range))) for r_range in TestScalarStrengthPath.RANGES]
-            for s in samples_list
-        ]
+        """``fields`` of every fit, from a fresh kept-table state."""
+        fitkit._last_t = fitkit._kept_table = None
+        ranges = TestScalarStrengthPath.RANGES
+        return [[fields(fit_r(s, r_range)) for r_range in ranges] for s in samples_list]
 
     def test_fits_equal_the_array_path_fits(self, builds, monkeypatch):
         grid = TimeGrid(0.0, 8.0, 161)  # read at 81 times
@@ -398,6 +409,101 @@ class TestScalarStrengthPath:
         assert len(builds) == 2  # streamed, then kept: every other fit read the kept table
         monkeypatch.setattr(fitkit, "analytic_p0", _array_path_p0)
         assert self.fit_fields(samples_list) == scalar
+
+
+def recover_matrix(seeds_per_r):
+    """Criterion-9 noisy readouts (81 times, 5e5 shots) at r in {0, 0.3, ...,
+    1.5}, ``seeds_per_r`` seeded rows each: (times, rows), NaN at failed reads."""
+    grid, stride = RECOVER["grid"], RECOVER["stride"]
+    rows = []
+    for k, r in enumerate((0.0, 0.3, 0.6, 0.9, 1.2, 1.5)):
+        pops = branch_populations(simulate_pt(r, grid)[0].states)[::stride]
+        rows += [
+            noisy_p0_curve(pops, PLRates(), RECOVER["repetitions"], seed=[36, k, i])
+            for i in range(seeds_per_r)
+        ]
+    return grid.times()[::stride], np.array(rows)
+
+
+class TestScanOracle:
+    """Every fit equals the fit of ``reference_fit``, which scores the scan
+    by the elementwise sums of squared residuals: the matrix-product scores
+    pick the same grid point, and everything else reads the exact SSE."""
+
+    @staticmethod
+    def assert_fits_equal_the_oracle(t, rows):
+        by_rows = fit_rows(t, rows)  # more rows than one block of _SCAN_CHUNK
+        dropped = 0
+        for row, from_rows in zip(rows, by_rows):
+            keep = np.isfinite(row)
+            dropped += not keep.all()
+            samples = np.column_stack([t[keep], row[keep]])
+            scores = reference_fit.scan_scores(t[keep], row[keep])
+            ranges = TestScalarStrengthPath.RANGES
+            want = [fields(reference_fit.fit_r(samples, rng, scores)) for rng in ranges]
+            assert [fields(fit_r(samples, rng)) for rng in ranges] == want
+            assert fields(from_rows) == want[0]
+        return dropped
+
+    def test_recover_rows_fit_as_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
+        t, rows = recover_matrix(34)
+        assert rows.shape[0] > fitkit._SCAN_CHUNK
+        assert self.assert_fits_equal_the_oracle(t, rows) > 0
+
+    @pytest.mark.slow
+    def test_recover_rows_fit_as_the_oracle_at_scale(self, monkeypatch):
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
+        t, rows = recover_matrix(170)
+        assert self.assert_fits_equal_the_oracle(t, rows) > 100
+
+    @pytest.mark.parametrize("k", [0, 600, 1000, 1500])
+    def test_fit_at_a_grid_strength_reads_the_exact_sse(self, k, monkeypatch):
+        # Noise-free samples at a grid strength: the SSE there is exactly 0
+        # while its matrix-product score carries ~1e-14 of rounding, and
+        # refinement stops just off the grid point.  The fallback to the grid
+        # point and the stderr must read the exact SSE; a score below the
+        # refined SSE would snap r_exp to the grid with a wrong (or negative) SSE.
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
+        r = float(fitkit._GRID[k])
+        samples = clean_samples(r)
+        want = reference_fit.fit_r(samples)
+        assert (want.r_exp, want.sse, want.degenerate) == (r, 0.0, False)
+        fits = [fit_r(samples), fit_r(samples), fit_r(samples)]  # one-off, then kept twice
+        fits += fit_rows(T_SAMPLES, samples[None, :, 1])
+        assert [fields(res) for res in fits] == [fields(want)] * 4
+
+
+class TestTableMemory:
+    def test_fit_rows_peaks_near_one_table(self):
+        t = np.linspace(0.0, 8.0, 201)
+        rows = np.array([analytic_p0(r, t) for r in np.linspace(0.0, 1.5, 16)])
+        table = fitkit._GRID.size * t.size * 8  # 3.2 MB
+        tracemalloc.start()
+        try:
+            fit_rows(t, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table < peak <= 1.5 * table
+
+    def test_kept_state_is_one_table(self, monkeypatch):
+        monkeypatch.setattr(fitkit, "_last_t", None)
+        monkeypatch.setattr(fitkit, "_kept_table", None)
+        samples = clean_samples(0.6)
+        table = fitkit._GRID.size * T_SAMPLES.size * 8  # 1.3 MB
+        tracemalloc.start()
+        try:
+            fit_r(samples)
+            fit_r(samples)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fitkit._kept_table is not None
+        assert table < kept <= 1.05 * table
 
 
 @pytest.mark.slow
