@@ -1,8 +1,8 @@
 """One-parameter least-squares estimation of the non-Hermiticity strength.
 
 Fits sampled P0(t) curves to the closed-form population model of the PT
-family by a coarse grid scan plus golden-section refinement (P0 is smooth
-in r, but the information sum (dP0/dr)^2 collapses at r >= 1, so
+family by a grid scan plus Brent's method from its best point (P0 is
+smooth in r, but the information sum (dP0/dr)^2 collapses at r >= 1, so
 derivative-based optimizers are avoided); each fit also carries the
 eigenvalues E+- = +-sqrt(1 - r^2) of its strength, the points of the
 bifurcation curve.
@@ -13,9 +13,9 @@ T = ``analytic_p0(_GRID[:, None], t)`` and its row sums: one matrix product
 per fit or block of sweep rows, a failed read being a zero in p whose T^2
 leaves the row sums.  A score's ~1e-14 of rounding only picks the grid
 point; every SSE in a result is the exact ``sse``.  A narrowed search range
-is the window of ``_GRID`` points inside it.  ``fit_rows`` builds the table
-once per matrix; a lone ``fit_r`` keeps it once the same times come back
-(2,001 x n x 8 B: 1.3 MB at 81 samples, 3.2 MB at 201), else drops it.
+is the window of ``_GRID`` points inside it.  ``fit_rows`` streams the table
+through the scan in blocks of grid rows; a lone ``fit_r`` keeps it whole once
+the same times come back (2,001 x n x 8 B: 1.3 MB at 81 samples), else drops it.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ __all__ = [
 
 GRID_STEP = 1e-3
 REFINE_TOL = 1e-6
-# Grid rows per block filling the model table (its transients stay under a
-# quarter of the table) and data rows per block of scores in fit_rows (1 MB):
-# enough to amortise the per-call overhead.
+# Grid rows per block of the model table, whole or streamed: amortises per-call overhead.
 _SCAN_CHUNK = 64
 # The one scan grid; a narrowed r_range is a window on it.
 _GRID = np.arange(0.0, 2.0 + GRID_STEP / 2.0, GRID_STEP)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the SSE curvature stencil at the minimum (central away from r = 0).
 _CURVATURE_STEP = 1e-4
 _last_t = None  # a copy of the last new times ``fit_r`` built a table for
@@ -56,12 +53,14 @@ class FitResult:
     """Fitted strength, its curvature-based standard error, and E+-.
 
     ``stderr`` follows the asymptotic least-squares convention
-    sqrt(2 SSE / (n - 2) / d2SSE/dr2).  The fit is flagged ``degenerate``
-    and stderr is infinite when the curvature is not positive, when the
-    scan minimum is pinned to the edge of the search range (its upper
-    end, or its lower end when that lies above the physical edge r = 0),
-    or when a range narrower than [0, 2] misses the minimum of the full
-    [0, 2] scan.
+    sqrt(2 SSE / (n - 2) / d2SSE/dr2), which assumes i.i.d. residuals; the
+    inverted P0 of noisy reads is heteroscedastic, so there it misstates the
+    spread (2-sigma coverage 0.50 at r = 0.9 and 0.76 at r = 0.6 on the
+    criterion-9 noise chain).  The fit is flagged ``degenerate`` and stderr
+    is infinite when the curvature is not positive, when the scan minimum
+    is pinned to the edge of the search range (its upper end, or its lower
+    end when that lies above the physical edge r = 0), or when a range
+    narrower than [0, 2] misses the minimum of the full [0, 2] scan.
     """
 
     r_exp: float
@@ -78,22 +77,36 @@ def sse(r: float, t: np.ndarray, p0: np.ndarray) -> float:
     return float(((analytic_p0(r, t) - p0) ** 2).sum())
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimum of a unimodal f on [lo, hi] to within tol (lo when lo == hi)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+def _brent(f, lo: float, hi: float, x: float) -> tuple[float, float]:
+    """Minimum of f on [lo, hi] to ``REFINE_TOL`` by Brent's method (the ``fminbound``
+    scheme) from x = w = v = ``x``: the best point evaluated and its f."""
+    a, b, fx, tol = lo, hi, f(x), REFINE_TOL / 3.0
+    v, fv, w, fw, d, e = x, fx, x, fx, 0.0, 0.0
+    while abs(x - (xm := 0.5 * (a + b))) > 2.0 * tol - 0.5 * (b - a):
+        q = 0.0
+        if abs(e) > tol:  # a parabola through x, w and v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q, e_prev, e = (-p if q > 0.0 else p), abs(q), e, d
+        if q and abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+            d = p / q  # to its vertex, kept 2 tol inside the bracket
+            if min(x + d - a, b - (x + d)) < 2.0 * tol:
+                d = tol if xm >= x else -tol
+        else:  # a golden-section step into the larger part
+            e = (a if x >= xm else b) - x
+            d = (3.0 - math.sqrt(5.0)) / 2.0 * e
+        u = x + math.copysign(max(abs(d), tol), d)
+        fu = f(u)
+        if fu < fx:  # a tie keeps x, so the start stands unless beaten
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _model_table(t: np.ndarray):
@@ -134,18 +147,19 @@ def _row_scores(t: np.ndarray, p0: np.ndarray) -> np.ndarray:
 
 
 def fit_r(
-    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _scores=None
+    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _k=None
 ) -> FitResult:
     """Least-squares strength estimate from (t, P0) samples.
 
     Scores every r of the 1e-3 grid over [0, 2] by one matrix product with
     the model table, takes the best r among the grid points inside
-    ``r_range`` (a range holding none raises ValueError), refines its bracket
-    within them by golden section to 1e-6 on the exact ``sse``, and reports
-    the curvature-based standard error.  ``samples`` is a sequence of (t, P0)
-    pairs or a (n, 2) array.  ``_scores`` are their scan scores, as ``fit_rows``
-    passes them.  Without them the table is built for the call, or kept from
-    a second call at the same times (2,001 x n x 8 B) for them and NaN-dropped subsets.
+    ``r_range`` (a range holding none raises ValueError), refines it by
+    Brent's method to 1e-6 on the exact ``sse`` between its neighbours in the
+    range, keeping it unless beaten, and reports the curvature-based standard
+    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2) array;
+    ``_k`` is their best grid point over [0, 2], as ``fit_rows`` passes it.
+    Without it the table is built for the call, or kept from a second call at
+    the same times (2,001 x n x 8 B) for them and NaN-dropped subsets.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -165,16 +179,15 @@ def fit_r(
     last = int(np.searchsorted(_GRID, hi, side="right")) - 1
     if first > last:
         raise ValueError(f"r_range {r_range} holds no point of the {GRID_STEP:g} scan grid")
-    scores = _row_scores(t, p0) if _scores is None else _scores
-    k = first + int(np.argmin(scores[first : last + 1]))
+    if _k is None:
+        scores = _row_scores(t, p0)
+        k, whole = first + int(np.argmin(scores[first : last + 1])), int(np.argmin(scores))
+    else:
+        k = whole = _k
     blo = _GRID[max(k - 1, first)]
     bhi = _GRID[min(k + 1, last)]
-    r_best = _golden_section(lambda r: sse(r, t, p0), blo, bhi, REFINE_TOL)
-    best = sse(r_best, t, p0)
-    # Golden section assumes unimodality within the bracket; keep the grid
-    # minimum if its exact SSE (not its score, ~1e-14 off) beats refinement.
-    if (at_k := sse(_GRID[k], t, p0)) < best:
-        r_best, best = float(_GRID[k]), at_k
+    # Brent keeps the grid point unless its exact SSE (not its ~1e-14-off score) is beaten.
+    r_best, best = _brent(lambda r: sse(r, t, p0), blo, bhi, float(_GRID[k]))
 
     h = _CURVATURE_STEP
     if r_best >= h:
@@ -189,7 +202,7 @@ def fit_r(
         d2 = (sse(2.0 * h, t, p0) - 2.0 * sse(h, t, p0) + best) / h**2
     # Pinned to the window's edge (its lower edge only above r = 0), or a
     # narrowed window missing the best fit of the whole grid.
-    pinned = k == last or (k == first and _GRID[k] > 0.0) or not first <= np.argmin(scores) <= last
+    pinned = k == last or (k == first and _GRID[k] > 0.0) or not first <= whole <= last
     degenerate = bool(pinned or not d2 > 0)  # pinned can be a numpy bool
     stderr = math.inf if degenerate else math.sqrt(2.0 * best / (n - 2) / d2)
     e_plus, e_minus = pt_eigenvalues(r_best)
@@ -208,18 +221,19 @@ def fit_rows(t, rows) -> list[FitResult]:
     """``fit_r`` of every row of P0 samples taken at the shared times ``t``.
 
     ``rows`` is (n_rows, len(t)); non-finite entries (failed noisy reads)
-    are dropped per row.  The model table is built once, and each block of
-    ``_SCAN_CHUNK`` rows scored by one matrix product with it.
+    are dropped per row.  The model table streams through the scan by blocks
+    of ``_SCAN_CHUNK`` grid rows, each scored against all rows by one matrix
+    product, and only each row's best grid point so far is kept.
     """
     t = np.asarray(t, dtype=float)
     rows = np.asarray(rows, dtype=float)
     if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
         raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
-    table, sq = _model_table(t)
-    fits = []
-    for i in range(0, rows.shape[0], _SCAN_CHUNK):
-        block = rows[i : i + _SCAN_CHUNK]
-        for row, scores in zip(block, _scan(table, sq, block)):
-            keep = np.isfinite(row)
-            fits.append(fit_r(np.column_stack([t[keep], row[keep]]), _scores=scores))
-    return fits
+    best, ks = np.full(rows.shape[0], np.inf), np.zeros(rows.shape[0], dtype=int)
+    for i in range(0, _GRID.size, _SCAN_CHUNK):
+        table = analytic_p0(_GRID[i : i + _SCAN_CHUNK, None], t)
+        scores = _scan(table, np.einsum("ij,ij->i", table, table), rows)
+        won = scores.min(axis=1) < best  # strict: the first of equal scores wins, as in argmin
+        best[won], ks[won] = scores[won].min(axis=1), i + scores[won].argmin(axis=1)
+    keep = np.isfinite(rows)
+    return [fit_r(np.column_stack([t[m], row[m]]), _k=int(k)) for row, m, k in zip(rows, keep, ks)]

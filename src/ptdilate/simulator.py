@@ -71,6 +71,12 @@ def _on_bra(states: np.ndarray, bra: np.ndarray) -> np.ndarray:
     return np.abs(resh[..., 0] * bra[0] + resh[..., 1] * bra[1]) ** 2
 
 
+def _norm_sq(states: np.ndarray) -> np.ndarray:
+    """Squared norms (..., 1) of (..., 4) states by column adds, bit for bit np.sum's order."""
+    a = np.abs(states) ** 2
+    return (((a[..., 0] + a[..., 1]) + a[..., 2]) + a[..., 3])[..., None]
+
+
 def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p0, success probability) per state of a stack, from its two |-> populations.
 
@@ -79,7 +85,7 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``readout.p0_from_populations``: at large m0 valid runs post-select
     from weights near 1e-14 and still match ``analytic_p0``.
     """
-    pop = _on_bra(states, ANCILLA_MINUS.conj()) / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
+    pop = _on_bra(states, ANCILLA_MINUS.conj()) / _norm_sq(states)
     w = pop[..., 0] + pop[..., 1]  # the |-> levels |0 1> and |-1 1>
     if not np.min(w) >= 1e-60:  # a NaN weight fails too
         raise ZeroBranch("post-selected |-> branch weight below 1e-60 or NaN")
@@ -177,7 +183,7 @@ def branch_populations(states: np.ndarray) -> np.ndarray:
     states = np.asarray(states)
     # Level 2 s + b projects system level s onto ancilla bra b.
     pops = np.stack([_on_bra(states, bra.conj()) for bra in (ANCILLA_MINUS, ANCILLA_PLUS)], -1)
-    return pops.reshape(states.shape) / np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
+    return pops.reshape(states.shape) / _norm_sq(states)
 
 
 def simulate_pt(r: float, grid: TimeGrid) -> tuple[Trajectory, DilationResult]:

@@ -41,9 +41,10 @@ def fields(res):
 
 
 def fresh_fit(samples):
-    """``fit_r`` scored on a model table built for these samples' own times."""
+    """``fit_r`` from the best grid point scored on a model table built for
+    these samples' own times."""
     scores = _scan(*_model_table(samples[:, 0]), samples[None, :, 1])[0]
-    return fit_r(samples, _scores=scores)
+    return fit_r(samples, _k=int(np.argmin(scores)))
 
 
 def noisy_readouts(r, grid, stride, repetitions, seeds):
@@ -427,12 +428,13 @@ def recover_matrix(seeds_per_r):
 
 class TestScanOracle:
     """Every fit equals the fit of ``reference_fit``, which scores the scan
-    by the elementwise sums of squared residuals: the matrix-product scores
-    pick the same grid point, and everything else reads the exact SSE."""
+    by the elementwise sums of squared residuals and refines by its own copy
+    of Brent's method: the matrix-product scores pick the same grid point,
+    and everything else reads the exact SSE."""
 
     @staticmethod
     def assert_fits_equal_the_oracle(t, rows):
-        by_rows = fit_rows(t, rows)  # more rows than one block of _SCAN_CHUNK
+        by_rows = fit_rows(t, rows)
         dropped = 0
         for row, from_rows in zip(rows, by_rows):
             keep = np.isfinite(row)
@@ -449,7 +451,6 @@ class TestScanOracle:
         monkeypatch.setattr(fitkit, "_last_t", None)
         monkeypatch.setattr(fitkit, "_kept_table", None)
         t, rows = recover_matrix(34)
-        assert rows.shape[0] > fitkit._SCAN_CHUNK
         assert self.assert_fits_equal_the_oracle(t, rows) > 0
 
     @pytest.mark.slow
@@ -462,10 +463,10 @@ class TestScanOracle:
     @pytest.mark.parametrize("k", [0, 600, 1000, 1500])
     def test_fit_at_a_grid_strength_reads_the_exact_sse(self, k, monkeypatch):
         # Noise-free samples at a grid strength: the SSE there is exactly 0
-        # while its matrix-product score carries ~1e-14 of rounding, and
-        # refinement stops just off the grid point.  The fallback to the grid
-        # point and the stderr must read the exact SSE; a score below the
-        # refined SSE would snap r_exp to the grid with a wrong (or negative) SSE.
+        # while its matrix-product score carries ~1e-14 of rounding.  Brent
+        # starts at the grid point on its exact SSE, which nothing beats, and
+        # the stderr reads it too; the score in its place would give a wrong
+        # (or negative) SSE.
         monkeypatch.setattr(fitkit, "_last_t", None)
         monkeypatch.setattr(fitkit, "_kept_table", None)
         r = float(fitkit._GRID[k])
@@ -477,8 +478,112 @@ class TestScanOracle:
         assert [fields(res) for res in fits] == [fields(want)] * 4
 
 
+def brent_rows(seeds_per_r, base, strengths=(0.3, 0.6, 0.9, 1.0, 1.2, 1.4)):
+    """Criterion-9 noisy readouts (81 times, 5e5 shots, failed reads dropped),
+    ``seeds_per_r`` seeded rows at each strength."""
+    grid, stride, reps = RECOVER["grid"], RECOVER["stride"], RECOVER["repetitions"]
+    rows = []
+    for k, r in enumerate(strengths):
+        rows += noisy_readouts(r, grid, stride, reps, seeds=[[base, k, i] for i in range(seeds_per_r)])
+    return rows
+
+
+def brute_force_argmin(samples, r):
+    """The least exact ``sse`` on a 1e-6 grid over r +- 1e-4, then on a 1e-8
+    grid over +-2e-6 around that, cut at the edge r = 0; the minimum must lie
+    inside each grid or on that edge."""
+    t, p0 = samples[:, 0], samples[:, 1]
+    for step, half in ((1e-6, 100), (1e-8, 200)):
+        rs = r + step * np.arange(-half, half + 1)
+        rs = rs[rs >= 0.0]
+        j = int(np.argmin([sse(float(x), t, p0) for x in rs]))
+        assert 0 < j < rs.size - 1 or (j == 0 and rs[0] <= step)
+        r = 0.0 if j == 0 and rs[0] <= step else float(rs[j])
+    return r
+
+
+@pytest.fixture(scope="module")
+def recover_rows():
+    return brent_rows(17, 37)
+
+
+class TestBrentRefinement:
+    """Brent's method from the scan's grid point: few exact SSEs per fit, the
+    strength at the brute-force minimum, and golden section's strength."""
+
+    @staticmethod
+    def assert_at_the_minimum(rows):
+        for samples in rows:
+            res = fit_r(samples)
+            assert abs(res.r_exp - brute_force_argmin(samples, res.r_exp)) <= 5e-7
+            golden = reference_fit.fit_r(samples, refine=reference_fit.golden)
+            assert abs(res.r_exp - golden.r_exp) <= fitkit.REFINE_TOL
+            assert res.degenerate == golden.degenerate
+
+    @pytest.fixture
+    def sse_calls(self, monkeypatch):
+        calls = [0]
+        real = fitkit.sse
+
+        def counting(r, t, p0):
+            calls[0] += 1
+            return real(r, t, p0)
+
+        monkeypatch.setattr(fitkit, "sse", counting)
+        return calls
+
+    def test_few_sse_calls_per_fit(self, recover_rows, sse_calls):
+        # Golden section with its two fallback and two curvature SSEs made
+        # 22 calls on every fit; Brent's method makes ~8-9, curvature included.
+        assert any(s.shape[0] < 81 for s in recover_rows)  # failed reads dropped
+        per_fit = []
+        for samples in recover_rows:
+            sse_calls[0] = 0
+            fit_r(samples)
+            per_fit.append(sse_calls[0])
+        assert np.mean(per_fit) <= 10 and max(per_fit) <= 12
+
+    def test_fits_sit_at_the_brute_force_minimum(self, recover_rows):
+        self.assert_at_the_minimum(recover_rows)
+
+    @pytest.mark.slow
+    def test_fits_sit_at_the_brute_force_minimum_at_scale(self):
+        self.assert_at_the_minimum(brent_rows(167, 38))
+
+    def test_fits_on_zero_strength_reach_the_edge(self):
+        # At r = 0 the scan starts Brent on the bracket's lower end, the edge
+        # r = 0, where the noisy minimum often lies.
+        rows = brent_rows(20, 39, strengths=(0.0,))
+        self.assert_at_the_minimum(rows)
+        assert any(fit_r(s).r_exp == 0.0 for s in rows)
+
+    def test_window_of_one_grid_point(self, sse_calls):
+        # A window holding the single grid point 0.6: Brent has no bracket to
+        # search, so the fit is that point and its exact SSE, pinned.
+        samples = clean_samples(0.61)
+        res = fit_r(samples, r_range=(0.5995, 0.6004))
+        assert sse_calls[0] == 3  # the grid point and two curvature points
+        r = float(fitkit._GRID[600])
+        assert (res.r_exp, res.sse) == (r, sse(r, samples[:, 0], samples[:, 1]))
+        assert res.degenerate
+
+    @pytest.mark.parametrize(
+        "r, r_range, k", [(1.5, (0.0, 1.2), 1200), (0.0, (0.2, 2.0), 200), (0.3, (0.45, 1.0), 450)]
+    )
+    def test_fit_pinned_to_the_window_edge_is_the_edge_point(self, r, r_range, k):
+        # The minimum lies beyond the window: Brent starts on the bracket's
+        # end at the edge grid point and nothing inside beats it.
+        samples = clean_samples(r)
+        res = fit_r(samples, r_range=r_range)
+        edge = float(fitkit._GRID[k])
+        assert (res.r_exp, res.sse) == (edge, sse(edge, samples[:, 0], samples[:, 1]))
+        assert res.degenerate and res.stderr == math.inf
+
+
 class TestTableMemory:
-    def test_fit_rows_peaks_near_one_table(self):
+    def test_fit_rows_streams_the_table(self):
+        # fit_rows scans blocks of 64 grid rows and keeps no whole table: its
+        # peak is one block's analytic_p0 transients, 0.26 of a table here.
         t = np.linspace(0.0, 8.0, 201)
         rows = np.array([analytic_p0(r, t) for r in np.linspace(0.0, 1.5, 16)])
         table = fitkit._GRID.size * t.size * 8  # 3.2 MB
@@ -488,7 +593,7 @@ class TestTableMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table < peak <= 1.5 * table
+        assert peak <= 0.3 * table
 
     def test_kept_state_is_one_table(self, monkeypatch):
         monkeypatch.setattr(fitkit, "_last_t", None)

@@ -299,3 +299,17 @@ class TestTrajectoryHelpers:
         pops = branch_populations(traj.states)
         cond = pops[:, 0] / (pops[:, 0] + pops[:, 2])
         assert np.max(np.abs(cond - traj.p0)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (8001, 4), (3, 5, 4)])
+    def test_norms_sum_as_np_sum_bit_for_bit(self, shape):
+        # _norm_sq adds the four level columns in turn; that must be np.sum's
+        # own order over a length-4 axis, so post-selection and the readout
+        # populations keep their bits.  Amplitudes over ~40 decades make any
+        # other association round differently somewhere in a long stack.
+        rng = np.random.default_rng(37)
+        scale = np.exp(rng.normal(scale=10.0, size=shape))
+        states = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+        want = np.sum(np.abs(states) ** 2, axis=-1, keepdims=True)
+        got = simulator._norm_sq(states)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
