@@ -3,21 +3,23 @@
 The family is ``H(r) = [[i r, 1], [1, -i r]]`` with one real strength
 ``r >= 0`` and unit off-diagonal coupling; time is dimensionless (hbar = 1,
 one unit of time corresponds to 1 us at a 1 rad/us coupling).  The
-unbroken (r < 1), exceptional-point (r = 1) and broken (r > 1) regimes
-are picked inside ``analytic_p0``, the closed-form population the dilated
-simulation is checked against: once for a single strength, per element
-for an array of them.
+closed-form population ``analytic_p0``, which the dilated simulation is
+checked against, has one formula per PT regime, split where
+``pt_eigenvalues`` splits: the unbroken one up to and including the
+exceptional point r = 1, the broken one above it.  It picks once for a
+single strength and per element for an array of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EP_WINDOW", "pt_hamiltonian", "pt_eigenvalues", "analytic_p0"]
+__all__ = ["pt_hamiltonian", "pt_eigenvalues", "analytic_p0"]
 
-# Width of the exceptional-point window: the generic formulas are 0/0 at
-# r = 1, so |r - 1| below this switches to the polynomial limit.
-EP_WINDOW = 1e-9
+# Added to k^2 = 1 - r^2: no float r < 1 has k^2 below 2^-52 (~2.2e-16),
+# so this changes no k there, and at r = 1 it lifts k from 0 to ~1.5e-154,
+# where sin(k t)/k is t to rounding.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _strength(r):
@@ -49,14 +51,8 @@ def pt_eigenvalues(r: float) -> tuple[complex, complex]:
     return e, -e
 
 
-def _nilpotent(r, t):
-    # Limit at the exceptional point: psi = (1 + r t, -i t).
-    a = 1.0 + r * t
-    return a, np.broadcast_to(t, np.shape(a)).copy()
-
-
 def _oscillating(r, t):
-    k = np.sqrt(1.0 - r * r)
+    k = np.sqrt(1.0 - r * r + _TINY)
     kt = k * t
     sin_kt = np.sin(kt)
     return np.cos(kt) + (r / k) * sin_kt, sin_kt / k
@@ -64,36 +60,34 @@ def _oscillating(r, t):
 
 def _growing(r, t):
     s = np.sqrt(r * r - 1.0)
-    # Divided by e^{s t} (the growing exponential); decaying part is safe.
-    decay = np.exp(-2.0 * s * t)
-    return ((r + s) - decay * (r - s)) / (2.0 * s), (1.0 - decay) / (2.0 * s)
+    # Divided by e^{s t} (the growing exponential): with g = 1 - e^{-2 s t}
+    # from expm1, b = g/(2s) and a = r b + 1 - g/2 stay exact as s -> 0.
+    g = -np.expm1(-2.0 * s * t)
+    b = g / (2.0 * s)
+    return r * b + (1.0 - 0.5 * g), b
 
 
 def _state_components(r, t):
     """Overflow-safe components of the evolved state from |0>.
 
     ``r`` (a float, or a float array) and ``t`` broadcast against each
-    other.  A float takes the formula of its regime, picked once: the
-    exceptional-point limit within ``EP_WINDOW`` of r = 1, unbroken below
-    it, broken above it; an array picks it per element, by mask.
+    other.  A float takes the formula of its regime, picked once: unbroken
+    (trig) for r <= 1, the exceptional point included, broken (hyperbolic)
+    above; an array picks it per element, by mask.
     Returns ``(a, b)`` with the physical (unnormalized) state proportional
     to ``(a, -i b)``; the common dominant exponential has been divided
     out, so only ratios of a and b are meaningful.
     """
     t = np.asarray(t, dtype=float)
     if isinstance(r, float):
-        formula = _nilpotent if abs(r - 1.0) < EP_WINDOW else _oscillating if r < 1.0 else _growing
-        return formula(r, t)
-    ep = np.abs(r - 1.0) < EP_WINDOW
-    unbroken = (r < 1.0) & ~ep
-    regimes = [(ep, _nilpotent), (unbroken, _oscillating), (~(ep | unbroken), _growing)]
-    regimes = [(mask, formula) for mask, formula in regimes if mask.any()]
-    if len(regimes) == 1:
-        return regimes[0][1](r, t)
+        return (_oscillating if r <= 1.0 else _growing)(r, t)
+    unbroken = r <= 1.0
+    if unbroken.all() or not unbroken.any():
+        return (_oscillating if unbroken.all() else _growing)(r, t)
     r, t = np.broadcast_arrays(r, t)
     a = np.empty(r.shape)
     b = np.empty(r.shape)
-    for mask, formula in regimes:
+    for mask, formula in ((unbroken, _oscillating), (~unbroken, _growing)):
         m = np.broadcast_to(mask, r.shape)
         a[m], b[m] = formula(r[m], t[m])
     return a, b
@@ -105,14 +99,16 @@ def analytic_p0(r, t):
     ``t`` is the time elapsed since |0> was prepared, so a trajectory on a
     grid that starts at t0 != 0 compares at ``grid.times() - grid.t0``.
 
-    Overflow-safe (the dominant exponential cancels) and continuous in r
-    across the exceptional point.  Vectorized over ``t``.  A 0-d strength
-    (a Python or numpy number, or a 0-d array) picks its regime once, with
-    Python comparisons; an array of strengths broadcasting against ``t``
-    picks it per element, so a model table over (r, t) is
-    ``analytic_p0(r_grid[:, None], t)``.  Both paths apply the same
-    formulas, so each table row equals the scalar-r call bit for bit.  Any
-    negative or NaN strength raises ``ValueError``.
+    Overflow-safe (the dominant exponential cancels) and exact to rounding
+    through the exceptional point: two formulas, trig for r <= 1 and
+    hyperbolic for r > 1 (the boundary of ``pt_eigenvalues``), with k lifted
+    off 0 at r = 1 so that sin(k t)/k returns t.  Vectorized over ``t``.
+    A 0-d strength (a Python or numpy number, or a 0-d array) picks its
+    regime once, with Python comparisons; an array of strengths
+    broadcasting against ``t`` picks it per element, so a model table over
+    (r, t) is ``analytic_p0(r_grid[:, None], t)``.  Both paths apply the
+    same formulas, so each table row equals the scalar-r call bit for bit.
+    Any negative or NaN strength raises ``ValueError``.
     """
     a, b = _state_components(_strength(r), t)
     a2 = a * a  # a and b are real

@@ -33,7 +33,7 @@ from ptdilate.dilation import (
     verify_dilation,
 )
 from ptdilate.numkit import OperatorSeries, TimeGrid
-from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_hamiltonian
+from ptdilate.ptmodel import pt_hamiltonian
 from ptdilate.simulator import evolve_dilated, prepare_initial, simulate_pt
 
 GRID = TimeGrid(0.0, 4.0, 2001)
@@ -446,18 +446,6 @@ class TestDilationProperties:
             check_horizon(h, grid)
         assert str(info.value).endswith(f"at t = {grid.times()[first]:.6g}")
         assert info.value.at_t0 == (first == 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.floats(min_value=EP_WINDOW / 4.0, max_value=4.0 * EP_WINDOW),
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(min_value=0.0, max_value=8.0),
-    )
-    def test_analytic_p0_continuous_across_ep_window(self, delta, sign, t):
-        # r within EP_WINDOW of 1 takes the nilpotent closed form; just
-        # outside it the regular forms must agree with it.
-        jump = abs(analytic_p0(1.0 + sign * delta, t) - analytic_p0(1.0, t))
-        assert jump <= 1e-6
 
 
 @st.composite

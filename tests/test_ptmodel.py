@@ -1,18 +1,30 @@
 """Closed-form PT-family tests, cross-checked by brute-force integration."""
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_expm import expm
 
-from ptdilate.ptmodel import EP_WINDOW, analytic_p0, pt_eigenvalues, pt_hamiltonian
+from ptdilate.ptmodel import analytic_p0, pt_eigenvalues, pt_hamiltonian
 
 
 def brute_force_p0(r, t):
     """|0> population via the series exponential of the non-normal generator."""
     psi = expm(-1j * t * pt_hamiltonian(r)) @ np.array([1.0, 0.0], dtype=complex)
     return float(np.abs(psi[0]) ** 2 / np.sum(np.abs(psi) ** 2))
+
+
+def p0_mp(r: float, t: float, dps: int = 60) -> float:
+    """|0> population at time t by the matrix exponential of H(r) in
+    ``dps``-digit arithmetic: no regime split and no closed form, so it is
+    exact to double precision through the exceptional point."""
+    with mp.workdps(dps):
+        h = mp.matrix([[1j * mp.mpf(r), 1], [1, -1j * mp.mpf(r)]])
+        psi = mp.expm(-1j * mp.mpf(t) * h) * mp.matrix([1, 0])
+        p0, p1 = abs(psi[0]) ** 2, abs(psi[1]) ** 2
+        return float(p0 / (p0 + p1))
 
 
 class TestParams:
@@ -85,14 +97,6 @@ class TestAnalyticP0:
         for t in (0.3, 1.1, 2.7):
             assert analytic_p0(r, t) == pytest.approx(brute_force_p0(r, t), abs=1e-12)
 
-    def test_continuous_across_exceptional_point(self):
-        t = np.linspace(0.0, 8.0, 50)
-        below = analytic_p0(1.0 - 10 * EP_WINDOW, t)
-        at = analytic_p0(1.0, t)
-        above = analytic_p0(1.0 + 10 * EP_WINDOW, t)
-        assert np.max(np.abs(below - at)) < 1e-6
-        assert np.max(np.abs(above - at)) < 1e-6
-
     def test_overflow_safe_deep_in_broken_regime(self):
         val = analytic_p0(1.9, 1e4)
         assert np.isfinite(val) and 0.0 < val < 1.0
@@ -101,17 +105,40 @@ class TestAnalyticP0:
         for r in (0.0, 0.6, 1.0, 1.4):
             assert analytic_p0(r, 0.0) == pytest.approx(1.0)
 
+    # |r - 1| log-uniform in [1e-16, 1e-6] on both sides, r = 1 and its two
+    # float neighbours, and the whole range r in [0, 3].
+    NEAR_EP = st.builds(
+        lambda e, sign: 1.0 + sign * 10.0**e, st.floats(-16.0, -6.0), st.sampled_from([-1.0, 1.0])
+    )
+    AT_EP = st.sampled_from([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(NEAR_EP, AT_EP, st.floats(0.0, 3.0)), st.floats(0.0, 16.0))
+    @example(1.0 - 1e-8, 8.0)
+    @example(1.0 + 1e-8, 8.0)
+    @example(1.0 - 4e-9, 8.0)
+    @example(1.0 + 4e-9, 8.0)
+    @example(1.0 + 1e-9, 16.0)
+    def test_matches_mpmath(self, r, t):
+        # One evaluator through the exceptional point: within an ulp or so
+        # near it, and within the rounding of the trig argument k t elsewhere.
+        bound = 1e-15 if abs(r - 1.0) <= 1e-6 else 1e-14
+        assert abs(analytic_p0(r, t) - p0_mp(r, t)) <= bound, (r, t)
+
 
 class TestModelTable:
     """analytic_p0 over an array of strengths: the table the r-fit scans."""
 
-    # Every regime, the exceptional-point window and both of its edges.
-    STRENGTHS = [0.0, 0.3, 1.0 - 2e-9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.4, 2.0]
+    # Both regimes and the edge between them: r = 1 and an ulp either side.
+    STRENGTHS = [
+        0.0, 0.3, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12,
+        1.4, 2.0,
+    ]
 
     @pytest.mark.parametrize(
         "strengths",
         [STRENGTHS, STRENGTHS[:3], STRENGTHS[3:6], STRENGTHS[6:]],
-        ids=["mixed", "unbroken", "ep_window", "broken"],
+        ids=["mixed", "unbroken", "regime_edge", "broken"],
     )
     def test_rows_equal_scalar_calls_bitwise(self, strengths):
         t = np.linspace(0.0, 8.0, 201)
@@ -120,11 +147,8 @@ class TestModelTable:
         for row, r in zip(table, strengths):
             assert np.array_equal(row, analytic_p0(float(r), t)), r
 
-    # Both edges of the exceptional-point window, an ulp either side, and r = 1.
-    EP_EDGES = [
-        x for edge in (1.0 - EP_WINDOW, 1.0 + EP_WINDOW)
-        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
-    ] + [1.0]
+    # The regime edge r = 1, an ulp either side, and 1e-12 either side.
+    REGIME_EDGES = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 - 1e-12, 1.0 + 1e-12]
 
     # Every accepted 0-d strength type; an int strength takes a whole r.
     ZERO_D = {
@@ -138,7 +162,7 @@ class TestModelTable:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.one_of(st.floats(0.0, 3.0), st.sampled_from(EP_EDGES)), min_size=1, max_size=8
+            st.one_of(st.floats(0.0, 3.0), st.sampled_from(REGIME_EDGES)), min_size=1, max_size=8
         ),
         st.sampled_from(sorted(ZERO_D)),
         st.one_of(
