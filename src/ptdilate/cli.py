@@ -59,13 +59,16 @@ OUTDIR_ENV = "PTDILATE_OUTDIR"
 # ~0.35 kB per grid node, the dilation's peak (`simulate`, `pulses`, one-r
 # `sweep`, `dilate` and `verify` at r = 1.4, t1 = 16: 149-152 MB at 300,001
 # nodes, 467 MB at 1,200,001, by `ru_maxrss`), so ~1.3 GB at MAX_NODES
-# (extrapolated).  The lab audit, run once the dilation is freed, adds ~0.1 kB per
-# fine node and per grid node (`pulses --lab-audit`, r = 0.6, to t = 32: 316 MB
-# at 100,001 nodes, 374 MB at 600,001; 203 MB to t = 16 at 300,001, 347 MB to
-# 32), so ~1.4 GB at both bounds (extrapolated; x86-64, numpy 2.4).  A pooled
-# sweep holds one such peak per worker, so it runs at most MAX_NODES // n_nodes.
+# (extrapolated).  The lab audit, run once the dilation is freed, keeps 16 B per
+# fine node (its p0 and success_prob) and ~0.13 kB per grid node: `pulses
+# --lab-audit` at r = 0.6, t1 = 32, 32,001 nodes reads 71.5 MB auditing to t = 16
+# and 95.0 MB to t = 32 (1,551,035 fine nodes more: 15.9 B each), 196 MB to
+# t = 100 (9,693,968 fine nodes, as that slope predicts) and 103.5 MB to t = 32
+# at 100,001 nodes.  So an audit at both bounds takes ~1.3 GB (extrapolated;
+# x86-64, numpy 2.4), the dilation's peak at MAX_NODES.  A pooled sweep holds
+# one such peak per worker, so it runs at most MAX_NODES // n_nodes.
 MAX_NODES = 3_500_000
-MAX_AUDIT_NODES = 10_000_000
+MAX_AUDIT_NODES = 50_000_000
 # At most this many readout times per curve: one prepare-evolve-readout run each.
 READOUT_POINTS = 201
 
@@ -388,11 +391,10 @@ def cmd_pulses(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _lab_audit(cfg, r, m0, aser, prog, nv, fine) -> dict:
     initial = prepare_initial(np.array([1.0, 0.0], dtype=complex), math.sqrt(m0 - 1.0))
     lab = simulate_lab_frame(prog, aser, nv, fine, initial)
-    ts = fine.times()
     report = []
     for tq in cfg.audit_times:
         idx = int(round(tq / fine.dt))
-        rot = float(analytic_p0(r, ts[idx]))
+        rot = float(analytic_p0(r, fine.node_times(idx, idx + 1)[0]))
         report.append(
             {
                 "t": tq,

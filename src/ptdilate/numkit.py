@@ -53,6 +53,15 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_nodes)
 
+    def node_times(self, start: int, stop: int, step: int = 1) -> np.ndarray:
+        """``times()[start:stop:step]`` for 0 <= start <= stop <= n_nodes, without
+        the other nodes: k dt + t0, the last node t1, as np.linspace forms them
+        (bit for bit whenever dt > 0)."""
+        k = np.arange(start, stop, step)
+        t = k * self.dt + self.t0
+        t[k == self.n_nodes - 1] = self.t1
+        return t
+
 
 @dataclass
 class OperatorSeries:

@@ -20,6 +20,8 @@ __all__ = ["pt_hamiltonian", "pt_eigenvalues", "analytic_p0"]
 # so this changes no k there, and at r = 1 it lifts k from 0 to ~1.5e-154,
 # where sin(k t)/k is t to rounding.
 _TINY = float(np.finfo(float).tiny)
+# The largest r whose r^2 is finite (its square is an ulp below the float max).
+_R_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def _strength(r):
@@ -41,14 +43,23 @@ def pt_eigenvalues(r: float) -> tuple[complex, complex]:
     """(E+, E-) = (+sqrt(1-r^2), -sqrt(1-r^2)), principal branch.
 
     Real for r <= 1, purely imaginary (+-i sqrt(r^2-1)) for r > 1, both
-    zero at the exceptional point.
+    zero at the exceptional point.  Raises ValueError for an r whose r^2
+    overflows (above ~1.34e154).
     """
     r = float(_strength(r))
     if r <= 1.0:
         e = complex(np.sqrt(1.0 - r * r))
     else:
-        e = 1j * np.sqrt(r * r - 1.0)
+        e = 1j * _broken_rate(r)
     return e, -e
+
+
+def _broken_rate(r):
+    """s = sqrt(r^2 - 1) for r > 1 (a float or a float array); ValueError
+    naming r where r^2 overflows."""
+    if not np.all(r <= _R_MAX):
+        raise ValueError(f"r = {np.max(r)} is too large: r^2 overflows above r = {_R_MAX}")
+    return np.sqrt(r * r - 1.0)
 
 
 def _oscillating(r, t):
@@ -59,7 +70,7 @@ def _oscillating(r, t):
 
 
 def _growing(r, t):
-    s = np.sqrt(r * r - 1.0)
+    s = _broken_rate(r)
     # Divided by e^{s t} (the growing exponential): with g = 1 - e^{-2 s t}
     # from expm1, b = g/(2s) and a = r b + 1 - g/2 stay exact as s -> 0.
     g = -np.expm1(-2.0 * s * t)
@@ -108,7 +119,8 @@ def analytic_p0(r, t):
     broadcasting against ``t`` picks it per element, so a model table over
     (r, t) is ``analytic_p0(r_grid[:, None], t)``.  Both paths apply the
     same formulas, so each table row equals the scalar-r call bit for bit.
-    Any negative or NaN strength raises ``ValueError``.
+    Any negative or NaN strength raises ``ValueError``, as does one above
+    ~1.34e154, whose r^2 overflows.
     """
     a, b = _state_components(_strength(r), t)
     a2 = a * a  # a and b are real

@@ -175,8 +175,9 @@ def simulate_lab_frame(
 
     The traceless blocks' (z, drive) parts and the back-rotation phase run
     chunk by chunk through ``simulator._evolve``, the loop of
-    ``evolve_dilated``, with the two A-integrals carried in its chunk order:
-    only the fine times and the returned trajectory span the fine grid, and
+    ``evolve_dilated``, with the two A-integrals carried in its chunk order
+    and each chunk's fine times built for it: only the returned ``p0`` and
+    ``success_prob`` span the fine grid (its ``states`` is None), and
     ``ZeroBranch`` raises at the first chunk holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
@@ -192,7 +193,6 @@ def simulate_lab_frame(
             f"cycles (limit {_MAX_CYCLES_PER_STEP})"
         )
     t_nodes = prog.grid.times()
-    ts = grid_fine.times()
     h = grid_fine.dt
     # H0 is diagonal and drive k flips the electron with the nuclear spin on
     # level k (|1>_n, then |0>_n): one 2x2 block per nuclear level.  Block k
@@ -215,7 +215,7 @@ def simulate_lab_frame(
         """Parts (a, z, x) of the two traceless lab blocks of steps i .. j - 1, after
         the A2/A4 trapezoid integrals at nodes i .. j, summed on from the last chunk's."""
         nonlocal ints
-        t = ts[i : j + 1]
+        t = grid_fine.node_times(i, j + 1)
         f = np.stack([np.interp(t, t_nodes, a.a[:, 1]), np.interp(t, t_nodes, a.a[:, 3])])
         ints = np.cumsum(np.concatenate([ints[:, -1:], (f[:, 1:] + f[:, :-1]) / 2.0 * h], 1), 1)
         mids = t[:-1] + h / 2.0
@@ -232,9 +232,10 @@ def simulate_lab_frame(
     def back_rotation(rows: slice) -> np.ndarray:
         """e^{i exponent} at the last ``lab_blocks``' nodes ``rows``: e^{i z_rot t} times
         (p, p*, q, q*), p = e^{-i (int_a2 + int_a4)} and q = e^{-i (int_a2 - int_a4)}."""
-        skip = rows.start % _ANCHOR_NODES
-        anchors = np.exp(1j * np.outer(z_rot, ts[rows.start - skip : rows.stop : _ANCHOR_NODES]))
-        phase = (anchors[:, :, None] * table[:, None]).reshape(4, -1)[:, skip : skip + len(ts[rows])]
+        first = rows.start - rows.start % _ANCHOR_NODES  # the anchor at or before rows.start
+        anchors = np.exp(1j * np.outer(z_rot, grid_fine.node_times(first, rows.stop, _ANCHOR_NODES)))
+        phase = (anchors[:, :, None] * table[:, None]).reshape(4, -1)
+        phase = phase[:, rows.start - first : rows.stop - first]
         pq = np.exp(-1j * (ints[0] + ints[1] * np.array([[1.0], [-1.0]])))
         phase[::2] *= pq
         phase[1::2] *= pq.conj()

@@ -8,8 +8,9 @@ arrives as the Pauli coefficients of its two ancilla sigma_z blocks; block
 k chains the amplitudes ``state.reshape(2, 2)[:, k]`` by SU(2) pairs
 (``numkit.chain_su2``) and takes its summed phase per node.  ``_evolve``,
 the one chunked evolution loop, also runs the lab audit
-``pulse.simulate_lab_frame``; past one chunk a helper thread builds the
-next chunk's steps and phase while the caller chains and post-selects.
+``pulse.simulate_lab_frame``, which keeps no states; past one chunk a helper
+thread builds the next chunk's steps and phase while the caller chains and
+post-selects.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 
-# Steps per chunk of ``_evolve``; only the returned trajectory spans the grid,
-# and two chunks are in flight at once.
+# Steps per chunk of ``_evolve``; only the returned trajectory spans the grid
+# (without its states for the lab audit), and two chunks are in flight at once.
 _STEPS_PER_CHUNK = 8192
 
 
@@ -45,8 +46,11 @@ class ZeroBranch(RuntimeError):
 
 @dataclass
 class Trajectory:
+    """A post-selected run on ``grid``: ``states`` is None when the run kept
+    only ``p0`` and ``success_prob`` (the lab audit, ``pulse.simulate_lab_frame``)."""
+
     grid: TimeGrid
-    states: np.ndarray  # (n_nodes, 4) complex
+    states: np.ndarray | None  # (n_nodes, 4) complex
     p0: np.ndarray  # (n_nodes,) post-selected |0> population
     success_prob: np.ndarray  # (n_nodes,) |-> branch weight
 
@@ -92,7 +96,7 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pop[..., 0] / w, w
 
 
-def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Trajectory:
+def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None, states=None) -> Trajectory:
     """Chain the 2x2 steps on ``grid`` from ``initial`` and post-select, per chunk.
 
     ``step_parts(i, j)``: parts ``(a, z, x)`` of the blocks a I + z sz + Re(x) sx
@@ -106,10 +110,13 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
     thread builds chunk k + 1's carry-free half, under the caller's
     floating-point error state, while chunk k's carried half runs, so one
     extra chunk is in flight.  ``ZeroBranch`` raises at the first empty branch.
+    Each chunk's rotated states land in ``states``, a caller's (n_nodes, 4)
+    array, if given, and the trajectory keeps it; else they live in one reused
+    (_STEPS_PER_CHUNK + 1, 4) buffer and the trajectory's ``states`` is None.
     """
     n = grid.n_nodes
-    states = np.empty((n, 4), dtype=complex)
     p0, succ = np.empty(n), np.empty(n)
+    buf = np.empty((min(_STEPS_PER_CHUNK, n - 1) + 1, 4), dtype=complex) if states is None else None
     starts = range(0, n - 1, _STEPS_PER_CHUNK)
     errstate = np.geterr()
 
@@ -142,12 +149,13 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None) -> Traj
         for nxt in [*starts[1:], None]:
             rows, pairs, phase, turned = part
             ahead = None if nxt is None else helper.submit(carry_free, nxt, turned)
-            chain = chain_su2(pairs, carry, states[rows].reshape(-1, 2, 2).swapaxes(-1, -2))
+            out = buf[: len(pairs) + 1] if states is None else states[rows]
+            chain = chain_su2(pairs, carry, out.reshape(-1, 2, 2).swapaxes(-1, -2))
             del part, pairs
             carry = chain[-1].copy()
-            np.multiply(phase, states[rows], out=states[rows])
+            np.multiply(phase, out, out=out)
             del chain, phase
-            p0[rows], succ[rows] = _postselect_batch(states[rows])
+            p0[rows], succ[rows] = _postselect_batch(out)
             part = None if ahead is None else ahead.result()
     return Trajectory(grid=grid, states=states, p0=p0, success_prob=succ)
 
@@ -170,7 +178,8 @@ def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
         x.real, x.imag = c[..., 1], c[..., 2]
         return tuple((f[:-1] + f[1:]) / 2.0 for f in (c[..., 0], c[..., 3], x))
 
-    return _evolve(hsa.grid, step_parts, initial)
+    states = np.empty((hsa.grid.n_nodes, 4), dtype=complex)
+    return _evolve(hsa.grid, step_parts, initial, states=states)
 
 
 def branch_populations(states: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_dilation import (
     NotPositive,
@@ -65,6 +65,24 @@ class TestTimeGrid:
     def test_rejects_bad_spans(self, t0, t1, n):
         with pytest.raises(ValueError):
             TimeGrid(t0, t1, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_node_times_match_linspace_bitwise(self, data):
+        # A chunk's fine times, or every B-th node from an anchor, rebuilt
+        # as k dt + t0 (the last node t1) without the whole grid: bit for
+        # bit np.linspace's, over spans from tiny to huge and any slice.
+        span = st.floats(-1e150, 1e150, allow_nan=False)
+        t0, t1 = data.draw(span), data.draw(span)
+        assume(t1 > t0)
+        grid = TimeGrid(t0, t1, data.draw(st.integers(2, 100_000)))
+        assume(grid.dt > 0.0)  # dt underflows only on a span of a few subnormals
+        start = data.draw(st.integers(0, grid.n_nodes))
+        stop = data.draw(st.integers(start, grid.n_nodes))
+        step = data.draw(st.sampled_from([1, 1024]) | st.integers(1, grid.n_nodes))
+        got = grid.node_times(start, stop, step)
+        want = grid.times()[start:stop:step]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_series_length_must_match(self):
         grid = TimeGrid(0.0, 1.0, 5)

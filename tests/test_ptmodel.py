@@ -1,5 +1,8 @@
 """Closed-form PT-family tests, cross-checked by brute-force integration."""
 
+import re
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -190,3 +193,34 @@ class TestModelTable:
         t = np.linspace(0.0, 1.0, 5)
         for r in (-0.0, np.float64(-0.0), np.array(-0.0), np.array([-0.0])):
             assert np.array_equal(analytic_p0(r, t), analytic_p0(0.0, t))
+
+
+class TestHugeStrength:
+    """r^2 overflows past sqrt(float max) ~ 1.34e154: the broken regime's rate
+    s = sqrt(r^2 - 1) would be inf, and inf * 0 a NaN P0 at t = 0."""
+
+    def test_largest_finite_square_still_evaluates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analytic_p0(1e154, [0.0, 1.0]).tolist() == [1.0, 1.0]
+            table = analytic_p0(np.array([0.5, 1e154])[:, None], [0.0, 1.0])
+            assert table[1].tolist() == [1.0, 1.0]
+            ep, em = pt_eigenvalues(1e154)
+        assert np.isfinite(ep) and np.isfinite(em) and ep == 1e154j
+
+    @pytest.mark.parametrize("r", [1e155, np.nextafter(np.sqrt(np.finfo(float).max), np.inf)])
+    def test_overflowing_square_raises(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: analytic_p0(r, [0.0, 1.0]),
+                lambda: analytic_p0(np.array([0.5, r]), 1.0),  # masked beside an unbroken r
+                lambda: analytic_p0(np.array([2.0, r])[:, None], [0.0, 1.0]),  # all broken
+                lambda: pt_eigenvalues(r),
+            ):
+                with pytest.raises(ValueError, match=re.escape(f"r = {r} is too large")):
+                    call()
+
+    def test_hamiltonian_still_accepts_it(self):
+        # The dilation names such a strength as too large at t = 0 itself.
+        assert pt_hamiltonian(1e200)[0, 0] == 1e200j

@@ -147,6 +147,32 @@ def run_short_audit():
     return simulate_lab_frame(*audit_inputs(0.5, 40001))
 
 
+def with_states(run):
+    """The trajectory ``run()`` returns and its rotated states at every node.
+
+    The lab audit keeps no states (``Trajectory.states`` is None), so a spy on
+    ``simulator._postselect_batch`` copies each chunk's, boundary node
+    included: the end node of one chunk, the start of the next, must come
+    out of both the same.
+    """
+    chunks = []
+    postselect = simulator._postselect_batch
+
+    def spy(states):
+        chunks.append(states.copy())
+        return postselect(states)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_postselect_batch", spy)
+        traj = run()
+    assert traj.states is None
+    for prev, nxt in zip(chunks, chunks[1:]):
+        assert np.array_equal(prev[-1], nxt[0])
+    states = np.concatenate([c[:-1] for c in chunks[:-1]] + chunks[-1:])
+    assert states.shape == (traj.grid.n_nodes, 4)
+    return traj, states
+
+
 def block_z():
     """z_k of the two traceless lab blocks, (h0[k, k] - h0[k + 2, k + 2]) / 2 (rad/us)."""
     h0_diag = np.real(np.diag(subspace_h0(NVParams())[0]))
@@ -173,7 +199,8 @@ def audit_peak(t1, n_fine):
 
 @pytest.fixture(scope="module")
 def short_audit():
-    return run_short_audit()
+    """The short audit's trajectory and its states."""
+    return with_states(run_short_audit)
 
 
 class TestLabFrame:
@@ -205,7 +232,7 @@ class TestLabFrame:
     def test_short_audit_matches_rotating_frame(self, short_audit):
         # Full cosine-drive integration over half a time unit; the RWA
         # deviation must stay far below the 0.02 audit bound.
-        lab = short_audit
+        lab, _ = short_audit
         for tq in (0.2, 0.5):
             idx = int(round(tq / lab.grid.dt))
             assert lab.p0[idx] == pytest.approx(
@@ -213,7 +240,8 @@ class TestLabFrame:
             )
 
     def test_short_audit_keeps_unit_norm(self, short_audit):
-        norms = np.linalg.norm(short_audit.states, axis=-1)
+        _, states = short_audit
+        norms = np.linalg.norm(states, axis=-1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-13
 
     def test_short_audit_matches_serial_chain(self, short_audit, monkeypatch):
@@ -229,9 +257,10 @@ class TestLabFrame:
             return serial_chain(pairs, init, out)
 
         monkeypatch.setattr(simulator, "chain_su2", counted_chain)
-        serial = run_short_audit()
+        _, serial = with_states(run_short_audit)
         assert calls == [40000]
-        assert np.max(np.abs(short_audit.states - serial.states)) <= 1e-13
+        _, chunked = short_audit
+        assert np.max(np.abs(chunked - serial)) <= 1e-13
 
     def test_short_audit_does_not_depend_on_chunk_size(self, monkeypatch):
         # Chained serially, the 40000 steps give bitwise the same trajectory
@@ -241,10 +270,11 @@ class TestLabFrame:
         runs = []
         for size in (40000, 8192, 1000):
             monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", size)
-            runs.append(run_short_audit())
+            lab, states = with_states(run_short_audit)
+            runs.append((states, lab.p0, lab.success_prob))
         for run in runs[1:]:
-            for name in ("states", "p0", "success_prob"):
-                assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
+            for name, got, want in zip(("states", "p0", "success_prob"), run, runs[0]):
+                assert np.array_equal(got, want), name
 
     @pytest.mark.parametrize(
         "t1, n_fine",
@@ -260,10 +290,11 @@ class TestLabFrame:
         # x, the package multiplies unit numbers from a table.  Each rounds
         # phases of up to max|z| t1 rad at ~eps of their size.
         inputs = audit_inputs(t1, n_fine)
-        lab, ref = simulate_lab_frame(*inputs), whole_grid_lab_frame(*inputs)
+        lab, states = with_states(lambda: simulate_lab_frame(*inputs))
+        ref = whole_grid_lab_frame(*inputs)
         tol = 4 * np.finfo(float).eps * np.max(np.abs(block_z())) * t1
-        for name in ("states", "p0", "success_prob"):
-            assert np.max(np.abs(getattr(lab, name) - getattr(ref, name))) <= tol, name
+        for name, got in (("states", states), ("p0", lab.p0), ("success_prob", lab.success_prob)):
+            assert np.max(np.abs(got - getattr(ref, name))) <= tol, name
 
     def test_back_rotation_phase_accuracy(self, monkeypatch):
         # The phase the audit applies, e^{i x} of x = z_rot t - int_a2 (I x sz)
@@ -312,11 +343,11 @@ class TestLabFrame:
         assert np.max(err) <= np.max(np.abs(np.exp(1j * x) - exact))
 
     def test_peak_memory_per_fine_node(self):
-        # Only the fine times and the returned trajectory (88 B per node)
-        # span the fine grid; the chunk's own working set, the A-integrals'
-        # included, is fixed.  So doubling the short audit's grid may add at
-        # most 96 B per added node (104 with the two A-integrals over the
-        # whole grid; ~325 with the drive angles, back-rotation and
-        # post-selection over it too).
+        # Only the returned p0 and success_prob (16 B per node) span the fine
+        # grid; the chunk's own working set, its states, fine times and
+        # A-integrals included, is fixed.  So doubling the short audit's grid
+        # may add at most 20 B per added node (88 with the states and fine
+        # times over the whole grid; ~325 with the drive angles,
+        # back-rotation and post-selection over it too).
         grown = audit_peak(1.0, 80001) - audit_peak(0.5, 40001)
-        assert grown <= 96 * 40000
+        assert grown <= 20 * 40000

@@ -313,3 +313,80 @@ class TestTrajectoryHelpers:
         got = simulator._norm_sq(states)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def closed_form_propagators(r, t):
+    """e^{-i H t} = cos(E t) I - i sin(E t)/E H, E = sqrt(1 - r^2) (imaginary
+    above r = 1), and I - i H t at r = 1, for each time of ``t``."""
+    h, e = pt_hamiltonian(r), np.sqrt(complex(1.0 - r * r))
+    t = np.asarray(t, dtype=float)[:, None, None]
+    if r == 1.0:
+        return np.eye(2) - 1j * t * h
+    return np.cos(e * t) * np.eye(2) - 1j * np.sin(e * t) / e * h
+
+
+def distinguishability(phi0, phi1):
+    """D = sqrt(1 - |<phi0|phi1>|^2) of two stacks of system states, each normalized here."""
+    phi0, phi1 = (p / np.linalg.norm(p, axis=-1, keepdims=True) for p in (phi0, phi1))
+    overlap = np.abs(np.sum(phi0.conj() * phi1, axis=-1)) ** 2
+    return np.sqrt(np.maximum(1.0 - overlap, 0.0))
+
+
+def closed_form_distinguishability(r, t):
+    u = closed_form_propagators(r, t)
+    return distinguishability(u[..., 0], u[..., 1])  # the evolved |0> and |1>
+
+
+class TestDistinguishability:
+    # Kawabata, Ashida & Ueda, PRL 119, 190401 (2017): how well the
+    # post-selected states from |0> and |1> can be told apart.  In the
+    # unbroken regime D oscillates and returns to 1 (information flows back
+    # from the environment); at and past the exceptional point it only decays.
+    GRID = TimeGrid(0.0, 8.0, 8001)
+
+    @pytest.fixture(scope="class")
+    def simulated(self):
+        """D(t) of two runs under one dilation per r, post-selected on |->."""
+        curves = {}
+        for r in (0.0, 0.6, 0.9, 1.0, 1.4):
+            result = dilate(pt_hamiltonian(r), DilationConfig(self.GRID))
+            eta0 = np.sqrt(result.m0 - 1.0)
+            runs = [
+                evolve_dilated(result.hsa_series, prepare_initial(psi0, eta0))
+                for psi0 in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            ]
+            phis = [run.states.reshape(-1, 2, 2) @ ANCILLA_MINUS.conj() for run in runs]
+            curves[r] = distinguishability(*phis)
+        return curves
+
+    @pytest.mark.parametrize("r", [0.0, 0.6, 0.9, 1.0, 1.4])
+    def test_matches_closed_form(self, simulated, r):
+        # The midpoint stepper's O(dt^2) error: up to 2.5e-7 at dt = 1e-3.
+        want = closed_form_distinguishability(r, self.GRID.times())
+        assert np.max(np.abs(simulated[r] - want)) <= 3e-7
+
+    @pytest.mark.parametrize("r", [0.6, 0.9])
+    def test_unbroken_regime_revives(self, simulated, r):
+        # D dips to (1 - r^2)/(1 + r^2) at half the period pi/k, k = sqrt(1 - r^2)
+        # (0.47 at r = 0.6, 0.105 at r = 0.9), and is back to 1 at pi/k.
+        k = np.sqrt(1.0 - r * r)
+        dip, back = closed_form_distinguishability(r, [np.pi / (2.0 * k), np.pi / k])
+        assert dip == pytest.approx((1.0 - r * r) / (1.0 + r * r), abs=1e-13)
+        assert back == pytest.approx(1.0, abs=1e-13)
+        d, ts = simulated[r], self.GRID.times()
+        assert np.min(d) == pytest.approx(dip, abs=1e-6)
+        assert d[np.argmin(np.abs(ts - np.pi / k))] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("r, d_end", [(1.0, 7.8e-3), (1.4, 2.1e-7)])
+    def test_no_revival_at_or_past_the_exceptional_point(self, simulated, r, d_end):
+        # D(t) = 1/sqrt(1 + 4 t^4) at r = 1; faster, exponential decay at 1.4.
+        d = simulated[r]
+        # Never rises, to the rounding of 1 - |<phi0|phi1>|^2 (~eps), which
+        # moves D = sqrt(1 - |<phi0|phi1>|^2) by ~eps / (2 D).
+        assert np.all(np.diff(d) <= 4.0 * np.finfo(float).eps / d[1:])
+        assert d[-1] == pytest.approx(d_end, rel=0.05)  # D ~ 2e-7 rounds at ~1e-9
+        if r == 1.0:
+            assert np.max(np.abs(d - 1.0 / np.sqrt(1.0 + 4.0 * self.GRID.times() ** 4))) <= 3e-7
+
+    def test_hermitian_point_keeps_them_orthogonal(self, simulated):
+        assert np.min(simulated[0.0]) >= 1.0 - 1e-13
