@@ -37,7 +37,7 @@ from .dilation import (
     verify_dilation,
 )
 from .fitkit import fit_rows
-from .numkit import NotHermitian, TimeGrid
+from .numkit import TimeGrid
 from .pauli import extract_a_series
 from .pulse import (
     GridTooCoarse,
@@ -74,7 +74,6 @@ READOUT_POINTS = 201
 
 _NUMERIC_ERRORS = (
     SingularPropagator,
-    NotHermitian,
     ZeroBranch,
     GridTooCoarse,
     np.linalg.LinAlgError,

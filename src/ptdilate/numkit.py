@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NotHermitian",
     "TimeGrid",
     "OperatorSeries",
     "su2_step",
@@ -26,10 +25,6 @@ __all__ = [
     "top_singular_2x2",
     "chain_su2",
 ]
-
-
-class NotHermitian(ValueError):
-    """Input failed a Hermiticity check at the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -43,23 +38,32 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got t0={self.t0}, t1={self.t1}")
+        # Node k, k dt + t0 rounded, lies within 4 u + (n - 1) ulp(dt) / 2 of its exact
+        # place and dt within u + ulp(dt) / 2 of the exact spacing, u = ulp(max|t|):
+        # a dt above 9 u + n ulp(dt) keeps the nodes strictly increasing.
+        ulps = 9 * np.spacing(max(abs(self.t0), abs(self.t1))) + self.n_nodes * np.spacing(self.dt)
+        if not (self.t1 > self.t0 and self.dt > ulps):
+            raise ValueError(
+                f"need t1 > t0 with strictly increasing nodes, got t0={self.t0}, "
+                f"t1={self.t1}, n_nodes={self.n_nodes}"
+            )
 
     @property
     def dt(self) -> float:
         return (self.t1 - self.t0) / (self.n_nodes - 1)
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.n_nodes)
+        return self.node_times(0, self.n_nodes)
 
     def node_times(self, start: int, stop: int, step: int = 1) -> np.ndarray:
         """``times()[start:stop:step]`` for 0 <= start <= stop <= n_nodes, without
-        the other nodes: k dt + t0, the last node t1, as np.linspace forms them
-        (bit for bit whenever dt > 0)."""
-        k = np.arange(start, stop, step)
-        t = k * self.dt + self.t0
-        t[k == self.n_nodes - 1] = self.t1
+        the other nodes: k dt + t0, the last node t1, bit for bit np.linspace's."""
+        t = np.arange(start, stop, step, dtype=float)  # k, exact; in place from here
+        ends = t.size > 0 and t[-1] == self.n_nodes - 1
+        t *= self.dt
+        t += self.t0
+        if ends:
+            t[-1] = self.t1
         return t
 
 

@@ -173,12 +173,12 @@ def simulate_lab_frame(
     integrals that define the frame.  ``grid_fine`` must lie inside the
     program's grid; the drives are not extrapolated past it.
 
-    The traceless blocks' (z, drive) parts and the back-rotation phase run
-    chunk by chunk through ``simulator._evolve``, the loop of
-    ``evolve_dilated``, with the two A-integrals carried in its chunk order
-    and each chunk's fine times built for it: only the returned ``p0`` and
-    ``success_prob`` span the fine grid (its ``states`` is None), and
-    ``ZeroBranch`` raises at the first chunk holding an empty branch.
+    One function gives ``simulator._evolve``, the loop of ``evolve_dilated``,
+    each chunk's traceless (z, drive) parts and back-rotation phase from the
+    chunk's own fine times, with the two A-integrals carried in chunk order:
+    only the returned ``p0`` and ``success_prob`` span the fine grid (its
+    ``states`` is None), and ``ZeroBranch`` raises at the first chunk
+    holding an empty branch.
     """
     if grid_fine.t0 < prog.grid.t0 or grid_fine.t1 > prog.grid.t1:
         raise ValueError(
@@ -211,9 +211,10 @@ def simulate_lab_frame(
     w1, w2 = prog.carriers
     ints = np.zeros((2, 1))  # int_a2, int_a4 at the chunk's nodes; starts at 0
 
-    def lab_blocks(i: int, j: int) -> tuple[None, np.ndarray, np.ndarray]:
-        """Parts (a, z, x) of the two traceless lab blocks of steps i .. j - 1, after
-        the A2/A4 trapezoid integrals at nodes i .. j, summed on from the last chunk's."""
+    def lab_chunk(i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Parts (z, x) of the two traceless lab blocks of steps i .. j - 1 and the
+        back-rotation phase at nodes i .. j, after the A2/A4 trapezoid integrals
+        at those nodes, summed on from the last chunk's."""
         nonlocal ints
         t = grid_fine.node_times(i, j + 1)
         f = np.stack([np.interp(t, t_nodes, a.a[:, 1]), np.interp(t, t_nodes, a.a[:, 3])])
@@ -227,18 +228,16 @@ def simulate_lab_frame(
             axis=-1,
         )
         om_mid = np.interp(mids, t_nodes, prog.omega_rabi)
-        return None, z, 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
-
-    def back_rotation(rows: slice) -> np.ndarray:
-        """e^{i exponent} at the last ``lab_blocks``' nodes ``rows``: e^{i z_rot t} times
-        (p, p*, q, q*), p = e^{-i (int_a2 + int_a4)} and q = e^{-i (int_a2 - int_a4)}."""
-        first = rows.start - rows.start % _ANCHOR_NODES  # the anchor at or before rows.start
-        anchors = np.exp(1j * np.outer(z_rot, grid_fine.node_times(first, rows.stop, _ANCHOR_NODES)))
+        drive = 2.0 * math.pi * om_mid[:, None] * np.cos(angles)
+        # e^{i exponent}: e^{i z_rot t} times (p, p*, q, q*), p = e^{-i (int_a2 +
+        # int_a4)} and q = e^{-i (int_a2 - int_a4)}.
+        first = i - i % _ANCHOR_NODES  # the anchor at or before node i
+        anchors = np.exp(1j * np.outer(z_rot, grid_fine.node_times(first, j + 1, _ANCHOR_NODES)))
         phase = (anchors[:, :, None] * table[:, None]).reshape(4, -1)
-        phase = phase[:, rows.start - first : rows.stop - first]
+        phase = phase[:, i - first : j + 1 - first]
         pq = np.exp(-1j * (ints[0] + ints[1] * np.array([[1.0], [-1.0]])))
         phase[::2] *= pq
         phase[1::2] *= pq.conj()
-        return phase.T
+        return z, drive, phase.T
 
-    return _evolve(grid_fine, lab_blocks, initial, back_rotation)
+    return _evolve(grid_fine, lab_chunk, initial)

@@ -7,10 +7,11 @@ population of the system |0> state of that conditional trajectory.  H_sa
 arrives as the Pauli coefficients of its two ancilla sigma_z blocks; block
 k chains the amplitudes ``state.reshape(2, 2)[:, k]`` by SU(2) pairs
 (``numkit.chain_su2``) and takes its summed phase per node.  ``_evolve``,
-the one chunked evolution loop, also runs the lab audit
-``pulse.simulate_lab_frame``, which keeps no states; past one chunk a helper
-thread builds the next chunk's steps and phase while the caller chains and
-post-selects.
+the one chunked evolution loop, takes one function from its caller that
+gives each chunk's traceless parts (z, x) and node phase; it also runs the
+lab audit ``pulse.simulate_lab_frame``, which keeps no states.  Past one
+chunk a helper thread builds the next chunk's steps and phase while the
+caller chains and post-selects.
 """
 
 from __future__ import annotations
@@ -96,22 +97,21 @@ def _postselect_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pop[..., 0] / w, w
 
 
-def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None, states=None) -> Trajectory:
+def _evolve(grid: TimeGrid, chunk, initial: np.ndarray, states=None) -> Trajectory:
     """Chain the 2x2 steps on ``grid`` from ``initial`` and post-select, per chunk.
 
-    ``step_parts(i, j)``: parts ``(a, z, x)`` of the blocks a I + z sz + Re(x) sx
-    + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2).  A chunk's
-    carry-free half builds their SU(2) steps and each node's phase: each
-    block's running angle -dt sum(a) as cos + i sin or, if ``a`` is None
-    (traceless), the complex (len, 4) ``frame(rows)`` called next for the
-    chunk's nodes; both run chunk by chunk in order, so they may carry sums.
-    Its carried half chains the steps on from the last chunk's un-rotated end
-    state, applies the phase and post-selects.  Past one chunk, a helper
-    thread builds chunk k + 1's carry-free half, under the caller's
-    floating-point error state, while chunk k's carried half runs, so one
-    extra chunk is in flight.  ``ZeroBranch`` raises at the first empty branch.
-    Each chunk's rotated states land in ``states``, a caller's (n_nodes, 4)
-    array, if given, and the trajectory keeps it; else they live in one reused
+    ``chunk(i, j)`` returns the parts ``(z, x)`` of the traceless blocks
+    z sz + Re(x) sx + Im(x) sy of steps i .. j - 1, broadcasting to (j - i, 2),
+    and the complex (j - i + 1, 4) phase of nodes i .. j.  It is called once
+    per chunk, in chunk order, so it may carry sums.  A chunk's carry-free
+    half calls it and builds the SU(2) steps; its carried half chains them
+    on from the last chunk's un-rotated end state, applies the phase and
+    post-selects.  Past one chunk, a helper thread builds chunk k + 1's
+    carry-free half, under the caller's floating-point error state, while
+    chunk k's carried half runs, so one extra chunk is in flight.
+    ``ZeroBranch`` raises at the first empty branch.  Each chunk's rotated
+    states land in ``states``, a caller's (n_nodes, 4) array, if given, and
+    the trajectory keeps it; else they live in one reused
     (_STEPS_PER_CHUNK + 1, 4) buffer and the trajectory's ``states`` is None.
     """
     n = grid.n_nodes
@@ -120,35 +120,20 @@ def _evolve(grid: TimeGrid, step_parts, initial: np.ndarray, frame=None, states=
     starts = range(0, n - 1, _STEPS_PER_CHUNK)
     errstate = np.geterr()
 
-    def carry_free(start, turned):
-        """Rows, steps and phase of the chunk from node ``start``, and the sum
-        of a per block (``turned``, carried in chunk order) at its end."""
+    def carry_free(start):
+        """Rows, steps and phase of the chunk from node ``start``, the last one's end."""
         with np.errstate(**errstate):
             stop = min(start + _STEPS_PER_CHUNK, n - 1)
-            rows = slice(start, stop + 1)  # node start repeats the last chunk's end
-            a, z, x = step_parts(start, stop)
-            pairs = su2_step(z, x, grid.dt)
-            del z, x
-            if a is None:
-                phase = frame(rows)
-            else:
-                # One sequential sum from the first step, so chunks keep it bitwise.
-                sums = np.cumsum(np.concatenate([turned, a]), axis=0)
-                turned = sums[-1:].copy()
-                angle = sums * -grid.dt  # block k's, for columns k and k + 2
-                phase = np.empty(angle.shape, dtype=complex)
-                np.cos(angle, out=phase.real)
-                np.sin(angle, out=phase.imag)
-                phase = np.tile(phase, 2)
-            return rows, pairs, phase, turned
+            z, x, phase = chunk(start, stop)
+            return slice(start, stop + 1), su2_step(z, x, grid.dt), phase
 
     carry = np.reshape(initial, (2, 2)).T  # block k's state is column k
-    part = carry_free(starts[0], np.zeros((1, 2)))
+    part = carry_free(starts[0])
     # Leaving the block joins the helper, also when a chunk raises.
     with ThreadPoolExecutor(max_workers=1) if len(starts) > 1 else nullcontext() as helper:
         for nxt in [*starts[1:], None]:
-            rows, pairs, phase, turned = part
-            ahead = None if nxt is None else helper.submit(carry_free, nxt, turned)
+            rows, pairs, phase = part
+            ahead = None if nxt is None else helper.submit(carry_free, nxt)
             out = buf[: len(pairs) + 1] if states is None else states[rows]
             chain = chain_su2(pairs, carry, out.reshape(-1, 2, 2).swapaxes(-1, -2))
             del part, pairs
@@ -168,18 +153,29 @@ def evolve_dilated(hsa: OperatorSeries, initial: np.ndarray) -> Trajectory:
     ``initial`` is the (4,) amplitude vector of ``prepare_initial``.  The
     midpoint Hamiltonian of each interval is the mean of its two nodes
     (linear interpolation of H_sa), so the error is O(dt^2) and only more
-    grid nodes reduce it.  ``_evolve`` steps the mean of the nodes' parts
-    (a, z, x) = (I, z, x + i y), chunk by chunk.
+    grid nodes reduce it.  Each chunk passes ``_evolve`` the mean of the
+    nodes' parts (a, z, x) = (I, z, x + i y) as (z, x) and the phase of each
+    block's running angle -dt sum(a), carried from chunk to chunk.
     """
+    turned = np.zeros((1, 2))  # the sum of a per block up to the chunk's first node
 
-    def step_parts(i, j):
+    def chunk(i, j):
+        nonlocal turned
         c = hsa.data[i : j + 1]
         x = np.empty(c.shape[:-1], dtype=complex)
         x.real, x.imag = c[..., 1], c[..., 2]
-        return tuple((f[:-1] + f[1:]) / 2.0 for f in (c[..., 0], c[..., 3], x))
+        a, z, x = ((f[:-1] + f[1:]) / 2.0 for f in (c[..., 0], c[..., 3], x))
+        # One sequential sum from the first step, so chunks keep it bitwise.
+        sums = np.cumsum(np.concatenate([turned, a]), axis=0)
+        turned = sums[-1:].copy()
+        angle = sums * -hsa.grid.dt  # block k's, for columns k and k + 2
+        phase = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        return z, x, np.tile(phase, 2)
 
     states = np.empty((hsa.grid.n_nodes, 4), dtype=complex)
-    return _evolve(hsa.grid, step_parts, initial, states=states)
+    return _evolve(hsa.grid, chunk, initial, states=states)
 
 
 def branch_populations(states: np.ndarray) -> np.ndarray:

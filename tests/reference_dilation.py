@@ -21,7 +21,11 @@ import numpy as np
 from reference_steps import mul_2x2
 
 from ptdilate.dilation import ANCILLA_MINUS, ANCILLA_PLUS, MARGIN, _horizon_terms, _sandwich
-from ptdilate.numkit import NotHermitian, OperatorSeries, gram_2x2, top_singular_2x2
+from ptdilate.numkit import OperatorSeries, gram_2x2, top_singular_2x2
+
+
+class NotHermitian(ValueError):
+    """Input failed a Hermiticity check at the requested tolerance."""
 
 
 class NotPositive(ValueError):

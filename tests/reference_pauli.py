@@ -14,8 +14,8 @@ the tests; not itself a test module.
 """
 
 import numpy as np
+from reference_dilation import NotHermitian
 
-from ptdilate.numkit import NotHermitian
 from ptdilate.pauli import PAULI_1Q
 
 # (16, 4, 4) stack of sigma_i (x) sigma_j, row-major in (i, j).
@@ -54,7 +54,8 @@ def hsa_blocks(coeffs: np.ndarray) -> np.ndarray:
 def hsa_coeffs(blocks: np.ndarray) -> np.ndarray:
     """(..., 2, 4) coefficients c_i = tr(sigma_i B) / 2 of (..., 2, 2, 2) blocks.
 
-    Complex: a non-Hermitian block gives coefficients with an imaginary part."""
+    Complex: a non-Hermitian block gives coefficients with an imaginary part, and
+    a Hermitian one passes its ``.real`` to ``extract_a_series``."""
     b = np.asarray(blocks, dtype=complex)
     if b.shape[-3:] != (2, 2, 2):
         raise ValueError(f"expected blocks of shape (..., 2, 2, 2), got shape {b.shape}")

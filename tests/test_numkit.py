@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_dilation import (
+    NotHermitian,
     NotPositive,
     SingularPair,
     herm_eig,
@@ -38,7 +39,6 @@ from reference_steps import (
 from ptdilate import numkit
 from ptdilate.dilation import _horizon_terms
 from ptdilate.numkit import (
-    NotHermitian,
     OperatorSeries,
     TimeGrid,
     chain_su2,
@@ -66,6 +66,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t0, t1, n)
 
+    @pytest.mark.parametrize(
+        "t0,t1,n",
+        [
+            (0.0, 1.5e-323, 7),  # dt underflows to 0: every node but the last is t0
+            (0.0, 3e-323, 10),  # dt rounds up to 1 ulp: node 8 lies past t1
+            (1e16, 1e16 + 8.0, 9),  # dt = 1 is half the ulp of t0
+        ],
+    )
+    def test_rejects_nodes_that_do_not_increase(self, t0, t1, n):
+        assert not np.all(np.diff(np.linspace(t0, t1, n)) > 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeGrid(t0, t1, n)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_node_times_match_linspace_bitwise(self, data):
@@ -73,15 +86,17 @@ class TestTimeGrid:
         # as k dt + t0 (the last node t1) without the whole grid: bit for
         # bit np.linspace's, over spans from tiny to huge and any slice.
         span = st.floats(-1e150, 1e150, allow_nan=False)
-        t0, t1 = data.draw(span), data.draw(span)
+        t0, t1, n = data.draw(span), data.draw(span), data.draw(st.integers(2, 100_000))
         assume(t1 > t0)
-        grid = TimeGrid(t0, t1, data.draw(st.integers(2, 100_000)))
-        assume(grid.dt > 0.0)  # dt underflows only on a span of a few subnormals
+        try:
+            grid = TimeGrid(t0, t1, n)
+        except ValueError:  # a span of a few ulps, whose nodes do not increase
+            assume(False)
         start = data.draw(st.integers(0, grid.n_nodes))
         stop = data.draw(st.integers(start, grid.n_nodes))
         step = data.draw(st.sampled_from([1, 1024]) | st.integers(1, grid.n_nodes))
         got = grid.node_times(start, stop, step)
-        want = grid.times()[start:stop:step]
+        want = np.linspace(t0, t1, n)[start:stop:step]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_series_length_must_match(self):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_dilation import NotHermitian
 from reference_pauli import _A_SLOTS, _B_SLOTS, assemble, hsa_blocks, hsa_coeffs, pauli_decompose
 from reference_steps import block_diag
 
 from ptdilate.cli import _write_csv
 from ptdilate.dilation import DilationConfig, dilate
-from ptdilate.numkit import NotHermitian, OperatorSeries, TimeGrid
+from ptdilate.numkit import OperatorSeries, TimeGrid
 from ptdilate.pauli import ASeries, BNonVanishing, PAULI_1Q, extract_a_series
 from ptdilate.ptmodel import pt_hamiltonian
 
@@ -103,46 +104,53 @@ class TestASeriesExtraction:
         grid = TimeGrid(0.0, 1.0, 3)
         # sigma_z (x) I, a B slot: Lambda = sigma_z and Gamma = 0.
         off_family = np.stack([PAULI_1Q[3], PAULI_1Q[3]])
-        series = OperatorSeries(grid, hsa_coeffs(np.repeat(off_family[None], 3, axis=0)))
+        series = OperatorSeries(grid, hsa_coeffs(np.repeat(off_family[None], 3, axis=0)).real)
         with pytest.warns(BNonVanishing):
             extract_a_series(series)
 
     def test_rejects_non_hermitian_block(self):
+        # A non-Hermitian block has complex coefficients: not the real
+        # format that dilate writes.
         grid = TimeGrid(0.0, 1.0, 3)
         blocks = np.zeros((3, 2, 2, 2), dtype=complex)
         blocks[1, 0] = np.triu(np.ones((2, 2))) * 1j  # one bad node
-        with pytest.raises(NotHermitian):
+        with pytest.raises(ValueError, match="real H_sa"):
             extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
 
     @pytest.mark.parametrize("part", [0, 1], ids=["lambda", "gamma"])
     @pytest.mark.parametrize("i", range(4), ids=["I", "x", "y", "z"])
     def test_rejects_imaginary_coefficient_past_tolerance(self, part, i):
-        # Lambda or Gamma = (1 + i eps) sigma_i: the decode reads eps as the
-        # imaginary part of that one coefficient, and only eps > 1e-9 fails.
-        def series(eps):
+        # Lambda or Gamma = (1 + i eps) sigma_i: eps is the imaginary part of
+        # that one coefficient.  The format check has no tolerance, so the
+        # complex coefficients fail at eps = 0.5e-9 as at 2e-9, and their
+        # real parts decode.
+        def coeffs(eps):
             ops = np.zeros((2, 2, 2), dtype=complex)
             ops[part] = (1.0 + 1j * eps) * PAULI_1Q[i]
             blocks = np.stack([ops[0] + ops[1], ops[0] - ops[1]])
-            return OperatorSeries(TimeGrid(0.0, 1.0, 3), hsa_coeffs(np.repeat(blocks[None], 3, axis=0)))
+            return hsa_coeffs(np.repeat(blocks[None], 3, axis=0))
 
+        grid = TimeGrid(0.0, 1.0, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
-            extract_a_series(series(0.5e-9))
-            with pytest.raises(NotHermitian):
-                extract_a_series(series(2e-9))
+            extract_a_series(OperatorSeries(grid, coeffs(0.5e-9).real))
+            for eps in (0.5e-9, 2e-9):
+                with pytest.raises(ValueError, match="real H_sa"):
+                    extract_a_series(OperatorSeries(grid, coeffs(eps)))
 
     def test_rejects_complex_coefficients_past_tolerance(self):
-        # The coefficients are read as given: an imaginary part of 2e-9 on
-        # one of them fails, 1e-10 passes and is dropped.
-        coeffs = np.zeros((3, 2, 4), dtype=complex)
+        # The coefficients are read as given: real ones decode, and a complex
+        # array fails whatever its imaginary parts, 0 among them.
+        coeffs = np.zeros((3, 2, 4))
         coeffs[..., 1] = 1.0  # A1 = x(Lambda) = 1
         grid = TimeGrid(0.0, 1.0, 3)
-        coeffs[1, 0, 3] = 1e-10j
         aser = extract_a_series(OperatorSeries(grid, coeffs))
         assert np.array_equal(aser.a, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
-        coeffs[1, 0, 3] = 2e-9j
-        with pytest.raises(NotHermitian):
-            extract_a_series(OperatorSeries(grid, coeffs))
+        for imag in (0.0, 1e-10, 2e-9):
+            bad = coeffs.astype(complex)
+            bad[1, 0, 3] = 1j * imag
+            with pytest.raises(ValueError, match="real H_sa"):
+                extract_a_series(OperatorSeries(grid, bad))
 
     def test_warns_for_dilated_hs_outside_family(self):
         # A general complex H_s dilates to an H_sa with non-zero B slots.
@@ -160,7 +168,7 @@ class TestASeriesExtraction:
         grid = TimeGrid(0.0, 1.0, len(blocks))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
-            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
+            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks).real))
         ref = pauli_decompose(block_diag(blocks))
         assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-15
         assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-15
@@ -191,7 +199,7 @@ class TestASeriesExtraction:
         grid = TimeGrid(0.0, 1.0, len(blocks))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BNonVanishing)
-            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks)))
+            aser = extract_a_series(OperatorSeries(grid, hsa_coeffs(blocks).real))
         ref = pauli_decompose(block_diag(blocks))
         assert np.max(np.abs(aser.a - ref[(..., *_A_SLOTS)])) <= 1e-14
         assert np.max(np.abs(aser.b - ref[(..., *_B_SLOTS)])) <= 1e-14

@@ -306,9 +306,7 @@ class TestLabFrame:
         inputs = audit_inputs(16.0, 1_200_001)
         grid = inputs[3]
         captured = {}
-        monkeypatch.setattr(
-            pulse, "_evolve", lambda g, parts, i, frame: captured.update(parts=parts, frame=frame)
-        )
+        monkeypatch.setattr(pulse, "_evolve", lambda g, chunk, i: captured.update(chunk=chunk))
         simulate_lab_frame(*inputs)
         n, size = grid.n_nodes, simulator._STEPS_PER_CHUNK
         starts = np.arange(0, n - 1, size)
@@ -317,8 +315,7 @@ class TestLabFrame:
         got = {}
         for start in starts:  # in chunk order: the integrals are carried
             stop = min(start + size, n - 1)
-            captured["parts"](start, stop)
-            phase = captured["frame"](slice(start, stop + 1))
+            _, _, phase = captured["chunk"](start, stop)
             for node in nodes[(nodes >= start) & (nodes <= stop)]:
                 got.setdefault(node, []).append(phase[node - start])
         for node in starts[1:]:  # the end node of one chunk starts the next

@@ -149,12 +149,14 @@ STILL_START = np.kron([1.0, 0.0], ANCILLA_MINUS)
 
 
 def still_parts(i, j):
-    """Parts (a, z, x) of steps i .. j - 1 of a zero Hamiltonian."""
-    return np.zeros((j - i, 2)), np.zeros((j - i, 2)), np.zeros((j - i, 2), dtype=complex)
+    """Parts (z, x) of steps i .. j - 1 of a zero Hamiltonian and the unit phase of nodes i .. j."""
+    phase = np.ones((j - i + 1, 4), dtype=complex)
+    return np.zeros((j - i, 2)), np.zeros((j - i, 2), dtype=complex), phase
 
 
 def still_parts_but(step, part, value):
-    """``still_parts`` with ``value`` in part ``part`` (0: a, 1: z) of step ``step``."""
+    """``still_parts`` with ``value`` in part ``part`` (0: z, 2: phase) of step ``step``
+    (for the phase, of node ``step``)."""
 
     def parts(i, j):
         out = still_parts(i, j)
@@ -189,14 +191,14 @@ class TestPipelinedChunks:
         assert np.array_equal(traj.p0, np.ones(11))
 
     def test_no_thread_outlives_a_later_empty_branch(self, monkeypatch):
-        # A NaN angle in step 5 (chunk 2 of 3) makes its branch weight NaN:
+        # A NaN phase at node 5 (chunk 2 of 3) makes its branch weight NaN:
         # ZeroBranch raises on the calling thread while chunk 3 is built.
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", 4)
         seen = []
 
         def parts(i, j):
             seen.append(i)
-            return still_parts_but(5, 0, np.nan)(i, j)
+            return still_parts_but(5, 2, np.nan)(i, j)
 
         before = threading.active_count()
         with pytest.raises(ZeroBranch):
@@ -224,7 +226,7 @@ class TestPipelinedChunks:
         # A fresh thread starts from numpy's default error state: the helper
         # must run under the caller's, as the calling thread does.
         monkeypatch.setattr(simulator, "_STEPS_PER_CHUNK", steps_per_chunk)
-        parts = still_parts_but(5, 1, np.inf)  # cos(dt hypot(inf, 0)) is invalid
+        parts = still_parts_but(5, 0, np.inf)  # cos(dt hypot(inf, 0)) is invalid
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             simulator._evolve(TimeGrid(0.0, 1.0, 11), parts, STILL_START)
 
