@@ -63,7 +63,7 @@ def _broken_rate(r):
 
 
 def _oscillating(r, t):
-    k = np.sqrt(1.0 - r * r + _TINY)
+    k = np.sqrt((1.0 - r) * (1.0 + r) + _TINY)  # factored: 1 - r * r cancels near r = 1
     kt = k * t
     sin_kt = np.sin(kt)
     return np.cos(kt) + (r / k) * sin_kt, sin_kt / k
