@@ -53,8 +53,6 @@ from .simulator import ZeroBranch, branch_populations, prepare_initial, simulate
 
 __all__ = ["RunConfig", "ValidationError", "main"]
 
-OUTDIR_ENV = "PTDILATE_OUTDIR"
-
 # Resource bounds, checked before anything is allocated.  Peak RSS grows by
 # ~0.35 kB per grid node, the dilation's peak (`simulate`, `pulses`, one-r
 # `sweep`, `dilate` and `verify` at r = 1.4, t1 = 16: 149-152 MB at 300,001
@@ -196,9 +194,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             data[key] = val
-    env_outdir = os.environ.get(OUTDIR_ENV)
-    if env_outdir and getattr(args, "outdir", None) is None:
-        data["outdir"] = env_outdir
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
@@ -296,9 +291,9 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _readout_stride(n: int, max_points: int = READOUT_POINTS) -> int:
-    """Smallest stride that keeps at most ``max_points`` of ``n`` samples."""
-    return -(-(n - 1) // (max_points - 1)) if n > max_points else 1
+def _readout_stride(n: int) -> int:
+    """Smallest stride that keeps at most ``READOUT_POINTS`` of ``n`` samples."""
+    return -(-(n - 1) // (READOUT_POINTS - 1)) if n > READOUT_POINTS else 1
 
 
 def _sweep_worker(cfg: RunConfig, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -413,11 +408,12 @@ def _write_matrix(path: str, meta: dict, r_values, ts, mat) -> None:
     _write_csv(path, meta, columns, (np.concatenate(([r], row)) for r, row in zip(r_values, mat)))
 
 
-def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``(r, ts[::stride], P0[:, ::stride], stride)`` of a sweep matrix, where
-    ``stride = _readout_stride(len(ts), max_points)``.  Every row must be as wide
-    as the header, but only column 0 and the readout columns are parsed, so a
-    malformed cell in a column that ``fit`` skips is not an error.  Times and
+    ``stride = _readout_stride(len(ts))``, the stride of ``sweep``'s noisy rows.
+    Every row must be as wide as the header, but only column 0 and the readout
+    columns are parsed, so a malformed cell in a column that ``fit`` skips is
+    not an error.  Times and
     strengths must be finite, and a P0 cell may be nan (a failed read) but not
     infinite; errors number the columns from 1, ``r`` being column 1."""
     with open(path) as fh:
@@ -445,7 +441,7 @@ def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np
                 f"{path}: row width {ln.count(',') + 1} does not match header "
                 f"({len(ts) + 1} columns)"
             )
-    stride = _readout_stride(len(ts), max_points)
+    stride = _readout_stride(len(ts))
     cols = [0, *range(1, len(ts) + 1, stride)]
     body = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=cols)
     bad = np.isinf(body)
@@ -457,10 +453,8 @@ def _read_matrix(path: str, max_points: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    input_path, max_points = args.input, args.max_points
-    if max_points < 3:
-        raise ValidationError(f"max_points must be >= 3 (a fit needs 3 samples), got {max_points}")
-    r_nominal, ts, rows, stride = _read_matrix(input_path, max_points)
+    input_path = args.input
+    r_nominal, ts, rows, stride = _read_matrix(input_path)
     short = r_nominal[np.count_nonzero(np.isfinite(rows), axis=1) < 3]
     if short.size:
         raise ValidationError(
@@ -561,13 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "fit":
             p.add_argument("--input", required=True, help="sweep matrix CSV")
-            p.add_argument(
-                "--max-points",
-                type=int,
-                default=READOUT_POINTS,
-                help="subsample each curve to at most this many samples (at least 3); "
-                f"a noisy sweep matrix already holds at most {READOUT_POINTS}",
-            )
     return parser
 
 

@@ -146,9 +146,7 @@ def _row_scores(t: np.ndarray, p0: np.ndarray) -> np.ndarray:
     return _scan(*_model_table(t), p0[None])[0]
 
 
-def fit_r(
-    samples, r_range: tuple[float, float] = (0.0, 2.0), *, _k=None
-) -> FitResult:
+def fit_r(samples, r_range: tuple[float, float] = (0.0, 2.0)) -> FitResult:
     """Least-squares strength estimate from (t, P0) samples.
 
     Scores every r of the 1e-3 grid over [0, 2] by one matrix product with
@@ -156,10 +154,9 @@ def fit_r(
     ``r_range`` (a range holding none raises ValueError), refines it by
     Brent's method to 1e-6 on the exact ``sse`` between its neighbours in the
     range, keeping it unless beaten, and reports the curvature-based standard
-    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2) array;
-    ``_k`` is their best grid point over [0, 2], as ``fit_rows`` passes it.
-    Without it the table is built for the call, or kept from a second call at
-    the same times (2,001 x n x 8 B) for them and NaN-dropped subsets.
+    error.  ``samples`` is a sequence of (t, P0) pairs or a (n, 2) array.
+    The table is built for the call, or kept from a second call at the same
+    times (2,001 x n x 8 B) for them and NaN-dropped subsets.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -179,11 +176,15 @@ def fit_r(
     last = int(np.searchsorted(_GRID, hi, side="right")) - 1
     if first > last:
         raise ValueError(f"r_range {r_range} holds no point of the {GRID_STEP:g} scan grid")
-    if _k is None:
-        scores = _row_scores(t, p0)
-        k, whole = first + int(np.argmin(scores[first : last + 1])), int(np.argmin(scores))
-    else:
-        k = whole = _k
+    scores = _row_scores(t, p0)
+    k = first + int(np.argmin(scores[first : last + 1]))
+    return _refine(t, p0, k, first, last, int(np.argmin(scores)))
+
+
+def _refine(t, p0, k: int, first: int, last: int, whole: int) -> FitResult:
+    """The fit of the samples (t, p0) refined from ``_GRID[k]``, the best
+    scan point of the window ``_GRID[first : last + 1]``; ``whole`` is the
+    best scan point of the full grid."""
     blo = _GRID[max(k - 1, first)]
     bhi = _GRID[min(k + 1, last)]
     # Brent keeps the grid point unless its exact SSE (not its ~1e-14-off score) is beaten.
@@ -204,13 +205,13 @@ def fit_r(
     # narrowed window missing the best fit of the whole grid.
     pinned = k == last or (k == first and _GRID[k] > 0.0) or not first <= whole <= last
     degenerate = bool(pinned or not d2 > 0)  # pinned can be a numpy bool
-    stderr = math.inf if degenerate else math.sqrt(2.0 * best / (n - 2) / d2)
+    stderr = math.inf if degenerate else math.sqrt(2.0 * best / (t.size - 2) / d2)
     e_plus, e_minus = pt_eigenvalues(r_best)
     return FitResult(
         r_exp=float(r_best),
         stderr=stderr,
         sse=best,
-        n_samples=n,
+        n_samples=t.size,
         e_plus=e_plus,
         e_minus=e_minus,
         degenerate=degenerate,
@@ -218,22 +219,30 @@ def fit_r(
 
 
 def fit_rows(t, rows) -> list[FitResult]:
-    """``fit_r`` of every row of P0 samples taken at the shared times ``t``.
+    """The fit of every row of P0 samples taken at the shared times ``t``,
+    each equal to ``fit_r`` of that row's finite samples.
 
     ``rows`` is (n_rows, len(t)); non-finite entries (failed noisy reads)
-    are dropped per row.  The model table streams through the scan by blocks
-    of ``_SCAN_CHUNK`` grid rows, each scored against all rows by one matrix
-    product, and only each row's best grid point so far is kept.
+    are dropped per row, and each row must keep 3.  The model table streams
+    through the scan by blocks of ``_SCAN_CHUNK`` grid rows, each scored
+    against all rows by one matrix product, and only each row's best grid
+    point so far is kept.
     """
     t = np.asarray(t, dtype=float)
     rows = np.asarray(rows, dtype=float)
     if t.ndim != 1 or rows.ndim != 2 or rows.shape[1] != t.size:
         raise ValueError(f"rows must be (n_rows, {t.size}), one column per time, got {rows.shape}")
+    keep = np.isfinite(rows)
+    counts = keep.sum(axis=1)
+    if np.any(counts < 3):
+        raise ValueError(f"need at least 3 samples, got {counts[np.argmax(counts < 3)]}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("samples contain non-finite values; filter them first")
     best, ks = np.full(rows.shape[0], np.inf), np.zeros(rows.shape[0], dtype=int)
     for i in range(0, _GRID.size, _SCAN_CHUNK):
         table = analytic_p0(_GRID[i : i + _SCAN_CHUNK, None], t)
         scores = _scan(table, np.einsum("ij,ij->i", table, table), rows)
         won = scores.min(axis=1) < best  # strict: the first of equal scores wins, as in argmin
         best[won], ks[won] = scores[won].min(axis=1), i + scores[won].argmin(axis=1)
-    keep = np.isfinite(rows)
-    return [fit_r(np.column_stack([t[m], row[m]]), _k=int(k)) for row, m, k in zip(rows, keep, ks)]
+    last = _GRID.size - 1
+    return [_refine(t[m], row[m], int(k), 0, last, int(k)) for row, m, k in zip(rows, keep, ks)]

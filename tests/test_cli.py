@@ -335,11 +335,6 @@ class TestConfig:
         assert peak < 10_000_000
         assert not out.exists()
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTDILATE_OUTDIR", str(tmp_path))
-        assert run("simulate", "--r", "0.2", "--n-nodes", "51", "--t1", "0.5") == 0
-        assert (tmp_path / "trajectory_r0p2.csv").exists()
-
 
 class TestDilateCommand:
     def test_hermitian_case_columns(self, tmp_path):
@@ -583,18 +578,6 @@ class TestSweepAndFit:
         bad.write_text("time,0.0,0.1\n0.5,1.0,0.9\n")
         assert run("fit", "--input", str(bad), "--outdir", str(tmp_path)) == 1
 
-    @pytest.mark.parametrize("max_points", [0, 1, 2])
-    def test_max_points_below_three_rejected_before_reading(self, tmp_path, capsys, max_points):
-        out = tmp_path / "out"
-        assert run(
-            "fit", "--input", str(tmp_path / "missing.csv"), "--outdir", str(out),
-            "--max-points", str(max_points),
-        ) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ValidationError")
-        assert "max_points" in err
-        assert not out.exists()
-
     def test_row_with_too_few_finite_samples_names_its_r(self, tmp_path, capsys):
         ts = np.linspace(0.0, 4.0, 21)
         mat = np.array([analytic_p0(r, ts) for r in (0.4, 0.7, 1.3)])
@@ -612,7 +595,7 @@ class TestSweepAndFit:
         # covered too.  The rows with 1e-8 noise sit on scan grid points,
         # where the reported SSE is often the table score itself, so
         # these rows also show the order in which the batch sums it.
-        ts = np.linspace(0.0, 8.0, 81)
+        ts = np.linspace(0.0, 8.0, 801)
         r_nominal = [0.0, 0.3, 0.6, 0.8, 1.0, 1.4, 2.4]
         rng = np.random.default_rng(3)
         noise = np.array([1e-2, 1e-8, 1e-8, 1e-8, 1e-2, 1e-2, 1e-2])[:, None]
@@ -628,10 +611,8 @@ class TestSweepAndFit:
             return batches[-1]
 
         monkeypatch.setattr("ptdilate.cli.fit_rows", recording)
-        assert run(
-            "fit", "--input", str(path), "--outdir", str(tmp_path), "--max-points", "21",
-        ) == 0
-        stride = 4  # (81 - 1) // (21 - 1)
+        assert run("fit", "--input", str(path), "--outdir", str(tmp_path)) == 0
+        stride = 4  # (801 - 1) // (201 - 1)
         expected = []
         for row in mat:
             samples = np.column_stack([ts[::stride], row[::stride]])
@@ -646,16 +627,16 @@ class TestSweepAndFit:
 class TestReadMatrix:
     """``fit`` parses only column 0 and the readout columns of a matrix."""
 
-    def write_small(self, tmp_path, rows_text):
-        """A header of 21 times over [0, 4] and the given body lines."""
-        header = ",".join(["r", *map(repr, np.linspace(0.0, 4.0, 21).tolist())])
+    def write_small(self, tmp_path, rows_text, n_times=21):
+        """A header of ``n_times`` times over [0, 4] and the given body lines."""
+        header = ",".join(["r", *map(repr, np.linspace(0.0, 4.0, n_times).tolist())])
         path = tmp_path / "m.csv"
         path.write_text("\n".join([header, *rows_text]) + "\n")
         return path
 
-    @pytest.mark.parametrize("max_points, stride", [(201, 10), (21, 100)])
-    def test_strided_read_equals_full_parse_then_stride(self, tmp_path, max_points, stride):
-        ts = TimeGrid(0.0, 4.0, 2001).times()
+    @pytest.mark.parametrize("points, stride", [(201, 10), (201, 100)])
+    def test_strided_read_equals_full_parse_then_stride(self, tmp_path, points, stride):
+        ts = TimeGrid(0.0, 4.0, (points - 1) * stride + 1).times()
         r_values = [0.0, 0.6, 1.4]
         mat = np.array([analytic_p0(r, ts) for r in r_values])
         mat[0, [0, 10, 11, 700]] = np.nan
@@ -664,8 +645,9 @@ class TestReadMatrix:
         cli._write_matrix(path, {}, r_values, ts, mat)
         with open(path) as fh:
             full = np.loadtxt([ln for ln in fh if ln[0] != "#"][1:], delimiter=",", ndmin=2)
-        r_read, ts_read, rows, got_stride = cli._read_matrix(path, max_points)
+        r_read, ts_read, rows, got_stride = cli._read_matrix(path)
         assert got_stride == stride
+        assert ts_read.size == points
         assert np.array_equal(r_read, full[:, 0])
         assert np.array_equal(ts_read, ts[::stride])
         assert np.array_equal(rows, full[:, 1:][:, ::stride], equal_nan=True)
@@ -683,21 +665,22 @@ class TestReadMatrix:
         assert not out.exists()
 
     def test_non_numeric_cell_in_a_read_column_rejected(self, tmp_path):
-        ts = np.linspace(0.0, 4.0, 21)
+        # 401 times at 201 points: stride 2 reads times 0, 2, ..., 400.
+        ts = np.linspace(0.0, 4.0, 401)
         cells = [repr(float(v)) for v in analytic_p0(0.6, ts)]
         cells[4] = "oops"
-        path = self.write_small(tmp_path, [",".join(["0.6", *cells])])
+        path = self.write_small(tmp_path, [",".join(["0.6", *cells])], n_times=401)
         out = tmp_path / "out"
-        assert run("fit", "--input", str(path), "--outdir", str(out), "--max-points", "11") == 1
+        assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
         assert not out.exists()
 
     def test_non_numeric_cell_in_a_skipped_column_is_not_parsed(self, tmp_path):
-        # 21 times at 11 points: stride 2 reads times 0, 2, ..., 20 only.
-        ts = np.linspace(0.0, 4.0, 21)
+        # 401 times at 201 points: stride 2 reads times 0, 2, ..., 400 only.
+        ts = np.linspace(0.0, 4.0, 401)
         cells = [repr(float(v)) for v in analytic_p0(0.6, ts)]
         cells[5] = "oops"
-        path = self.write_small(tmp_path, [",".join(["0.6", *cells])])
-        r_read, ts_read, rows, stride = cli._read_matrix(str(path), 11)
+        path = self.write_small(tmp_path, [",".join(["0.6", *cells])], n_times=401)
+        r_read, ts_read, rows, stride = cli._read_matrix(str(path))
         assert stride == 2
         assert np.array_equal(rows, [analytic_p0(0.6, ts)[::2]])
 
@@ -740,16 +723,14 @@ class TestReadMatrix:
         assert not out.exists()
 
     def test_too_few_finite_samples_names_the_full_matrix_stride(self, tmp_path, capsys):
-        # 81 times at 21 points: stride 4, and the r = 0.7 row keeps two
-        # finite reads among the 21 readout columns.
-        ts = np.linspace(0.0, 8.0, 81)
+        # 801 times at 201 points: stride 4, and the r = 0.7 row keeps two
+        # finite reads among the 201 readout columns.
+        ts = np.linspace(0.0, 8.0, 801)
         mat = np.array([analytic_p0(r, ts) for r in (0.4, 0.7)])
         mat[1, 8:] = np.nan
         path = write_matrix(tmp_path / "m.csv", [0.4, 0.7], ts, mat)
         out = tmp_path / "out"
-        assert run(
-            "fit", "--input", str(path), "--outdir", str(out), "--max-points", "21",
-        ) == 1
+        assert run("fit", "--input", str(path), "--outdir", str(out)) == 1
         err = capsys.readouterr().err
         assert "fewer than 3 finite samples at stride 4" in err
         assert not out.exists()

@@ -14,7 +14,7 @@ from reference_expm import expm
 
 from ptdilate import fitkit
 from ptdilate.cli import _write_matrix, main
-from ptdilate.fitkit import _model_table, _scan, fit_r, fit_rows, sse
+from ptdilate.fitkit import _model_table, _refine, _scan, fit_r, fit_rows, sse
 from ptdilate.numkit import TimeGrid
 from ptdilate.ptmodel import analytic_p0, pt_hamiltonian
 from ptdilate.readout import PLRates, noisy_p0_curve
@@ -41,10 +41,11 @@ def fields(res):
 
 
 def fresh_fit(samples):
-    """``fit_r`` from the best grid point scored on a model table built for
-    these samples' own times."""
-    scores = _scan(*_model_table(samples[:, 0]), samples[None, :, 1])[0]
-    return fit_r(samples, _k=int(np.argmin(scores)))
+    """The fit over [0, 2] from the best grid point scored on a model table
+    built for these samples' own times."""
+    t, p0 = samples[:, 0], samples[:, 1]
+    k = int(np.argmin(_scan(*_model_table(t), p0[None])[0]))
+    return _refine(t, p0, k, 0, fitkit._GRID.size - 1, k)
 
 
 def noisy_readouts(r, grid, stride, repetitions, seeds):
@@ -114,6 +115,23 @@ class TestValidation:
         bad[3, 1] = np.nan
         with pytest.raises(ValueError):
             fit_r(bad)
+
+    def test_fit_rows_needs_three_finite_samples_per_row(self):
+        rows = np.array([analytic_p0(r, T_SAMPLES) for r in (0.4, 0.7)])
+        rows[1, 2:] = np.nan  # the r = 0.7 row keeps two finite reads
+        with pytest.raises(ValueError, match="need at least 3 samples, got 2"):
+            fit_rows(T_SAMPLES, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_rows_rejects_a_non_finite_time(self, bad):
+        # Also where every row failed its read at that time.
+        t = T_SAMPLES.copy()
+        t[5] = bad
+        rows = np.array([analytic_p0(0.6, T_SAMPLES)] * 2)
+        for drop in ([], [5]):
+            rows[:, drop] = np.nan
+            with pytest.raises(ValueError, match="samples contain non-finite values"):
+                fit_rows(t, rows)
 
     def test_degenerate_curvature_flagged(self):
         # Samples at t = 0 only carry no strength information: the SSE is
@@ -257,8 +275,8 @@ def builds(monkeypatch):
 
 
 class TestKeptTable:
-    """``fit_r`` without ``_scores`` keeps the model table of times it is
-    asked for twice, and serves it for those times and NaN-dropped subsets."""
+    """``fit_r`` keeps the model table of times it is asked for twice, and
+    serves it for those times and NaN-dropped subsets."""
 
     def test_one_off_fit_keeps_nothing(self, builds):
         fit_r(clean_samples(0.6))
