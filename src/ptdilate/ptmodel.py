@@ -48,7 +48,7 @@ def pt_eigenvalues(r: float) -> tuple[complex, complex]:
     """
     r = float(_strength(r))
     if r <= 1.0:
-        e = complex(np.sqrt(1.0 - r * r))
+        e = complex(np.sqrt((1.0 - r) * (1.0 + r)))  # factored, as in _oscillating
     else:
         e = 1j * _broken_rate(r)
     return e, -e
@@ -59,7 +59,7 @@ def _broken_rate(r):
     naming r where r^2 overflows."""
     if not np.all(r <= _R_MAX):
         raise ValueError(f"r = {np.max(r)} is too large: r^2 overflows above r = {_R_MAX}")
-    return np.sqrt(r * r - 1.0)
+    return np.sqrt((r - 1.0) * (r + 1.0))  # factored: r * r - 1 cancels near r = 1
 
 
 def _oscillating(r, t):

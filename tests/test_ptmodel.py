@@ -76,6 +76,25 @@ class TestEigenvalues:
             ours = sorted(pt_eigenvalues(r), key=key)
             assert np.allclose(direct, ours, atol=1e-12)
 
+    # |r - 1| log-uniform in [1e-16, 1e-1] on both sides of the exceptional point.
+    NEAR_EP_WIDE = st.builds(
+        lambda e, sign: 1.0 + sign * 10.0**e, st.floats(-16.0, -1.0), st.sampled_from([-1.0, 1.0])
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(NEAR_EP_WIDE)
+    @example(0.999999992549657)  # 1.9e-9 off with 1 - r * r
+    @example(1.000000010526273)  # 2.6e-9 off with r * r - 1
+    def test_matches_mpmath_near_the_exceptional_point(self, r):
+        # sqrt(1 - r^2) and sqrt(r^2 - 1) factored as (1 - r)(1 + r) and
+        # (r - 1)(r + 1): 1 - r is exact here, so E+- keep full relative
+        # precision as they go to 0 at r = 1.
+        with mp.workdps(50):
+            want = complex(mp.sqrt(1 - mp.mpf(r) ** 2))
+        ep, em = pt_eigenvalues(r)
+        assert em == -ep
+        assert abs(ep - want) <= 2 * np.finfo(float).eps * abs(want), r
+
 
 class TestAnalyticP0:
     def test_hermitian_limit_is_cos_squared(self):
