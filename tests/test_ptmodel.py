@@ -141,6 +141,7 @@ class TestAnalyticP0:
     @example(1.0 - 4e-9, 8.0)
     @example(1.0 + 4e-9, 8.0)
     @example(1.0 + 1e-9, 16.0)
+    @example(0.9815151798277582, 16.0)  # 2.07e-14 off while k^2 was 1 - r * r
     def test_matches_mpmath(self, r, t):
         # One evaluator through the exceptional point: within an ulp or so
         # near it, and within the rounding of the trig argument k t elsewhere.
