@@ -413,9 +413,9 @@ def _read_matrix(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     ``stride = _readout_stride(len(ts))``, the stride of ``sweep``'s noisy rows.
     Every row must be as wide as the header, but only column 0 and the readout
     columns are parsed, so a malformed cell in a column that ``fit`` skips is
-    not an error.  Times and
-    strengths must be finite, and a P0 cell may be nan (a failed read) but not
-    infinite; errors number the columns from 1, ``r`` being column 1."""
+    not an error.  Times and strengths must be finite, and a P0 cell may be
+    nan (a failed read) but not infinite; errors number the columns from 1,
+    ``r`` being column 1."""
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     if not lines:
